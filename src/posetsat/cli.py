@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -67,15 +66,6 @@ class RunConfig:
     fmt: str = "json"
     rng_seed: int = 1
     budget_s: float | None = None
-    threads: int = 1
-
-
-def _default_threads() -> int:
-    raw = os.environ.get("POSETSAT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _resolve_poset(selector: str | None):
@@ -135,7 +125,7 @@ def _cmd_construct(cfg: RunConfig, args) -> int:
 def _cmd_check(cfg: RunConfig, args) -> int:
     q = _resolve_poset(cfg.poset)
     fam = _load_family_arg(cfg)
-    report = saturation_report(fam, q, fail_fast=args.fail_fast, threads=cfg.threads)
+    report = saturation_report(fam, q, fail_fast=args.fail_fast)
     _print_json(report.to_json_obj())
     if report.saturated:
         print(f"saturated: {len(fam)} sets, no free additions", file=sys.stderr)
@@ -200,7 +190,7 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
     if args.suite is not None:
         if args.suite != "paper":
             raise UsageError(f"unknown suite {args.suite!r}")
-        ok = run_paper_suite(seed=cfg.rng_seed, threads=cfg.threads)
+        ok = run_paper_suite(seed=cfg.rng_seed)
         return EXIT_OK if ok else EXIT_FAILED
     if args.target is None:
         raise UsageError("verify needs a target (lemma1|t2|t3|p4) or --suite paper")
@@ -238,9 +228,7 @@ def _cmd_solve(cfg: RunConfig, args) -> int:
             cfg.n, q, trials=args.trials, rng_seed=cfg.rng_seed
         )
     else:
-        result = exact_sat_star(
-            cfg.n, q, budget_s=cfg.budget_s, method=args.method, threads=cfg.threads
-        )
+        result = exact_sat_star(cfg.n, q, budget_s=cfg.budget_s, method=args.method)
     _print_json(result.to_json_obj())
     kind = "exact" if result.exact else "upper bound"
     print(f"sat*({cfg.n}, {poset_name(q)}) {kind}: {result.value}", file=sys.stderr)
@@ -273,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--fail-fast", action="store_true")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("embed", help="find an induced copy of a poset")
@@ -298,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strong", action="store_true", help="p4: also check the per-member claim")
     p.add_argument("--format", choices=["json", "tsv", "text"], default="json")
     p.add_argument("--rng-seed", type=int, default=1)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("solve", help="exact or best-known saturation number")
@@ -308,7 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, help="time budget in seconds")
     p.add_argument("--trials", type=int, default=20, help="greedy method: closure count")
     p.add_argument("--rng-seed", type=int, default=1)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("hasse", help="DOT digraph of a family's cover relations")
@@ -330,7 +315,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         fmt=getattr(args, "format", "json"),
         rng_seed=getattr(args, "rng_seed", 1),
         budget_s=getattr(args, "budget", None),
-        threads=getattr(args, "threads", 1),
     )
 
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import PosetValidationError, UsageError
 
@@ -306,35 +306,39 @@ def _bipartite_shape(spec: PosetSpec) -> tuple[int, int] | None:
     return (len(mins), len(maxs))
 
 
+def _order_isomorphisms(p: PosetSpec, q: PosetSpec) -> Iterator[list[int]]:
+    """Every order isomorphism from p onto q of equal size, in lexicographic
+    order of images; ``iso[x]`` is the image of x. The yielded list is reused
+    between steps, so copy it to keep it."""
+    m = p.size
+    image: list[int] = []
+    used = [False] * m
+
+    def extend(x: int) -> Iterator[list[int]]:
+        if x == m:
+            yield image
+            return
+        for y in range(m):
+            if used[y]:
+                continue
+            if all(
+                p.less[x][x2] == q.less[y][y2] and p.less[x2][x] == q.less[y2][y]
+                for x2, y2 in enumerate(image)
+            ):
+                image.append(y)
+                used[y] = True
+                yield from extend(x + 1)
+                image.pop()
+                used[y] = False
+
+    return extend(0)
+
+
 def poset_isomorphic(p: PosetSpec, q: PosetSpec) -> bool:
     """Exact order-isomorphism test (small posets only)."""
     if p.size != q.size or p.relation_count() != q.relation_count():
         return False
-    m = p.size
-    assigned: list[int] = []
-    used = set()
-
-    def extend(x: int) -> bool:
-        if x == m:
-            return True
-        for y in range(m):
-            if y in used:
-                continue
-            ok = True
-            for x2, y2 in enumerate(assigned):
-                if p.less[x][x2] != q.less[y][y2] or p.less[x2][x] != q.less[y2][y]:
-                    ok = False
-                    break
-            if ok:
-                assigned.append(y)
-                used.add(y)
-                if extend(x + 1):
-                    return True
-                assigned.pop()
-                used.discard(y)
-        return False
-
-    return extend(0)
+    return next(_order_isomorphisms(p, q), None) is not None
 
 
 def poset_name(spec: PosetSpec) -> str:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .core import PosetSpec, SetFamily, SubsetMask
+from .core import PosetSpec, SetFamily, SubsetMask, _order_isomorphisms
 from .errors import UsageError
 
 _BELOW, _ABOVE, _NONE = 1, 2, 0
@@ -27,45 +27,13 @@ def _automorphism_orbits(q: PosetSpec) -> tuple[int, ...]:
     """One representative element per automorphism orbit: a copy through a
     required member exists at some position iff it exists at the orbit's
     representative, so the forced search only tries representatives."""
-    m = q.size
-    parent = list(range(m))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    image: list[int] = []
-    used = [False] * m
-
-    def extend(x: int) -> None:
-        if x == m:
-            for i, y in enumerate(image):
-                union(i, y)
-            return
-        for y in range(m):
-            if used[y]:
-                continue
-            ok = True
-            for x2, y2 in enumerate(image):
-                if q.less[x][x2] != q.less[y][y2] or q.less[x2][x] != q.less[y2][y]:
-                    ok = False
-                    break
-            if ok:
-                image.append(y)
-                used[y] = True
-                extend(x + 1)
-                image.pop()
-                used[y] = False
-
-    extend(0)
-    return tuple(sorted({find(x) for x in range(m)}))
+    # the orbit of x is {iso[x]} over all automorphisms; keep its minimum
+    low = list(range(q.size))
+    for iso in _order_isomorphisms(q, q):
+        for x, y in enumerate(iso):
+            if y < low[x]:
+                low[x] = y
+    return tuple(sorted(set(low)))
 
 
 @lru_cache(maxsize=None)

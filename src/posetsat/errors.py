@@ -21,7 +21,7 @@ class PosetValidationError(UsageError):
     """A relation matrix is not a strict partial order.
 
     ``violations`` lists every offending cell as ``(axiom, a, b)`` tuples with
-    axiom one of ``"irreflexivity"``, ``"antisymmetry"``, ``"transitivity"``.
+    axiom one of ``"reflexivity"``, ``"antisymmetry"``, ``"transitivity"``.
     """
 
     def __init__(self, violations):

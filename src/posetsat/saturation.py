@@ -9,7 +9,6 @@ set because the base family is free.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,38 +57,21 @@ def saturation_report(
     family: SetFamily,
     q: PosetSpec,
     fail_fast: bool = False,
-    threads: int = 1,
 ) -> SaturationReport:
     """Full saturation verdict: freeness, then a scan of every missing subset.
 
-    ``fail_fast`` stops at the first unsaturated set (solver hot loop);
-    ``threads`` splits the read-only scan, with deterministic merge order.
+    ``fail_fast`` stops at the first unsaturated set (solver hot loop).
     """
     witness = find_induced_copy(family, q)
     if witness is not None:
         return SaturationReport(False, witness, (), False)
-    n = family.ground.n
-    bits = list(family.bit_list)
-    missing = family.missing_masks()
+    index = _FamilyIndex(family.bit_list, family.ground.n)
     unsat: list[int] = []
-    if threads > 1 and not fail_fast:
-        chunk = max(1, (len(missing) + threads - 1) // threads)
-        chunks = [missing[i:i + chunk] for i in range(0, len(missing), chunk)]
-
-        def scan(part: list[int]) -> list[int]:
-            index = _FamilyIndex(bits, n)
-            return [s for s in part if not index.probe_with(q, s)]
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(scan, chunks):
-                unsat.extend(part)
-    else:
-        index = _FamilyIndex(bits, n)
-        for s in missing:
-            if not index.probe_with(q, s):
-                unsat.append(s)
-                if fail_fast:
-                    break
+    for s in family.missing_masks():
+        if not index.probe_with(q, s):
+            unsat.append(s)
+            if fail_fast:
+                break
     masks = tuple(SubsetMask(s, family.ground) for s in unsat)
     return SaturationReport(True, None, masks, not unsat)
 
@@ -162,17 +144,11 @@ def n_construction(n: int) -> SetFamily:
 
 
 def k2k_seed(n: int, k: int) -> SetFamily:
-    """Free seed for closing toward K_{2,k}: all singletons plus the full
-    prefix chain (empty set included)."""
+    """Free seed for closing toward K_{2,k}: the N construction (the empty
+    set, all singletons and the full prefix chain)."""
     if k < 2 or n <= k:
         raise UsageError(f"k2k seed needs n > k >= 2, got n={n}, k={k}")
-    ground = GroundSet(n)
-    masks = {0}
-    for i in range(n):
-        masks.add(1 << i)
-    for i in range(1, n + 1):
-        masks.add(_prefix_mask(i))
-    return SetFamily.from_masks(ground, masks)
+    return n_construction(n)
 
 
 def kkk_seed(n: int, k: int) -> SetFamily:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import Iterator
 
 from .core import (
     GroundSet,
@@ -65,15 +65,17 @@ class SolveResult:
         }
 
 
-def _naive_isomorphic(combo: tuple[int, ...], q: PosetSpec) -> bool:
+def _naive_has_copy(bits: tuple[int, ...], q: PosetSpec) -> bool:
+    """All-tuples oracle: some ordered |q|-tuple of ``bits`` reproduces the
+    strict order of q exactly. Shares no code with the backtracking search."""
     m = q.size
-    for perm in permutations(combo):
+    for tup in permutations(bits, m):
         ok = True
         for a in range(m):
             for b in range(m):
                 if a == b:
                     continue
-                below = perm[a] != perm[b] and perm[a] & perm[b] == perm[a]
+                below = tup[a] != tup[b] and tup[a] & tup[b] == tup[a]
                 if q.less[a][b] != below:
                     ok = False
                     break
@@ -90,7 +92,7 @@ def _forbidden_tables(n: int, q: PosetSpec):
     nsets = 1 << n
     copies = []
     for combo in combinations(range(nsets), q.size):
-        if _naive_isomorphic(combo, q):
+        if _naive_has_copy(combo, q):
             copies.append(sum(1 << s for s in combo))
     rest: list[list[int]] = [[] for _ in range(nsets)]
     for cmask in copies:
@@ -115,10 +117,9 @@ def _free_bitmap(nsets: int, copies: list[int]) -> bytearray:
     return free
 
 
-def _saturated_in_range(start: int, stop: int, nsets: int, free: bytearray,
-                        rest: list[list[int]]) -> list[int]:
-    out = []
-    for fam in range(start, stop):
+def _saturated_masks(nsets: int, free: bytearray, rest: list[list[int]]) -> Iterator[int]:
+    """Every free subfamily mask that blocks each missing set, ascending."""
+    for fam in range(1 << nsets):
         if not free[fam]:
             continue
         ok = True
@@ -135,15 +136,13 @@ def _saturated_in_range(start: int, stop: int, nsets: int, free: bytearray,
                 ok = False
                 break
         if ok:
-            out.append(fam)
-    return out
+            yield fam
 
 
 def enumerate_saturated_families(
     n: int,
     q: PosetSpec,
     cap: int | None = None,
-    threads: int = 1,
 ) -> list[SetFamily]:
     """All q-saturated families over [n] for n <= 4 (complete); for larger n
     a cap is required and a depth-first walk over maximal free families
@@ -159,25 +158,11 @@ def enumerate_saturated_families(
     nsets = 1 << n
     copies, rest = _forbidden_tables(n, q)
     free = _free_bitmap(nsets, copies)
-    total = 1 << nsets
-    if threads > 1 and cap is None:
-        chunk = (total + threads - 1) // threads
-        spans = [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(
-                lambda span: _saturated_in_range(span[0], span[1], nsets, free, rest),
-                spans,
-            )
-            found = [fam for part in parts for fam in part]
-    elif cap is None:
-        found = _saturated_in_range(0, total, nsets, free, rest)
-    else:
-        found = []
-        for fam in range(total):
-            if free[fam] and _saturated_in_range(fam, fam + 1, nsets, free, rest):
-                found.append(fam)
-                if len(found) >= cap:
-                    break
+    found = []
+    for fam in _saturated_masks(nsets, free, rest):
+        found.append(fam)
+        if cap is not None and len(found) >= cap:
+            break
     out = []
     for fam in found:
         masks = [s for s in range(nsets) if fam >> s & 1]
@@ -283,7 +268,6 @@ def exact_sat_star(
     q: PosetSpec,
     budget_s: float | None = None,
     method: str = "auto",
-    threads: int = 1,
 ) -> SolveResult:
     """sat*(n, q): exact for n <= 4, otherwise exact if the budget allows and
     the best greedy certificate with ``exact=False`` when it expires.
@@ -299,7 +283,7 @@ def exact_sat_star(
     if method == "enumerate":
         if n > _EXHAUSTIVE_LIMIT:
             raise UsageError(f"method 'enumerate' requires n <= {_EXHAUSTIVE_LIMIT}")
-        families = enumerate_saturated_families(n, q, threads=threads)
+        families = enumerate_saturated_families(n, q)
         best = min(families, key=lambda f: (len(f), f.bit_list))
         result = SolveResult(
             n=n,

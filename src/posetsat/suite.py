@@ -4,8 +4,7 @@ bundled as one deterministic pass/fail table.
 The table rows are keyed to the claim identifiers used by the verify
 subcommand (lemma1, theorem2, theorem3, prop4, prop5, prop6) plus rows for
 the explicit constructions, the exact small-n oracle, and the embedding
-cross-check. Output is byte-stable for a fixed seed and independent of the
-thread count: worker partitions merge in index order and nothing timed is
+cross-check. Output is byte-stable for a fixed seed: nothing timed is
 printed.
 """
 
@@ -13,12 +12,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import permutations
 from math import comb
 
 from .core import (
     GroundSet,
-    PosetSpec,
     SetFamily,
     antichain_poset,
     butterfly_poset,
@@ -35,7 +32,11 @@ from .saturation import (
     n_construction,
     saturation_report,
 )
-from .solver import enumerate_saturated_families, sample_saturated_families
+from .solver import (
+    _naive_has_copy,
+    enumerate_saturated_families,
+    sample_saturated_families,
+)
 from .theorems import lemma1_check, verify_prop4, verify_theorem2, verify_theorem3
 
 B_GREEDY_COUNTS = {5: 17, 6: 14, 7: 11, 8: 8}
@@ -47,26 +48,6 @@ class SuiteRow:
     key: str
     passed: bool
     detail: str
-
-
-def _naive_has_copy(bits: tuple[int, ...], q: PosetSpec) -> bool:
-    """All-tuples oracle used to cross-check the backtracking search."""
-    m = q.size
-    for tup in permutations(bits, m):
-        ok = True
-        for a in range(m):
-            for b in range(m):
-                if a == b:
-                    continue
-                below = tup[a] != tup[b] and tup[a] & tup[b] == tup[a]
-                if q.less[a][b] != below:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
 
 
 def _butterfly_size(n: int) -> int:
@@ -97,12 +78,12 @@ def _row_construction_n() -> SuiteRow:
     return SuiteRow("construction-N", not bad, detail)
 
 
-def _row_exact_oracle(threads: int) -> tuple[SuiteRow, list[SetFamily]]:
+def _row_exact_oracle() -> tuple[SuiteRow, list[SetFamily]]:
     q = butterfly_poset()
     values = {}
     families4: list[SetFamily] = []
     for n in (2, 3, 4):
-        fams = enumerate_saturated_families(n, q, threads=threads)
+        fams = enumerate_saturated_families(n, q)
         values[n] = (min(len(f) for f in fams), len(fams))
         if n == 4:
             families4 = fams
@@ -121,11 +102,11 @@ def _b_instances(seed: int, exhaustive4: list[SetFamily]) -> list[SetFamily]:
     return instances
 
 
-def _n_instances(seed: int, threads: int) -> list[SetFamily]:
+def _n_instances(seed: int) -> list[SetFamily]:
     q = n_poset()
     instances: list[SetFamily] = []
     for n in (2, 3, 4):
-        instances.extend(enumerate_saturated_families(n, q, threads=threads))
+        instances.extend(enumerate_saturated_families(n, q))
     for n, count in sorted(N_GREEDY_COUNTS.items()):
         instances.extend(sample_saturated_families(n, q, count, rng_seed=seed * 2000 + n))
     return instances
@@ -253,7 +234,7 @@ def _row_embedding_oracle() -> SuiteRow:
     )
 
 
-def run_paper_suite(seed: int = 1, threads: int = 1, out=None, err=None) -> bool:
+def run_paper_suite(seed: int = 1, out=None, err=None) -> bool:
     """Run the full battery and print the pass/fail table; True iff all rows
     pass."""
     out = out or sys.stdout
@@ -267,7 +248,7 @@ def run_paper_suite(seed: int = 1, threads: int = 1, out=None, err=None) -> bool
     rows.append(_row_construction_b())
     rows.append(_row_construction_n())
     progress("enumerating saturated families at small n")
-    oracle_row, exhaustive4 = _row_exact_oracle(threads)
+    oracle_row, exhaustive4 = _row_exact_oracle()
     rows.append(oracle_row)
     progress("generating butterfly-saturated instances")
     b_instances = _b_instances(seed, exhaustive4)
@@ -276,7 +257,7 @@ def run_paper_suite(seed: int = 1, threads: int = 1, out=None, err=None) -> bool
     rows.append(_row_theorem2(b_instances))
     rows.append(_row_theorem3(b_instances))
     progress("generating N-saturated instances")
-    n_instances = _n_instances(seed, threads)
+    n_instances = _n_instances(seed)
     rows.append(_row_prop4(n_instances))
     progress("closing bipartite seed families")
     rows.append(_row_prop5())

@@ -87,20 +87,37 @@ class TheoremReport:
         }
 
 
-def _refused_small_ground(theorem: str, family: SetFamily) -> TheoremReport:
+_SMALL_GROUND = "ground sets of size 1 are outside the analysed range"
+
+
+def _refused(
+    theorem: str, family: SetFamily, reason: str, bound: int = 0, k: int | None = None
+) -> TheoremReport:
+    """Report for a family outside the verifier's hypotheses."""
     return TheoremReport(
         theorem=theorem,
         n=family.ground.n,
         hypotheses_hold=False,
-        bound_value=0,
+        bound_value=bound,
         family_size=len(family),
         passed=False,
-        counterexample={"reason": "ground sets of size 1 are outside the analysed range"},
+        counterexample={"reason": reason},
+        k=k,
     )
 
 
 def _singleton_bits(family: SetFamily) -> list[int]:
     return [b for b in family.bit_list if b.bit_count() == 1]
+
+
+def _missing_singleton_pair(family: SetFamily, singles: list[int]) -> list[int] | None:
+    """First pair [i, j] (lexicographic) whose singletons are both members
+    while {i, j} is not, or None."""
+    for x, s in enumerate(singles):
+        for t in singles[x + 1:]:
+            if not family.has_mask(s | t):
+                return [s.bit_length(), t.bit_length()]
+    return None
 
 
 def _max_chevron_through(family: SetFamily, probe: int) -> Chevron | None:
@@ -147,7 +164,8 @@ def assign_chevron_to_singleton(family: SetFamily, i: int) -> Chevron:
 def assign_chevron_to_pair(family: SetFamily, pair: SubsetMask) -> Chevron:
     """Chevron assigned to a missing pair {i,j} with exactly one of its
     singletons in the family; also requires the image C u {i,j} to be a
-    member, as the injection argument guarantees."""
+    member, as the injection argument guarantees. A broken guarantee raises
+    with ``detail == {"pair": [i, j]}``."""
     if pair.ground != family.ground:
         raise UsageError("pair over a different ground set")
     if pair.cardinality != 2:
@@ -159,63 +177,59 @@ def assign_chevron_to_pair(family: SetFamily, pair: SubsetMask) -> Chevron:
         raise UsageError(
             f"pair {pair} must have exactly one singleton in the family, found {present}"
         )
+    detail = {"pair": list(pair.elements())}
     chevron = _max_chevron_through(family, pair.bits)
     if chevron is None:
         raise ContractViolationError(
             f"no butterfly through the missing pair {pair}; "
-            "the family cannot be butterfly-saturated"
+            "the family cannot be butterfly-saturated",
+            detail,
         )
     image = chevron.c.bits | pair.bits
     if not family.has_mask(image):
         raise ContractViolationError(
             f"chevron image {SubsetMask(image, family.ground)} for pair {pair} "
-            "is not a family member"
+            "is not a family member",
+            detail,
         )
     return chevron
 
 
-def theorem2_assignment(family: SetFamily) -> ChevronAssignment:
-    """Chevron map over all missing singletons (assumes butterfly-saturation)."""
+def _chevron_assignment(family: SetFamily, domain: list[int], assign) -> ChevronAssignment:
+    """Chevron ``assign(item)`` and image C u item for each domain mask, in
+    domain order."""
     ground = family.ground
-    domain = []
     chevrons = {}
     images = {}
-    for i in range(1, ground.n + 1):
-        s = 1 << (i - 1)
-        if family.has_mask(s):
-            continue
-        item = SubsetMask(s, ground)
-        ch = assign_chevron_to_singleton(family, i)
-        domain.append(item)
-        chevrons[s] = ch
-        images[s] = SubsetMask(ch.c.bits | s, ground)
-    return ChevronAssignment(tuple(domain), chevrons, images)
+    for item in domain:
+        ch = assign(item)
+        chevrons[item] = ch
+        images[item] = SubsetMask(ch.c.bits | item, ground)
+    return ChevronAssignment(tuple(SubsetMask(b, ground) for b in domain), chevrons, images)
+
+
+def theorem2_assignment(family: SetFamily) -> ChevronAssignment:
+    """Chevron map over all missing singletons (assumes butterfly-saturation)."""
+    missing = [1 << i for i in range(family.ground.n) if not family.has_mask(1 << i)]
+    return _chevron_assignment(
+        family, missing, lambda s: assign_chevron_to_singleton(family, s.bit_length())
+    )
 
 
 def theorem3_assignment(family: SetFamily) -> ChevronAssignment:
     """Chevron map over missing pairs having exactly one singleton in the
     family (assumes butterfly-saturation)."""
-    ground = family.ground
-    n = ground.n
-    domain = []
-    chevrons = {}
-    images = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            pair_bits = (1 << (i - 1)) | (1 << (j - 1))
-            if family.has_mask(pair_bits):
-                continue
-            present = (1 if family.has_mask(1 << (i - 1)) else 0) + (
-                1 if family.has_mask(1 << (j - 1)) else 0
-            )
-            if present != 1:
-                continue
-            pair = SubsetMask(pair_bits, ground)
-            ch = assign_chevron_to_pair(family, pair)
-            domain.append(pair)
-            chevrons[pair_bits] = ch
-            images[pair_bits] = SubsetMask(ch.c.bits | pair_bits, ground)
-    return ChevronAssignment(tuple(domain), chevrons, images)
+    n = family.ground.n
+    pairs = [
+        1 << i | 1 << j
+        for i in range(n)
+        for j in range(i + 1, n)
+        if not family.has_mask(1 << i | 1 << j)
+        and family.has_mask(1 << i) != family.has_mask(1 << j)
+    ]
+    return _chevron_assignment(
+        family, pairs, lambda p: assign_chevron_to_pair(family, SubsetMask(p, family.ground))
+    )
 
 
 def lemma1_check(family: SetFamily) -> TheoremReport:
@@ -224,21 +238,11 @@ def lemma1_check(family: SetFamily) -> TheoremReport:
     the saturation hypothesis fails, so the report carries both facts."""
     n = family.ground.n
     if n < 2:
-        return _refused_small_ground("L1", family)
+        return _refused("L1", family, _SMALL_GROUND)
     rep = saturation_report(family, butterfly_poset())
     singles = _singleton_bits(family)
-    counterexample = None
-    closure_ok = True
-    for x, s in enumerate(singles):
-        for t in singles[x + 1:]:
-            if not family.has_mask(s | t):
-                closure_ok = False
-                i = s.bit_length()
-                j = t.bit_length()
-                counterexample = {"missing_pair": [i, j]}
-                break
-        if not closure_ok:
-            break
+    missing = _missing_singleton_pair(family, singles)
+    counterexample = None if missing is None else {"missing_pair": missing}
     if counterexample is None and not rep.saturated:
         counterexample = {"reason": "family is not butterfly-saturated"}
     return TheoremReport(
@@ -247,7 +251,7 @@ def lemma1_check(family: SetFamily) -> TheoremReport:
         hypotheses_hold=rep.saturated,
         bound_value=0,
         family_size=len(family),
-        passed=rep.saturated and closure_ok,
+        passed=rep.saturated and missing is None,
         counterexample=counterexample,
         k=len(singles),
     )
@@ -258,19 +262,11 @@ def verify_theorem2(family: SetFamily) -> TheoremReport:
     injective singleton/chevron map and the membership of the empty set."""
     n = family.ground.n
     if n < 2:
-        return _refused_small_ground("T2", family)
+        return _refused("T2", family, _SMALL_GROUND)
     bound = n + 1
     rep = saturation_report(family, butterfly_poset())
     if not rep.saturated:
-        return TheoremReport(
-            theorem="T2",
-            n=n,
-            hypotheses_hold=False,
-            bound_value=bound,
-            family_size=len(family),
-            passed=False,
-            counterexample={"reason": "family is not butterfly-saturated"},
-        )
+        return _refused("T2", family, "family is not butterfly-saturated", bound)
     counterexample = None
     images = {}
     try:
@@ -324,55 +320,35 @@ def verify_theorem3(family: SetFamily) -> TheoremReport:
     k >= 1 singletons, via the injective pair/chevron map."""
     n = family.ground.n
     if n < 2:
-        return _refused_small_ground("T3", family)
+        return _refused("T3", family, _SMALL_GROUND)
     rep = saturation_report(family, butterfly_poset())
     singles = _singleton_bits(family)
     k = len(singles)
     bound = comb(k, 2) + k * (n - k)
-    if not rep.saturated or k == 0:
-        reason = (
-            "family is not butterfly-saturated"
-            if not rep.saturated
-            else "no singletons present; the bound is vacuous"
-        )
-        return TheoremReport(
-            theorem="T3",
-            n=n,
-            hypotheses_hold=False,
-            bound_value=bound,
-            family_size=len(family),
-            passed=False,
-            counterexample={"reason": reason},
-            k=k,
-        )
+    if not rep.saturated:
+        return _refused("T3", family, "family is not butterfly-saturated", bound, k)
+    if k == 0:
+        return _refused("T3", family, "no singletons present; the bound is vacuous", bound, k)
+    # the first offending pair in lexicographic order is reported
     counterexample = None
-    images = {}
-    single_set = set(singles)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            si, sj = 1 << (i - 1), 1 << (j - 1)
-            if si not in single_set and sj not in single_set:
-                continue
-            pair_bits = si | sj
-            if family.has_mask(pair_bits):
-                images[(i, j)] = pair_bits
-                continue
-            if si in single_set and sj in single_set:
-                counterexample = {
-                    "pair": [i, j],
-                    "reason": "both singletons present but the pair is missing",
-                }
-                break
-            try:
-                ch = assign_chevron_to_pair(family, SubsetMask(pair_bits, family.ground))
-            except ContractViolationError as exc:
-                counterexample = {"pair": [i, j], "reason": str(exc)}
-                break
-            images[(i, j)] = ch.c.bits | pair_bits
-        if counterexample is not None:
-            break
+    missing = _missing_singleton_pair(family, singles)
+    try:
+        assignment = theorem3_assignment(family)
+    except ContractViolationError as exc:
+        pair = exc.detail["pair"]
+        if missing is None or pair < missing:
+            counterexample = {"pair": pair, "reason": str(exc)}
+    if counterexample is None and missing is not None:
+        counterexample = {
+            "pair": missing,
+            "reason": "both singletons present but the pair is missing",
+        }
     if counterexample is None:
-        if len(set(images.values())) != len(images):
+        # present pairs through a present singleton map to themselves
+        singles_mask = sum(singles)
+        images = [b for b in family.bit_list if b.bit_count() == 2 and b & singles_mask]
+        images += [img.bits for img in assignment.images.values()]
+        if len(set(images)) != len(images):
             counterexample = {"reason": "pair map is not injective"}
         elif len(family) < bound:
             counterexample = {"reason": "size below bound", "bound": bound}
@@ -445,20 +421,12 @@ def verify_prop4(family: SetFamily, strong: bool = False) -> TheoremReport:
     cover; ``strong`` additionally checks the per-member inner claim."""
     n = family.ground.n
     if n < 2:
-        return _refused_small_ground("P4", family)
+        return _refused("P4", family, _SMALL_GROUND)
     s = isqrt(n)
     bound = s if s * s == n else s + 1
     rep = saturation_report(family, n_poset())
     if not rep.saturated:
-        return TheoremReport(
-            theorem="P4",
-            n=n,
-            hypotheses_hold=False,
-            bound_value=bound,
-            family_size=len(family),
-            passed=False,
-            counterexample={"reason": "family is not N-saturated"},
-        )
+        return _refused("P4", family, "family is not N-saturated", bound)
     counterexample = None
     try:
         difference_pair_cover(family)

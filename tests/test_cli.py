@@ -60,6 +60,20 @@ class TestCheck:
         assert code == 2
         assert "error" in err
 
+    def test_threads_option_removed(self, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text(format_family(butterfly_construction(4)))
+        for flag in ("--threads", "--thread"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "posetsat.cli", "check", "--poset", "butterfly",
+                 "--in", str(path), flag, "2"],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert "Traceback" not in proc.stderr
+
     def test_byte_determinism(self, capsys, tmp_path):
         path = tmp_path / "fam.txt"
         path.write_text(format_family(butterfly_construction(4)))

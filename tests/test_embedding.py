@@ -6,9 +6,17 @@ from posetsat import (
     SetFamily,
     SubsetMask,
     UsageError,
+    antichain_poset,
+    butterfly_poset,
+    chain_poset,
+    complete_bipartite_poset,
     count_induced_copies,
     find_induced_copy,
+    n_poset,
+    poset_isomorphic,
+    validate_poset,
 )
+from posetsat.embedding import _automorphism_orbits
 
 from conftest import family
 from oracles import naive_has_copy, naive_witnesses
@@ -116,3 +124,33 @@ class TestCountInducedCopies:
     def test_counts_distinct_images_of_naive_witnesses(self, fam, nposet):
         expected = len({frozenset(t) for t in naive_witnesses(fam.bit_list, nposet)})
         assert count_induced_copies(fam, nposet, cap=10_000) == expected
+
+
+# poset -> one representative per automorphism orbit (smallest element)
+ORBITS = {
+    "B": (butterfly_poset(), (0, 2)),
+    "bipartite(2,3)": (complete_bipartite_poset(2, 3), (0, 2)),
+    "bipartite(3,2)": (complete_bipartite_poset(3, 2), (0, 3)),
+    "N": (n_poset(), (0, 1, 2, 3)),
+    "chain-3": (chain_poset(3), (0, 1, 2)),
+    "antichain-3": (antichain_poset(3), (0,)),
+}
+
+
+class TestAutomorphismOrbits:
+    @pytest.mark.parametrize("name", list(ORBITS))
+    def test_representatives(self, name):
+        q, reps = ORBITS[name]
+        assert _automorphism_orbits(q) == reps
+
+    @given(name=st.sampled_from(list(ORBITS)), data=st.data())
+    def test_relabelling_is_isomorphic(self, name, data):
+        q, reps = ORBITS[name]
+        perm = data.draw(st.permutations(range(q.size)))
+        less = [[False] * q.size for _ in range(q.size)]
+        for a, b in q.strict_pairs():
+            less[perm[a]][perm[b]] = True
+        relabelled = validate_poset(less)
+        assert poset_isomorphic(q, relabelled)
+        assert poset_isomorphic(relabelled, q)
+        assert len(_automorphism_orbits(relabelled)) == len(reps)

@@ -58,12 +58,6 @@ class TestSaturationReport:
         assert not rep.saturated
         assert len(rep.unsaturated_sets) == 1
 
-    def test_threads_do_not_change_the_report(self, nposet):
-        fam = family(4, [], [1], [2, 3])
-        seq = saturation_report(fam, nposet)
-        par = saturation_report(fam, nposet, threads=3)
-        assert seq == par
-
     def test_report_json_shape(self, nposet):
         obj = saturation_report(n_construction(4), nposet).to_json_obj()
         assert set(obj) == {"free", "saturated", "unsaturated", "witness"}

@@ -38,11 +38,6 @@ class TestEnumerate:
         fams = enumerate_saturated_families(3, nposet, cap=4)
         assert len(fams) == 4
 
-    def test_threads_agree(self, nposet):
-        seq = enumerate_saturated_families(3, nposet)
-        par = enumerate_saturated_families(3, nposet, threads=3)
-        assert [f.bit_list for f in seq] == [f.bit_list for f in par]
-
     def test_large_n_needs_cap(self, butterfly):
         with pytest.raises(UsageError):
             enumerate_saturated_families(5, butterfly)

@@ -269,3 +269,88 @@ class TestProp4:
             "passed",
             "counterexample",
         }
+
+
+NOT_B = {"reason": "family is not butterfly-saturated"}
+NOT_N = {"reason": "family is not N-saturated"}
+SMALL = {"reason": "ground sets of size 1 are outside the analysed range"}
+
+
+def _pinned(theorem, n, k, bound, size, held, cex=None):
+    return {
+        "theorem": theorem,
+        "n": n,
+        "k": k,
+        "bound": bound,
+        "size": size,
+        "hypotheses_hold": held,
+        "passed": held and cex is None,
+        "counterexample": cex,
+    }
+
+
+def _pinned_families():
+    b4 = butterfly_construction(4)
+    return {
+        "butterfly-4": b4,
+        "n-4": n_construction(4),
+        "free-unsaturated": drop_one(b4),
+        "has-copy": family(4, [], [1], [2], [1, 2, 3], [1, 2, 4]),
+        "greedy-5": family(
+            5, [], [2], [4], [1, 3], [2, 3], [1, 4], [2, 4], [3, 4], [2, 5], [3, 5],
+            [4, 5], [1, 2, 3], [1, 3, 4], [1, 2, 5], [1, 3, 5], [2, 3, 5], [1, 4, 5],
+            [2, 4, 5], [3, 4, 5], [1, 2, 3, 5], [1, 2, 4, 5], [1, 2, 3, 4, 5],
+        ),
+        "ground-1": family(1, [], [1]),
+    }
+
+
+PINNED_REPORTS = {
+    "butterfly-4": (
+        _pinned("L1", 4, 4, 0, 13, True),
+        _pinned("T2", 4, None, 5, 13, True),
+        _pinned("T3", 4, 4, 6, 13, True),
+        _pinned("P4", 4, None, 2, 13, False, NOT_N),
+    ),
+    "n-4": (
+        _pinned("L1", 4, 4, 0, 8, False, {"missing_pair": [1, 3]}),
+        _pinned("T2", 4, None, 5, 8, False, NOT_B),
+        _pinned("T3", 4, 4, 6, 8, False, NOT_B),
+        _pinned("P4", 4, None, 2, 8, True),
+    ),
+    "free-unsaturated": (
+        _pinned("L1", 4, 4, 0, 12, False, NOT_B),
+        _pinned("T2", 4, None, 5, 12, False, NOT_B),
+        _pinned("T3", 4, 4, 6, 12, False, NOT_B),
+        _pinned("P4", 4, None, 2, 12, False, NOT_N),
+    ),
+    "has-copy": (
+        _pinned("L1", 4, 2, 0, 5, False, {"missing_pair": [1, 2]}),
+        _pinned("T2", 4, None, 5, 5, False, NOT_B),
+        _pinned("T3", 4, 2, 5, 5, False, NOT_B),
+        _pinned("P4", 4, None, 2, 5, False, NOT_N),
+    ),
+    "greedy-5": (
+        _pinned("L1", 5, 2, 0, 22, True),
+        _pinned("T2", 5, None, 6, 22, True),
+        _pinned("T3", 5, 2, 7, 22, True),
+        _pinned("P4", 5, None, 3, 22, False, NOT_N),
+    ),
+    "ground-1": (
+        _pinned("L1", 1, None, 0, 2, False, SMALL),
+        _pinned("T2", 1, None, 0, 2, False, SMALL),
+        _pinned("T3", 1, None, 0, 2, False, SMALL),
+        _pinned("P4", 1, None, 0, 2, False, SMALL),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+@pytest.mark.parametrize(
+    "position,verifier",
+    list(enumerate((lemma1_check, verify_theorem2, verify_theorem3, verify_prop4))),
+    ids=["L1", "T2", "T3", "P4"],
+)
+def test_pinned_reports(name, position, verifier):
+    fam = _pinned_families()[name]
+    assert verifier(fam).to_json_obj() == PINNED_REPORTS[name][position]
