@@ -76,12 +76,17 @@ def _resolve_poset(selector: str | None):
         return butterfly_poset()
     if low == "n":
         return n_poset()
-    if low.startswith("k2k:"):
-        return complete_bipartite_poset(int(low.split(":", 1)[1]), 2)
-    if low.startswith("kkk:"):
-        k = int(low.split(":", 1)[1])
-        return complete_bipartite_poset(k, k)
-    return load_poset(selector)
+    if low.startswith(("k2k:", "kkk:")):
+        kind, _, text = low.partition(":")
+        try:
+            k = int(text)
+        except ValueError:
+            raise UsageError(f"--poset {kind}:K needs an integer K, got {text!r}") from None
+        return complete_bipartite_poset(k, 2 if kind == "k2k" else k)
+    try:
+        return load_poset(selector)
+    except OSError as exc:
+        raise UsageError(f"cannot read poset file {selector}: {exc}") from None
 
 
 def _load_family_arg(cfg: RunConfig) -> SetFamily:
@@ -98,8 +103,11 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc}") from None
 
 
 def _print_json(obj) -> None:

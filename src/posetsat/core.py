@@ -420,9 +420,18 @@ def format_family(family: SetFamily) -> str:
     return "".join(f"{m}\n" for m in family.members)
 
 
-def load_family(path, ground: GroundSet | None = None) -> SetFamily:
+def _read_text(path) -> str:
+    """Contents of a UTF-8 input file; undecodable bytes are a usage error.
+    ``OSError`` from opening or reading propagates."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_family(fh.read(), ground)
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{path} is not UTF-8 text (byte {exc.start})") from None
+
+
+def load_family(path, ground: GroundSet | None = None) -> SetFamily:
+    return parse_family(_read_text(path), ground)
 
 
 def save_family(family: SetFamily, path) -> None:
@@ -440,15 +449,21 @@ def parse_poset_json(text: str) -> PosetSpec:
     size = obj["size"]
     if not isinstance(size, int) or size < 1:
         raise UsageError(f"poset size must be a positive integer, got {size!r}")
+    if not isinstance(obj["less"], list):
+        raise UsageError(f"poset \"less\" must be a list of pairs, got {obj['less']!r}")
     pairs = []
     for item in obj["less"]:
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
             raise UsageError(f"bad strict pair {item!r}")
-        pairs.append((int(item[0]), int(item[1])))
-    labels = tuple(obj.get("labels", ()))
-    return _build_poset(pairs, size, labels)
+        try:
+            pairs.append((int(item[0]), int(item[1])))
+        except (TypeError, ValueError):
+            raise UsageError(f"bad strict pair {item!r}") from None
+    labels = obj.get("labels", [])
+    if not isinstance(labels, list):
+        raise UsageError(f"poset labels must be a list, got {labels!r}")
+    return _build_poset(pairs, size, tuple(labels))
 
 
 def load_poset(path) -> PosetSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_poset_json(fh.read())
+    return parse_poset_json(_read_text(path))

@@ -8,6 +8,16 @@ incomparable sets. The search backtracks over poset elements in descending
 constraint order; candidate sets are pruned by cardinality bounds and by
 intersecting precomputed relation bitsets over member indices, so the hot
 loops run on machine-word operations.
+
+Each (poset, forced element) pair has a cached plan: the search order, and
+per depth the earlier elements whose relation bitsets constrain the
+candidate, so a node touches only assigned elements. Each element's
+cardinality-window mask is computed once per search. Twins, elements with
+identical relation rows (such as the bottoms or the tops of ``K_{s,t}``),
+must take ascending member indices in search order; a forced element is
+left out of its twin chain. The ordering changes no witness: swapping two
+out-of-order twins gives another copy that comes earlier in search order,
+so the first copy found already has its twins in ascending order.
 """
 
 from __future__ import annotations
@@ -63,6 +73,33 @@ def _poset_tables(q: PosetSpec):
     above = tuple(chain_len(x, _BELOW, {}) for x in range(m))
     rel = tuple(tuple(row) for row in rel)
     return rel, order, below, above, _automorphism_orbits(q)
+
+
+@lru_cache(maxsize=None)
+def _search_plan(q: PosetSpec, forced: int | None):
+    """Search order, per-depth relation checks and twin chain for one search
+    of ``q``, unforced or with ``forced`` placed first.
+
+    ``checks[d]`` lists (earlier element, relation code) pairs that the
+    candidate at depth d must satisfy; ``prev[d]`` is the previous element
+    of its twin class in search order, or -1. The forced element is left out
+    of its twin chain: swapping it with a twin would move the forced member.
+    """
+    rel, order, _, _, _ = _poset_tables(q)
+    if forced is not None:
+        order = (forced,) + tuple(x for x in order if x != forced)
+    checks = tuple(
+        tuple((y, rel[x][y]) for y in order[:d]) for d, x in enumerate(order)
+    )
+    last: dict[tuple[int, ...], int] = {}
+    prev = []
+    for x in order:
+        if x == forced:
+            prev.append(-1)
+        else:
+            prev.append(last.get(rel[x], -1))
+            last[rel[x]] = x
+    return order, checks, tuple(prev)
 
 
 class _FamilyIndex:
@@ -135,49 +172,44 @@ class _FamilyIndex:
         m = q.size
         if m > len(self.bits):
             return None
-        rel, base_order, lo_chain, hi_chain, orbit_reps = _poset_tables(q)
-        below, above, incomp = self.below, self.above, self.incomp
+        _, _, lo_chain, hi_chain, orbit_reps = _poset_tables(q)
         n = self.n
+        card = [self._card_range(lo_chain[x], n - hi_chain[x]) for x in range(m)]
+        # indexed by relation code: _NONE, _BELOW, _ABOVE
+        tables = (self.incomp, self.below, self.above)
         assign = [-1] * m
 
-        def backtrack(order: tuple[int, ...], depth: int, used: int) -> bool:
+        def backtrack(steps, depth: int, used: int) -> bool:
             if depth == m:
                 return True
-            x = order[depth]
-            cand = self._card_range(lo_chain[x], n - hi_chain[x]) & ~used
-            if depth == 0 and forced_index is not None:
-                cand &= 1 << forced_index
-            row = rel[x]
-            for y in range(m):
-                if cand == 0:
-                    return False
-                a = assign[y]
-                if a < 0:
-                    continue
-                r = row[y]
-                if r == _BELOW:
-                    cand &= below[a]
-                elif r == _ABOVE:
-                    cand &= above[a]
-                else:
-                    cand &= incomp[a]
+            x, cand, checks, prev = steps[depth]
+            cand &= ~used
+            for y, table in checks:
+                cand &= table[assign[y]]
+            if prev >= 0:  # only indices above the previous twin's
+                cand &= -(2 << assign[prev])
             while cand:
                 low = cand & -cand
                 cand ^= low
-                idx = low.bit_length() - 1
-                assign[x] = idx
-                if backtrack(order, depth + 1, used | low):
+                assign[x] = low.bit_length() - 1
+                if backtrack(steps, depth + 1, used | low):
                     return True
-                assign[x] = -1
             return False
 
+        def bind(forced: int | None):
+            order, checks, prev = _search_plan(q, forced)
+            steps = [
+                (x, card[x], [(y, tables[r]) for y, r in checks[d]], prev[d])
+                for d, x in enumerate(order)
+            ]
+            if forced is not None:
+                steps[0] = (forced, card[forced] & (1 << forced_index), [], -1)
+            return steps
+
         if forced_index is None:
-            if backtrack(base_order, 0, 0):
-                return list(assign)
-            return None
+            return list(assign) if backtrack(bind(None), 0, 0) else None
         for p in orbit_reps:
-            order = (p,) + tuple(x for x in base_order if x != p)
-            if backtrack(order, 0, 0):
+            if backtrack(bind(p), 0, 0):
                 return list(assign)
         return None
 

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from posetsat import butterfly_construction, format_family, n_construction, parse_family
 from posetsat.cli import run
@@ -254,3 +259,129 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+
+def run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "posetsat.cli", *argv], capture_output=True, text=True
+    )
+
+
+class TestUsageErrors:
+    """Malformed input exits 2 with one ``error:`` line, never a traceback."""
+
+    def assert_usage_error(self, proc):
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_k2k_selector_needs_integer(self, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text("{1}\n")
+        self.assert_usage_error(run_module("check", "--poset", "k2k:x", "--in", str(path)))
+
+    def test_kkk_selector_needs_integer(self, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text("{1}\n")
+        self.assert_usage_error(run_module("check", "--poset", "kkk:x", "--in", str(path)))
+
+    def test_poset_json_pair_needs_integers(self, tmp_path):
+        poset = tmp_path / "q.json"
+        poset.write_text('{"size":2,"less":[["a",1]]}')
+        fam = tmp_path / "fam.txt"
+        fam.write_text("{1}\n")
+        self.assert_usage_error(run_module("check", "--poset", str(poset), "--in", str(fam)))
+
+    def test_non_utf8_family_file(self, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_bytes(b"{1}\n\xff\xfe\n")
+        self.assert_usage_error(run_module("check", "--poset", "b", "--in", str(path)))
+
+    def test_non_utf8_poset_file(self, tmp_path):
+        poset = tmp_path / "q.json"
+        poset.write_bytes(b'{"size":2,"less":[[0,1]]}\xff')
+        fam = tmp_path / "fam.txt"
+        fam.write_text("{1}\n")
+        self.assert_usage_error(run_module("check", "--poset", str(poset), "--in", str(fam)))
+
+    def test_unwritable_out_path(self, tmp_path):
+        out = str(tmp_path / "missing-dir" / "x")
+        self.assert_usage_error(run_module("construct", "--family", "n", "--n", "4", "--out", out))
+        self.assert_usage_error(run_module("greedy", "--poset", "b", "--n", "3", "--out", out))
+        fam = tmp_path / "fam.txt"
+        fam.write_text("{1}\n")
+        self.assert_usage_error(run_module("hasse", "--in", str(fam), "--out", out))
+
+
+# Fixed argv vocabulary; "@name" stands for a file built by the fixture.
+# Sizes stay small (n <= 4, no battery) so each run takes milliseconds.
+_SUBCOMMANDS = ("construct", "check", "embed", "greedy", "verify", "solve", "hasse", "frobnicate")
+_FLAG_VALUES = {
+    "--family": ("butterfly", "n", "k2k", "kkk", "x"),
+    "--n": ("0", "2", "3", "x", "25"),
+    "--k": ("0", "2", "3", "x"),
+    "--poset": ("b", "n", "k2k:2", "kkk:x", "k2k:x", "@poset", "@poset_pair", "@poset_bytes", "@missing"),
+    "--in": ("@fam_b4", "@fam_n3", "@fam_empty", "@fam_bytes", "@fam_bad_line", "@missing"),
+    "--out": ("@out", "@no_dir"),
+    "--required": ("{1,2}", "{1}", "{}", "x", "{9}"),
+    "--method": ("auto", "enumerate", "greedy", "x"),
+    "--budget": ("5", "x"),
+    "--trials": ("1", "0", "x"),
+    "--format": ("json", "tsv", "text", "x"),
+    "--suite": ("x",),
+    "--rng-seed": ("1", "x"),
+    "--fail-fast": None,
+    "--strong": None,
+}
+_TARGETS = ("lemma1", "t2", "t3", "p4", "x")
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-fuzz")
+    texts = {
+        "poset": b'{"size": 3, "less": [[0, 1], [1, 2]]}',
+        "poset_pair": b'{"size":2,"less":[["a",1]]}',
+        "poset_bytes": b'{"size":2,"less":[[0,1]]}\xff',
+        "fam_b4": format_family(butterfly_construction(4)).encode(),
+        "fam_n3": format_family(n_construction(3)).encode(),
+        "fam_empty": b"",
+        "fam_bytes": b"{1}\n\xff\n",
+        "fam_bad_line": b"{1,\n",
+    }
+    paths = {}
+    for name, data in texts.items():
+        paths[name] = root / name
+        paths[name].write_bytes(data)
+    paths["missing"] = root / "missing"
+    paths["out"] = root / "out.txt"
+    paths["no_dir"] = root / "no-dir" / "out.txt"
+    return {name: str(path) for name, path in paths.items()}
+
+
+@st.composite
+def cli_argv(draw):
+    argv = [draw(st.sampled_from(_SUBCOMMANDS))]
+    if argv[0] == "verify" and draw(st.booleans()):
+        argv.append(draw(st.sampled_from(_TARGETS)))
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=5, unique=True)):
+        argv.append(flag)
+        if _FLAG_VALUES[flag] is not None:
+            argv.append(draw(st.sampled_from(_FLAG_VALUES[flag])))
+    return argv
+
+
+class TestArgvProperty:
+    @given(argv=cli_argv())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_and_no_traceback(self, argv, cli_files):
+        argv = [cli_files[a[1:]] if a.startswith("@") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""

@@ -256,3 +256,13 @@ class TestPosetFiles:
             parse_poset_json("not json")
         with pytest.raises(UsageError):
             parse_poset_json(json.dumps({"size": 2}))
+
+    @pytest.mark.parametrize("obj", [
+        {"size": 2, "less": [["a", 1]]},
+        {"size": 2, "less": [[None, 1]]},
+        {"size": 2, "less": 5},
+        {"size": 2, "less": [[0, 1]], "labels": 5},
+    ])
+    def test_malformed_fields_are_usage_errors(self, obj):
+        with pytest.raises(UsageError):
+            parse_poset_json(json.dumps(obj))

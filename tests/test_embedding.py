@@ -16,7 +16,7 @@ from posetsat import (
     poset_isomorphic,
     validate_poset,
 )
-from posetsat.embedding import _automorphism_orbits
+from posetsat.embedding import _automorphism_orbits, _poset_tables
 
 from conftest import family
 from oracles import naive_has_copy, naive_witnesses
@@ -154,3 +154,112 @@ class TestAutomorphismOrbits:
         assert poset_isomorphic(q, relabelled)
         assert poset_isomorphic(relabelled, q)
         assert len(_automorphism_orbits(relabelled)) == len(reps)
+
+
+def twin_chains(q, forced=None):
+    """Twin classes (elements with identical relation rows) with at least two
+    members, each in the search order of ``_poset_tables``, the forced
+    element placed first and left out."""
+    rel, order = _poset_tables(q)[:2]
+    if forced is not None:
+        order = (forced,) + tuple(x for x in order if x != forced)
+    classes = {}
+    for x in order:
+        if x != forced:
+            classes.setdefault(rel[x], []).append(x)
+    return tuple(tuple(c) for c in classes.values() if len(c) > 1)
+
+
+# poset -> twin chains of the unforced search, then of the search forced at
+# each orbit representative
+TWIN_CHAINS = {
+    "B": {None: ((0, 1), (2, 3)), 0: ((2, 3),), 2: ((0, 1),)},
+    "N": {None: (), 0: (), 1: (), 2: (), 3: ()},
+    "K33": {None: ((0, 1, 2), (3, 4, 5)), 0: ((1, 2), (3, 4, 5)), 3: ((0, 1, 2), (4, 5))},
+    "bipartite(2,3)": {None: ((0, 1), (2, 3, 4)), 0: ((2, 3, 4),), 2: ((0, 1), (3, 4))},
+    "chain-3": {None: (), 0: (), 1: (), 2: ()},
+    "antichain-3": {None: ((0, 1, 2),), 0: ((1, 2),)},
+}
+TWIN_POSETS = {
+    "B": butterfly_poset(),
+    "N": n_poset(),
+    "K33": complete_bipartite_poset(3, 3),
+    "bipartite(2,3)": complete_bipartite_poset(2, 3),
+    "chain-3": chain_poset(3),
+    "antichain-3": antichain_poset(3),
+}
+
+
+class TestTwinOrdering:
+    @pytest.mark.parametrize("name", list(TWIN_CHAINS))
+    def test_twin_chains_pinned(self, name):
+        q = TWIN_POSETS[name]
+        expected = TWIN_CHAINS[name]
+        assert set(expected) == {None, *_automorphism_orbits(q)}
+        for forced, chains in expected.items():
+            assert twin_chains(q, forced) == chains
+
+    @pytest.mark.parametrize("name", list(TWIN_CHAINS))
+    def test_search_plan_follows_twin_chains(self, name):
+        from posetsat.embedding import _search_plan
+
+        q = TWIN_POSETS[name]
+        for forced, chains in TWIN_CHAINS[name].items():
+            order, _, prev = _search_plan(q, forced)
+            links = {(p, x) for p, x in zip(prev, order) if p >= 0}
+            assert links == {pair for chain in chains for pair in zip(chain, chain[1:])}
+
+    @given(fam=small_family)
+    @settings(max_examples=80, deadline=None)
+    def test_witness_is_first_in_search_order(self, fam, butterfly, nposet):
+        for q in (butterfly, nposet):
+            order = _poset_tables(q)[1]
+            keyed = [
+                tuple(fam.bit_list.index(tup[x]) for x in order)
+                for tup in naive_witnesses(fam.bit_list, q)
+            ]
+            w = find_induced_copy(fam, q)
+            if not keyed:
+                assert w is None
+                continue
+            first = min(keyed)
+            assert [fam.bit_list.index(s.bits) for s in w.assignment] == [
+                first[order.index(x)] for x in range(q.size)
+            ]
+
+
+def pinned(labels, sets):
+    return [{"poset_element": lab, "set": list(s)} for lab, s in zip(labels, sets)]
+
+
+# (poset, family, required set, image of each poset element or None). The
+# required member is often not the newest index, and is sometimes a twin that
+# must take a larger index than its partner.
+REQUIRED_WITNESSES = [
+    ("B", family(4, [1], [2], [3], [1, 2, 3], [1, 2, 4]), [2],
+     [(2,), (1,), (1, 2, 3), (1, 2, 4)]),
+    ("B", family(4, [1], [2], [3], [1, 2, 3], [1, 2, 4]), [1, 2, 4],
+     [(1,), (2,), (1, 2, 4), (1, 2, 3)]),
+    ("B", family(4, [1], [2], [3], [1, 2, 3], [1, 2, 4]), [3], None),
+    ("N", family(4, [], [1], [2], [1, 2], [2, 3], [2, 4], [1, 2, 3]), [2, 4],
+     [(1,), (1, 2), (2,), (2, 4)]),
+    ("N", family(4, [], [1], [2], [1, 2], [2, 3], [2, 4], [1, 2, 3]), [], None),
+    ("K33", family(6, [1], [2], [3], [4], [1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 3, 6], [1, 2, 3, 4, 5]),
+     [2], [(2,), (1,), (3,), (1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6)]),
+    ("K33", family(6, [1], [2], [3], [4], [1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 3, 6], [1, 2, 3, 4, 5]),
+     [1, 2, 3, 5], [(1,), (2,), (3,), (1, 2, 3, 5), (1, 2, 3, 4), (1, 2, 3, 6)]),
+    ("K33", family(6, [1], [2], [3], [4], [1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 3, 6], [1, 2, 3, 4, 5]),
+     [4], None),
+]
+
+
+class TestRequiredWitnessPinned:
+    @pytest.mark.parametrize("case", range(len(REQUIRED_WITNESSES)))
+    def test_json(self, case):
+        name, fam, required, sets = REQUIRED_WITNESSES[case]
+        q = TWIN_POSETS[name]
+        w = find_induced_copy(fam, q, required=SubsetMask.from_elements(fam.ground, required))
+        if sets is None:
+            assert w is None
+        else:
+            assert w.to_json_obj() == pinned(q.labels, sets)
