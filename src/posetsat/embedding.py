@@ -36,13 +36,29 @@ _BELOW, _ABOVE, _NONE = 1, 2, 0
 def _automorphism_orbits(q: PosetSpec) -> tuple[int, ...]:
     """One representative element per automorphism orbit: a copy through a
     required member exists at some position iff it exists at the orbit's
-    representative, so the forced search only tries representatives."""
-    # the orbit of x is {iso[x]} over all automorphisms; keep its minimum
-    low = list(range(q.size))
-    for iso in _order_isomorphisms(q, q):
-        for x, y in enumerate(iso):
-            if y < low[x]:
-                low[x] = y
+    representative, so the forced search only tries representatives.
+
+    Twins (elements with identical relation rows) always share an orbit, so
+    the automorphisms are taken on the quotient by twin classes, one element
+    per class, and only those that keep class sizes: each lifts to q by
+    mapping classes onto classes, and every automorphism of q arises so."""
+    m = q.size
+    classes: dict[tuple, list[int]] = {}
+    for x in range(m):
+        column = tuple(q.less[y][x] for y in range(m))
+        classes.setdefault((q.less[x], column), []).append(x)
+    members = list(classes.values())
+    heads = [c[0] for c in members]
+    quotient = PosetSpec(
+        len(heads), tuple(tuple(q.less[a][b] for b in heads) for a in heads)
+    )
+    # the orbit of class c is {iso[c]} over all size-keeping automorphisms;
+    # keep the least element of its classes
+    low = list(heads)
+    for iso in _order_isomorphisms(quotient, quotient):
+        if all(len(members[c]) == len(members[d]) for c, d in enumerate(iso)):
+            for c, d in enumerate(iso):
+                low[c] = min(low[c], heads[d])
     return tuple(sorted(set(low)))
 
 

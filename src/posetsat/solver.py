@@ -6,8 +6,16 @@ against a precomputed table of forbidden member subsets: a family contains an
 induced copy of q exactly when some |q|-subset of its members is order-
 isomorphic to q, and the isomorphism test here is a deliberately naive
 permutation check so the enumerator stays independent of the backtracking
-embedder it cross-checks. Larger n fall back to branch and bound (exact
-search with a time budget) and randomised greedy closure (upper bounds).
+embedder it cross-checks. Larger n take a capped depth-first walk over
+maximal free families.
+
+The exact solver (``method="auto"``) closes greedy upper bounds first, then
+runs a branch and bound for each smaller size: a depth-first search over
+families in canonical order that holds one incremental search index, and
+prunes a branch when a symmetry of the Boolean lattice (a transposition of
+[n], or complementation when q is self-dual) sends its members to an
+earlier family. The pruning keeps the certificate that the search without
+it would return. Randomised greedy closure gives upper bounds beyond that.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .core import (
     poset_isomorphic,
     poset_name,
 )
+from .embedding import _FamilyIndex
 from .errors import ContractViolationError, UsageError
 from .saturation import (
     _creates_copy,
@@ -172,30 +181,38 @@ def enumerate_saturated_families(
 
 def _enumerate_maximal_free(ground: GroundSet, q: PosetSpec, cap: int) -> list[SetFamily]:
     """Depth-first in/out walk over the canonical subset list; a leaf is kept
-    when every excluded subset is blocked by the final family."""
-    n = ground.n
+    when every excluded subset is blocked by the final family. One index
+    follows the walk: append on the way in, pop on the way back."""
     order = ground.all_masks()
     total = len(order)
+    index = _FamilyIndex([], ground.n)
+    pending: list[int] = []
     results: list[SetFamily] = []
 
-    def walk(idx: int, bits: list[int], pending: list[int]) -> bool:
+    def walk(idx: int) -> bool:
         if len(results) >= cap:
             return True
         if idx == total:
             for s in pending:
-                if not _creates_copy(bits, n, q, s):
+                if not index.probe_with(q, s):
                     return False
-            results.append(SetFamily.from_masks(ground, bits))
+            results.append(SetFamily.from_masks(ground, index.bits))
             return len(results) >= cap
         s = order[idx]
-        if _creates_copy(bits, n, q, s):
-            return walk(idx + 1, bits, pending)
-        # canonical walk order means appending keeps bits canonical
-        if walk(idx + 1, bits + [s], pending):
+        if index.probe_with(q, s):
+            return walk(idx + 1)
+        # canonical walk order means appending keeps the index canonical
+        index.append(s)
+        done = walk(idx + 1)
+        index.pop()
+        if done:
             return True
-        return walk(idx + 1, bits, pending + [s])
+        pending.append(s)
+        done = walk(idx + 1)
+        pending.pop()
+        return done
 
-    walk(0, [], [])
+    walk(0)
     return results
 
 
@@ -203,18 +220,67 @@ class _BudgetExpired(Exception):
     pass
 
 
+def _dual(q: PosetSpec) -> PosetSpec:
+    """The poset with its order reversed."""
+    m = q.size
+    less = tuple(tuple(q.less[b][a] for b in range(m)) for a in range(m))
+    return PosetSpec(m, less, q.labels)
+
+
+def _swap_bits(s: int, i: int, j: int) -> int:
+    """The mask with elements i+1 and j+1 of the ground set exchanged."""
+    if (s >> i ^ s >> j) & 1:
+        return s ^ (1 << i | 1 << j)
+    return s
+
+
+def _lattice_maps(n: int, q: PosetSpec) -> list[tuple[int, ...]]:
+    """Symmetries of the Boolean lattice that send q-saturated families to
+    q-saturated families, each a table from the canonical position of a set
+    to the canonical position of its image: the n(n-1)/2 transpositions of
+    [n], and when q is isomorphic to its dual, complementation alone and
+    composed with each transposition. Permuting [n] keeps inclusions;
+    complementation reverses them, so it sends copies of q to copies of the
+    dual of q."""
+    order = GroundSet(n).all_masks()
+    pos = {s: i for i, s in enumerate(order)}
+    maps = [
+        tuple(pos[_swap_bits(s, i, j)] for s in order)
+        for i, j in combinations(range(n), 2)
+    ]
+    if poset_isomorphic(q, _dual(q)):
+        complement = tuple(pos[s ^ ((1 << n) - 1)] for s in order)
+        maps += [complement] + [tuple(complement[p] for p in g) for g in maps]
+    return maps
+
+
 def _search_saturated_of_size(
     ground: GroundSet,
     q: PosetSpec,
     size: int,
     deadline: float | None,
+    maps: list[tuple[int, ...]],
 ) -> list[int] | None:
-    """First (in canonical order) q-saturated family of exactly ``size``
-    members, or None when none exists."""
-    n = ground.n
+    """First q-saturated family of exactly ``size`` members, or None when
+    none exists.
+
+    The depth-first search picks members in ascending canonical position,
+    so it meets the families of one size in lexicographic order of their
+    position lists and returns the first saturated one, F. One index follows
+    the search: append on the way down, pop on the way back.
+
+    A child is pruned when some map in ``maps`` sends its chosen positions
+    to a sorted list that is lexicographically smaller. This never prunes a
+    prefix of F: a map that made a prefix P of F smaller would make the
+    image of F smaller than F, since the image of F contains the image of
+    P, so its k-th smallest position is at most that of the image of P for
+    every k up to |P|, and every member of F outside P comes after P. That
+    image is saturated and of the same size, so F would not be first.
+    """
     order = ground.all_masks()
     total = len(order)
-    chosen: list[int] = []
+    index = _FamilyIndex([], ground.n)
+    chosen: list[int] = []  # canonical positions of index.bits
     ticks = 0
 
     def check_budget():
@@ -223,23 +289,31 @@ def _search_saturated_of_size(
         if deadline is not None and ticks % 256 == 0 and time.perf_counter() > deadline:
             raise _BudgetExpired
 
+    def smallest_image() -> bool:
+        """False when some map sends the chosen positions lower."""
+        for g in maps:
+            if sorted([g[p] for p in chosen]) < chosen:
+                return False
+        return True
+
     def dfs(start: int) -> list[int] | None:
         check_budget()
         if len(chosen) == size:
-            present = set(chosen)
+            present = set(index.bits)
             for s in order:
-                if s not in present and not _creates_copy(chosen, n, q, s):
+                if s not in present and not index.probe_with(q, s):
                     return None
-            return list(chosen)
+            return list(index.bits)
         needed = size - len(chosen)
         for idx in range(start, total - needed + 1):
             cand = order[idx]
-            if _creates_copy(chosen, n, q, cand):
-                continue
-            chosen.append(cand)
-            res = dfs(idx + 1)
-            if res is not None:
-                return res
+            chosen.append(idx)
+            if smallest_image() and not index.probe_with(q, cand):
+                index.append(cand)
+                res = dfs(idx + 1)
+                if res is not None:
+                    return res
+                index.pop()
             chosen.pop()
         return None
 
@@ -305,9 +379,10 @@ def exact_sat_star(
             best = closed
     exact = True
     deadline = None if budget_s is None else t0 + budget_s
+    maps = _lattice_maps(n, q)
     try:
         for size in range(1, len(best)):
-            found = _search_saturated_of_size(ground, q, size, deadline)
+            found = _search_saturated_of_size(ground, q, size, deadline, maps)
             if found is not None:
                 best = SetFamily.from_masks(ground, found)
                 break

@@ -41,3 +41,15 @@ def naive_is_saturated(bits, n, q) -> bool:
         if not naive_has_copy(members + [s], q):
             return False
     return True
+
+
+def naive_orbit_representatives(q):
+    """Least element of each automorphism orbit, over every permutation of
+    the elements that preserves the strict order."""
+    m = q.size
+    low = list(range(m))
+    for perm in permutations(range(m)):
+        if all(q.less[a][b] == q.less[perm[a]][perm[b]] for a in range(m) for b in range(m)):
+            for x in range(m):
+                low[x] = min(low[x], perm[x])
+    return tuple(sorted(set(low)))

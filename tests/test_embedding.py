@@ -16,10 +16,11 @@ from posetsat import (
     poset_isomorphic,
     validate_poset,
 )
+from posetsat.core import _transitive_closure
 from posetsat.embedding import _automorphism_orbits, _poset_tables
 
 from conftest import family
-from oracles import naive_has_copy, naive_witnesses
+from oracles import naive_has_copy, naive_orbit_representatives, naive_witnesses
 
 small_family = st.builds(
     lambda masks: SetFamily.from_masks(GroundSet(4), masks),
@@ -154,6 +155,29 @@ class TestAutomorphismOrbits:
         assert poset_isomorphic(q, relabelled)
         assert poset_isomorphic(relabelled, q)
         assert len(_automorphism_orbits(relabelled)) == len(reps)
+
+    def test_twin_classes_collapse(self):
+        # 2 * (8!)^2 automorphisms; one bottom and one top represent them all
+        assert _automorphism_orbits(complete_bipartite_poset(8, 8)) == (0, 8)
+
+    @given(
+        size=st.integers(1, 6),
+        pairs=st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5))),
+        perm=st.permutations(range(6)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_orbits(self, size, pairs, perm):
+        # relations only from lower to higher rank, then a relabelling
+        less = [[False] * size for _ in range(size)]
+        for a, b in pairs:
+            if a < b < size:
+                less[a][b] = True
+        closed = _transitive_closure(less)
+        rank = [p for p in perm if p < size]
+        relabelled = [[closed[rank.index(a)][rank.index(b)] for b in range(size)]
+                      for a in range(size)]
+        q = validate_poset(relabelled)
+        assert _automorphism_orbits(q) == naive_orbit_representatives(q)
 
 
 def twin_chains(q, forced=None):

@@ -1,15 +1,28 @@
+from itertools import combinations
+
 import pytest
 
 from posetsat import (
+    GroundSet,
+    SetFamily,
     UsageError,
+    antichain_poset,
     butterfly_construction,
+    butterfly_poset,
+    chain_poset,
+    complete_bipartite_poset,
     enumerate_saturated_families,
     exact_sat_star,
+    greedy_saturate,
     n_construction,
+    n_poset,
+    poset_isomorphic,
     sample_saturated_families,
     saturation_report,
     upper_bound_via_random_greedy,
+    validate_poset,
 )
+from posetsat.solver import _named_seed
 
 
 class TestEnumerate:
@@ -101,6 +114,125 @@ class TestExactSatStar:
             "elapsed_ms",
         }
         assert obj["poset"] == "B"
+
+
+def relabel(q, perm):
+    """The poset with element a renamed perm[a]."""
+    m = q.size
+    less = [[False] * m for _ in range(m)]
+    for a, b in q.strict_pairs():
+        less[perm[a]][perm[b]] = True
+    return validate_poset(less)
+
+
+CROSS_CHECK_POSETS = {
+    "B": butterfly_poset(),
+    "N": n_poset(),
+    "K23": complete_bipartite_poset(3, 2),
+    "K32": complete_bipartite_poset(2, 3),
+    "K13": complete_bipartite_poset(3, 1),
+    "chain3": chain_poset(3),
+    "antichain3": antichain_poset(3),
+    "B-r0": relabel(butterfly_poset(), (1, 0, 3, 2)),
+    "B-r1": relabel(butterfly_poset(), (2, 3, 0, 1)),
+    "B-r2": relabel(butterfly_poset(), (0, 2, 1, 3)),
+    "N-r0": relabel(n_poset(), (3, 2, 1, 0)),
+    "N-r1": relabel(n_poset(), (1, 0, 3, 2)),
+    "N-r2": relabel(n_poset(), (2, 0, 3, 1)),
+}
+
+
+def positions(n):
+    return {s: i for i, s in enumerate(GroundSet(n).all_masks())}
+
+
+def expected_lattice_maps(n, q):
+    """Transpositions of [n] and, for a self-dual q, complementation alone
+    and after each transposition, as position tables built from scratch."""
+    order = GroundSet(n).all_masks()
+    pos = positions(n)
+    full = (1 << n) - 1
+
+    def transpose(s, i, j):
+        bit_i, bit_j = s >> i & 1, s >> j & 1
+        return s & ~(1 << i | 1 << j) | bit_i << j | bit_j << i
+
+    funcs = [lambda s, i=i, j=j: transpose(s, i, j) for i, j in combinations(range(n), 2)]
+    dual = validate_poset([[q.less[b][a] for b in range(q.size)] for a in range(q.size)])
+    if poset_isomorphic(q, dual):
+        funcs += [lambda s: full ^ s]
+        funcs += [lambda s, i=i, j=j: full ^ transpose(s, i, j)
+                  for i, j in combinations(range(n), 2)]
+    return [tuple(pos[f(s)] for s in order) for f in funcs]
+
+
+def first_minimum(n, q):
+    """The first minimum-size q-saturated family by canonical positions of
+    its members, from the complete enumeration."""
+    pos = positions(n)
+    families = enumerate_saturated_families(n, q)
+    return min(families, key=lambda f: (len(f), [pos[b] for b in f.bit_list]))
+
+
+class TestBranchAndBoundAgainstEnumerator:
+    """Branch and bound against the complete enumeration: the search returns
+    the first minimum-size family by canonical positions of its members, and
+    when the greedy upper bound is already minimum the search refutes every
+    smaller size and the greedy certificate stands."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("name", list(CROSS_CHECK_POSETS))
+    def test_certificate_matches_enumeration(self, name, n):
+        q = CROSS_CHECK_POSETS[name]
+        ground = GroundSet(n)
+        best = first_minimum(n, q)
+        closures = [greedy_saturate(SetFamily.from_masks(ground, []), q)]
+        seed = _named_seed(n, q)
+        if seed is not None:
+            closures.append(greedy_saturate(seed, q))
+        upper = min(closures, key=lambda f: (len(f), f.bit_list))
+        res = exact_sat_star(n, q)
+        assert res.exact
+        assert res.value == len(best)
+        expected = best if len(best) < len(upper) else upper
+        assert res.certificate.bit_list == expected.bit_list
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("name", list(CROSS_CHECK_POSETS))
+    def test_size_search_finds_first_minimum(self, name, n):
+        from posetsat.solver import _lattice_maps, _search_saturated_of_size
+
+        q = CROSS_CHECK_POSETS[name]
+        ground = GroundSet(n)
+        best = first_minimum(n, q)
+        maps = _lattice_maps(n, q)
+        found = _search_saturated_of_size(ground, q, len(best), None, maps)
+        assert found == list(best.bit_list)
+        assert _search_saturated_of_size(ground, q, len(best) - 1, None, maps) is None
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("name", list(CROSS_CHECK_POSETS))
+    def test_lattice_maps_permute_saturated_families(self, name, n):
+        q = CROSS_CHECK_POSETS[name]
+        ground = GroundSet(n)
+        order = ground.all_masks()
+        pos = positions(n)
+        families = {f.bit_list for f in enumerate_saturated_families(n, q)}
+        for g in expected_lattice_maps(n, q):
+            for fam in families:
+                image = SetFamily.from_masks(ground, [order[g[pos[b]]] for b in fam])
+                assert image.bit_list in families
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("name", ["B", "N", "K23", "K13", "chain3", "N-r2"])
+    def test_solver_maps_match(self, name, n):
+        from posetsat.solver import _lattice_maps
+
+        q = CROSS_CHECK_POSETS[name]
+        maps = _lattice_maps(n, q)
+        expected = expected_lattice_maps(n, q)
+        assert len(maps) == len(expected)
+        assert set(maps) == set(expected)
 
 
 class TestRandomGreedy:
