@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .core import (
     GroundSet,
@@ -53,21 +52,6 @@ EXIT_USAGE = 2
 EXIT_CONTRACT = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Common knobs of one parsed invocation; subcommand-specific flags stay
-    on the argparse namespace."""
-
-    subcommand: str
-    n: int | None = None
-    poset: str | None = None
-    input_path: str | None = None
-    output_path: str | None = None
-    fmt: str = "json"
-    rng_seed: int = 1
-    budget_s: float | None = None
-
-
 def _resolve_poset(selector: str | None):
     if selector is None:
         raise UsageError("a poset selector is required")
@@ -89,14 +73,14 @@ def _resolve_poset(selector: str | None):
         raise UsageError(f"cannot read poset file {selector}: {exc}") from None
 
 
-def _load_family_arg(cfg: RunConfig) -> SetFamily:
-    if cfg.input_path is None:
-        raise UsageError(f"{cfg.subcommand} needs --in FAMILY_FILE")
-    ground = GroundSet(cfg.n) if cfg.n is not None else None
+def _load_family_arg(args) -> SetFamily:
+    if args.infile is None:
+        raise UsageError(f"{args.subcommand} needs --in FAMILY_FILE")
+    ground = GroundSet(args.n) if args.n is not None else None
     try:
-        return load_family(cfg.input_path, ground)
+        return load_family(args.infile, ground)
     except OSError as exc:
-        raise UsageError(f"cannot read family file {cfg.input_path}: {exc}") from None
+        raise UsageError(f"cannot read family file {args.infile}: {exc}") from None
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -114,25 +98,25 @@ def _print_json(obj) -> None:
     print(json.dumps(obj))
 
 
-def _cmd_construct(cfg: RunConfig, args) -> int:
+def _cmd_construct(args) -> int:
     if args.family in ("k2k", "kkk") and args.k is None:
         raise UsageError(f"--family {args.family} requires --k")
     if args.family == "butterfly":
-        fam = butterfly_construction(cfg.n)
+        fam = butterfly_construction(args.n)
     elif args.family == "n":
-        fam = n_construction(cfg.n)
+        fam = n_construction(args.n)
     elif args.family == "k2k":
-        fam = k2k_seed(cfg.n, args.k)
+        fam = k2k_seed(args.n, args.k)
     else:
-        fam = kkk_seed(cfg.n, args.k)
-    _emit(format_family(fam), cfg.output_path)
-    print(f"{args.family} family over [{cfg.n}]: {len(fam)} sets", file=sys.stderr)
+        fam = kkk_seed(args.n, args.k)
+    _emit(format_family(fam), args.out)
+    print(f"{args.family} family over [{args.n}]: {len(fam)} sets", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_check(cfg: RunConfig, args) -> int:
-    q = _resolve_poset(cfg.poset)
-    fam = _load_family_arg(cfg)
+def _cmd_check(args) -> int:
+    q = _resolve_poset(args.poset)
+    fam = _load_family_arg(args)
     report = saturation_report(fam, q, fail_fast=args.fail_fast)
     _print_json(report.to_json_obj())
     if report.saturated:
@@ -148,9 +132,9 @@ def _cmd_check(cfg: RunConfig, args) -> int:
     return EXIT_FAILED
 
 
-def _cmd_embed(cfg: RunConfig, args) -> int:
-    q = _resolve_poset(cfg.poset)
-    fam = _load_family_arg(cfg)
+def _cmd_embed(args) -> int:
+    q = _resolve_poset(args.poset)
+    fam = _load_family_arg(args)
     required = None
     if args.required is not None:
         required_fam = parse_family(args.required, fam.ground)
@@ -169,16 +153,16 @@ def _cmd_embed(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def _cmd_greedy(cfg: RunConfig, args) -> int:
-    q = _resolve_poset(cfg.poset)
-    if cfg.input_path is not None:
-        seed = _load_family_arg(cfg)
+def _cmd_greedy(args) -> int:
+    q = _resolve_poset(args.poset)
+    if args.infile is not None:
+        seed = _load_family_arg(args)
     else:
-        if cfg.n is None:
+        if args.n is None:
             raise UsageError("greedy needs --n when no seed file is given")
-        seed = SetFamily.from_masks(GroundSet(cfg.n), [])
+        seed = SetFamily.from_masks(GroundSet(args.n), [])
     closed = greedy_saturate(seed, q)
-    _emit(format_family(closed), cfg.output_path)
+    _emit(format_family(closed), args.out)
     print(
         f"closed {len(seed)}-set seed to a saturated family of {len(closed)} sets",
         file=sys.stderr,
@@ -194,20 +178,20 @@ _VERIFIERS = {
 }
 
 
-def _cmd_verify(cfg: RunConfig, args) -> int:
+def _cmd_verify(args) -> int:
     if args.suite is not None:
         if args.suite != "paper":
             raise UsageError(f"unknown suite {args.suite!r}")
-        ok = run_paper_suite(seed=cfg.rng_seed)
+        ok = run_paper_suite(seed=args.rng_seed)
         return EXIT_OK if ok else EXIT_FAILED
     if args.target is None:
         raise UsageError("verify needs a target (lemma1|t2|t3|p4) or --suite paper")
-    fam = _load_family_arg(cfg)
+    fam = _load_family_arg(args)
     if args.target == "p4":
         report = verify_prop4(fam, strong=args.strong)
     else:
         report = _VERIFIERS[args.target](fam)
-    if cfg.fmt == "tsv":
+    if args.format == "tsv":
         if args.target not in ("t2", "t3"):
             raise UsageError("--format tsv is only available for t2 and t3")
         if not report.hypotheses_hold:
@@ -216,7 +200,7 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
             theorem2_assignment(fam) if args.target == "t2" else theorem3_assignment(fam)
         )
         sys.stdout.write(assignment.to_tsv())
-    elif cfg.fmt == "text":
+    elif args.format == "text":
         status = "passed" if report.passed else "failed"
         print(f"{report.theorem}: {status} (size {report.family_size}, bound {report.bound_value})")
     else:
@@ -229,23 +213,23 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
-def _cmd_solve(cfg: RunConfig, args) -> int:
-    q = _resolve_poset(cfg.poset)
+def _cmd_solve(args) -> int:
+    q = _resolve_poset(args.poset)
     if args.method == "greedy":
         result = upper_bound_via_random_greedy(
-            cfg.n, q, trials=args.trials, rng_seed=cfg.rng_seed
+            args.n, q, trials=args.trials, rng_seed=args.rng_seed
         )
     else:
-        result = exact_sat_star(cfg.n, q, budget_s=cfg.budget_s, method=args.method)
+        result = exact_sat_star(args.n, q, budget_s=args.budget, method=args.method)
     _print_json(result.to_json_obj())
     kind = "exact" if result.exact else "upper bound"
-    print(f"sat*({cfg.n}, {poset_name(q)}) {kind}: {result.value}", file=sys.stderr)
+    print(f"sat*({args.n}, {poset_name(q)}) {kind}: {result.value}", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_hasse(cfg: RunConfig, args) -> int:
-    fam = _load_family_arg(cfg)
-    _emit(emit_hasse(fam), cfg.output_path)
+def _cmd_hasse(args) -> int:
+    fam = _load_family_arg(args)
+    _emit(emit_hasse(fam), args.out)
     print(f"emitted Hasse diagram of {len(fam)} sets", file=sys.stderr)
     return EXIT_OK
 
@@ -313,28 +297,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        n=getattr(args, "n", None),
-        poset=getattr(args, "poset", None),
-        input_path=getattr(args, "infile", None),
-        output_path=getattr(args, "out", None),
-        fmt=getattr(args, "format", "json"),
-        rng_seed=getattr(args, "rng_seed", 1),
-        budget_s=getattr(args, "budget", None),
-    )
-
-
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    cfg = build_config(args)
     try:
-        return args.func(cfg, args)
+        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -46,13 +46,6 @@ def is_free(family: SetFamily, q: PosetSpec) -> bool:
     return find_induced_copy(family, q) is None
 
 
-def _creates_copy(bits: list[int], n: int, q: PosetSpec, new: int) -> bool:
-    """One-shot probe: does ``bits`` plus ``new`` contain a copy through
-    ``new``? Builds a fresh index; callers with a hot loop over one family
-    should hold a _FamilyIndex instead."""
-    return _FamilyIndex(bits, n).probe_with(q, new)
-
-
 def saturation_report(
     family: SetFamily,
     q: PosetSpec,

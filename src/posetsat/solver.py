@@ -6,16 +6,18 @@ against a precomputed table of forbidden member subsets: a family contains an
 induced copy of q exactly when some |q|-subset of its members is order-
 isomorphic to q, and the isomorphism test here is a deliberately naive
 permutation check so the enumerator stays independent of the backtracking
-embedder it cross-checks. Larger n take a capped depth-first walk over
-maximal free families.
+embedder it cross-checks.
 
-The exact solver (``method="auto"``) closes greedy upper bounds first, then
-runs a branch and bound for each smaller size: a depth-first search over
-families in canonical order that holds one incremental search index, and
-prunes a branch when a symmetry of the Boolean lattice (a transposition of
-[n], or complementation when q is self-dual) sends its members to an
-earlier family. The pruning keeps the certificate that the search without
-it would return. Randomised greedy closure gives upper bounds beyond that.
+One depth-first walk over families in canonical order serves both other
+paths. It holds one incremental search index and yields saturated families
+in lexicographic order of their members' canonical positions. Larger n
+enumerate the first families of that walk, up to a cap. The exact solver
+(``method="auto"``) closes greedy upper bounds first, then takes the first
+family of each smaller size from the walk, which also prunes a partial
+family when a symmetry of the Boolean lattice (a transposition of [n], or
+complementation when q is self-dual) sends its members to an earlier
+family. The pruning keeps the certificate that the search without it would
+return. Randomised greedy closure gives upper bounds beyond that.
 """
 
 from __future__ import annotations
@@ -23,15 +25,14 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Iterator
+from itertools import combinations, islice, permutations
+from typing import Iterator, Sequence
 
 from .core import (
     GroundSet,
     PosetSpec,
     SetFamily,
     _bipartite_shape,
-    mask_key,
     n_poset,
     poset_isomorphic,
     poset_name,
@@ -39,7 +40,6 @@ from .core import (
 from .embedding import _FamilyIndex
 from .errors import ContractViolationError, UsageError
 from .saturation import (
-    _creates_copy,
     butterfly_construction,
     greedy_saturate,
     k2k_seed,
@@ -154,8 +154,10 @@ def enumerate_saturated_families(
     cap: int | None = None,
 ) -> list[SetFamily]:
     """All q-saturated families over [n] for n <= 4 (complete); for larger n
-    a cap is required and a depth-first walk over maximal free families
-    returns the first ``cap`` of them."""
+    a cap is required and the first ``cap`` families of the saturated walk
+    are returned."""
+    if cap is not None and cap < 1:
+        raise UsageError(f"cap must be at least 1, got {cap}")
     ground = GroundSet(n)
     if n > _EXHAUSTIVE_LIMIT:
         if cap is None:
@@ -163,7 +165,7 @@ def enumerate_saturated_families(
                 f"exhaustive enumeration is limited to n <= {_EXHAUSTIVE_LIMIT}; "
                 "pass a cap for larger ground sets"
             )
-        return _enumerate_maximal_free(ground, q, cap)
+        return list(islice(_saturated_walk(ground, q), cap))
     nsets = 1 << n
     copies, rest = _forbidden_tables(n, q)
     free = _free_bitmap(nsets, copies)
@@ -177,43 +179,6 @@ def enumerate_saturated_families(
         masks = [s for s in range(nsets) if fam >> s & 1]
         out.append(SetFamily.from_masks(ground, masks))
     return out
-
-
-def _enumerate_maximal_free(ground: GroundSet, q: PosetSpec, cap: int) -> list[SetFamily]:
-    """Depth-first in/out walk over the canonical subset list; a leaf is kept
-    when every excluded subset is blocked by the final family. One index
-    follows the walk: append on the way in, pop on the way back."""
-    order = ground.all_masks()
-    total = len(order)
-    index = _FamilyIndex([], ground.n)
-    pending: list[int] = []
-    results: list[SetFamily] = []
-
-    def walk(idx: int) -> bool:
-        if len(results) >= cap:
-            return True
-        if idx == total:
-            for s in pending:
-                if not index.probe_with(q, s):
-                    return False
-            results.append(SetFamily.from_masks(ground, index.bits))
-            return len(results) >= cap
-        s = order[idx]
-        if index.probe_with(q, s):
-            return walk(idx + 1)
-        # canonical walk order means appending keeps the index canonical
-        index.append(s)
-        done = walk(idx + 1)
-        index.pop()
-        if done:
-            return True
-        pending.append(s)
-        done = walk(idx + 1)
-        pending.pop()
-        return done
-
-    walk(0)
-    return results
 
 
 class _BudgetExpired(Exception):
@@ -254,40 +219,41 @@ def _lattice_maps(n: int, q: PosetSpec) -> list[tuple[int, ...]]:
     return maps
 
 
-def _search_saturated_of_size(
+def _saturated_walk(
     ground: GroundSet,
     q: PosetSpec,
-    size: int,
-    deadline: float | None,
-    maps: list[tuple[int, ...]],
-) -> list[int] | None:
-    """First q-saturated family of exactly ``size`` members, or None when
-    none exists.
+    size: int | None = None,
+    maps: Sequence[tuple[int, ...]] = (),
+    deadline: float | None = None,
+) -> Iterator[SetFamily]:
+    """The q-saturated families with exactly ``size`` members (any number
+    when ``size`` is None), in lexicographic order of the canonical
+    positions of their members.
 
-    The depth-first search picks members in ascending canonical position,
-    so it meets the families of one size in lexicographic order of their
-    position lists and returns the first saturated one, F. One index follows
-    the search: append on the way down, pop on the way back.
+    The depth-first search adds one member per level, at a canonical
+    position after the last member, so it recurses as deep as the family is
+    large. One index follows the search: append on the way down, pop on the
+    way back. A set the search passes over while it is not blocked goes on
+    ``pending``. A family is saturated exactly when every pending set and
+    every set after its last member is blocked: any other missing set was
+    blocked when the search passed it, and blocked sets stay blocked as the
+    family grows.
 
-    A child is pruned when some map in ``maps`` sends its chosen positions
-    to a sorted list that is lexicographically smaller. This never prunes a
-    prefix of F: a map that made a prefix P of F smaller would make the
-    image of F smaller than F, since the image of F contains the image of
-    P, so its k-th smallest position is at most that of the image of P for
-    every k up to |P|, and every member of F outside P comes after P. That
-    image is saturated and of the same size, so F would not be first.
+    A child is pruned, its set left pending, when some map in ``maps``
+    sends its chosen positions to a sorted list that is lexicographically
+    smaller. This skips families, but never a prefix of the first saturated
+    family F of a size: a map that made a prefix P of F smaller would make
+    the image of F smaller than F, since the image of F contains the image
+    of P, so its k-th smallest position is at most that of the image of P
+    for every k up to |P|, and every member of F outside P comes after P.
+    That image is saturated and of the same size, so F would not be first.
     """
     order = ground.all_masks()
     total = len(order)
     index = _FamilyIndex([], ground.n)
     chosen: list[int] = []  # canonical positions of index.bits
+    pending: list[int] = []
     ticks = 0
-
-    def check_budget():
-        nonlocal ticks
-        ticks += 1
-        if deadline is not None and ticks % 256 == 0 and time.perf_counter() > deadline:
-            raise _BudgetExpired
 
     def smallest_image() -> bool:
         """False when some map sends the chosen positions lower."""
@@ -296,28 +262,38 @@ def _search_saturated_of_size(
                 return False
         return True
 
-    def dfs(start: int) -> list[int] | None:
-        check_budget()
-        if len(chosen) == size:
-            present = set(index.bits)
-            for s in order:
-                if s not in present and not index.probe_with(q, s):
-                    return None
-            return list(index.bits)
-        needed = size - len(chosen)
-        for idx in range(start, total - needed + 1):
+    def walk(start: int) -> Iterator[SetFamily]:
+        nonlocal ticks
+        ticks += 1
+        if deadline is not None and ticks % 256 == 0 and time.perf_counter() > deadline:
+            raise _BudgetExpired
+        if size is None:
+            stop = total
+        elif len(chosen) < size:
+            stop = total - (size - len(chosen)) + 1
+        else:
+            stop = start
+        mark = len(pending)
+        for idx in range(start, stop):
             cand = order[idx]
             chosen.append(idx)
-            if smallest_image() and not index.probe_with(q, cand):
+            if not smallest_image():
+                pending.append(cand)
+            elif not index.probe_with(q, cand):
                 index.append(cand)
-                res = dfs(idx + 1)
-                if res is not None:
-                    return res
+                yield from walk(idx + 1)
                 index.pop()
+                pending.append(cand)
             chosen.pop()
-        return None
+        if (
+            (size is None or len(chosen) == size)
+            and all(index.probe_with(q, order[i]) for i in range(stop, total))
+            and all(index.probe_with(q, s) for s in reversed(pending))
+        ):
+            yield SetFamily.from_masks(ground, index.bits)
+        del pending[mark:]
 
-    return dfs(0)
+    return walk(0)
 
 
 def _bound_discrepancy_check(n: int, q: PosetSpec, result: "SolveResult") -> None:
@@ -354,47 +330,38 @@ def exact_sat_star(
     ground = GroundSet(n)
     if method not in ("auto", "enumerate"):
         raise UsageError(f"unknown method {method!r}")
+    exact = True
+    enumerated_count = None
     if method == "enumerate":
         if n > _EXHAUSTIVE_LIMIT:
             raise UsageError(f"method 'enumerate' requires n <= {_EXHAUSTIVE_LIMIT}")
         families = enumerate_saturated_families(n, q)
         best = min(families, key=lambda f: (len(f), f.bit_list))
-        result = SolveResult(
-            n=n,
-            poset=poset_name(q),
-            value=len(best),
-            exact=True,
-            certificate=best,
-            enumerated_count=len(families),
-            elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-        )
-        _bound_discrepancy_check(n, q, result)
-        return result
-
-    best = greedy_saturate(SetFamily.from_masks(ground, []), q)
-    named = _named_seed(n, q)
-    if named is not None:
-        closed = greedy_saturate(named, q)
-        if (len(closed), closed.bit_list) < (len(best), best.bit_list):
-            best = closed
-    exact = True
-    deadline = None if budget_s is None else t0 + budget_s
-    maps = _lattice_maps(n, q)
-    try:
-        for size in range(1, len(best)):
-            found = _search_saturated_of_size(ground, q, size, deadline, maps)
-            if found is not None:
-                best = SetFamily.from_masks(ground, found)
-                break
-    except _BudgetExpired:
-        exact = False
+        enumerated_count = len(families)
+    else:
+        best = greedy_saturate(SetFamily.from_masks(ground, []), q)
+        named = _named_seed(n, q)
+        if named is not None:
+            closed = greedy_saturate(named, q)
+            if (len(closed), closed.bit_list) < (len(best), best.bit_list):
+                best = closed
+        deadline = None if budget_s is None else t0 + budget_s
+        maps = _lattice_maps(n, q)
+        try:
+            for size in range(1, len(best)):
+                found = next(_saturated_walk(ground, q, size, maps, deadline), None)
+                if found is not None:
+                    best = found
+                    break
+        except _BudgetExpired:
+            exact = False
     result = SolveResult(
         n=n,
         poset=poset_name(q),
         value=len(best),
         exact=exact,
         certificate=best,
-        enumerated_count=None,
+        enumerated_count=enumerated_count,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
     _bound_discrepancy_check(n, q, result)
@@ -419,18 +386,15 @@ def _named_seed(n: int, q: PosetSpec) -> SetFamily | None:
 
 def _random_free_seed(ground: GroundSet, q: PosetSpec, rng: random.Random,
                       max_size: int = 3) -> SetFamily:
-    n = ground.n
     target = rng.randint(0, max_size)
-    bits: list[int] = []
+    index = _FamilyIndex([], ground.n)
     for _ in range(4 * max_size):
-        if len(bits) >= target:
+        if len(index.bits) >= target:
             break
-        s = rng.randrange(1 << n)
-        if s in bits:
-            continue
-        if not _creates_copy(sorted(bits, key=mask_key), n, q, s):
-            bits.append(s)
-    return SetFamily.from_masks(ground, bits)
+        s = rng.randrange(1 << ground.n)
+        if s not in index.bits and not index.probe_with(q, s):
+            index.append(s)
+    return SetFamily.from_masks(ground, index.bits)
 
 
 def upper_bound_via_random_greedy(
@@ -447,26 +411,13 @@ def upper_bound_via_random_greedy(
     if trials < 1:
         raise UsageError(f"trials must be at least 1, got {trials}")
     t0 = time.perf_counter()
-    ground = GroundSet(n)
-    rng = random.Random(rng_seed)
     if seeds is None:
         named = _named_seed(n, q)
-        seed_list = [named] if named is not None else [SetFamily.from_masks(ground, [])]
-    else:
-        seed_list = list(seeds)
-    best: SetFamily | None = None
-    for trial in range(trials):
-        if trial < len(seed_list):
-            seed = seed_list[trial]
-            order = None
-        else:
-            seed = _random_free_seed(ground, q, rng)
-            order = list(range(1 << n))
-            rng.shuffle(order)
-        closed = greedy_saturate(seed, q, order=order)
-        if best is None or (len(closed), closed.bit_list) < (len(best), best.bit_list):
-            best = closed
-    assert best is not None
+        seeds = [named] if named is not None else [SetFamily.from_masks(GroundSet(n), [])]
+    closed = [greedy_saturate(seed, q) for seed in seeds[:trials]]
+    if trials > len(seeds):
+        closed += sample_saturated_families(n, q, trials - len(seeds), rng_seed)
+    best = min(closed, key=lambda f: (len(f), f.bit_list))
     return SolveResult(
         n=n,
         poset=poset_name(q),

@@ -9,6 +9,7 @@ pool (every N-saturated family over [2]..[4] plus 50 greedy-closed ones over
 import subprocess
 import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -271,11 +272,13 @@ def test_c11_suite_battery_is_deterministic():
 
     first = battery()
     second = battery()
+    golden = (Path(__file__).parent / "paper_battery_seed1.txt").read_bytes()
     ok = (
         first.returncode == 0
+        and first.stdout == golden
         and first.stdout == second.stdout
         and first.stderr == second.stderr
         and b"passed 10/10" in first.stdout
     )
-    report("C11", ok, "battery output byte-identical across reruns, all rows green")
+    report("C11", ok, "battery output byte-identical to the committed run and across reruns, all rows green")
     assert ok

@@ -51,6 +51,11 @@ class TestEnumerate:
         fams = enumerate_saturated_families(3, nposet, cap=4)
         assert len(fams) == 4
 
+    @pytest.mark.parametrize("n, cap", [(3, 0), (5, 0), (5, -1)])
+    def test_cap_must_be_positive(self, butterfly, n, cap):
+        with pytest.raises(UsageError):
+            enumerate_saturated_families(n, butterfly, cap=cap)
+
     def test_large_n_needs_cap(self, butterfly):
         with pytest.raises(UsageError):
             enumerate_saturated_families(5, butterfly)
@@ -61,6 +66,40 @@ class TestEnumerate:
         for fam in fams:
             assert saturation_report(fam, butterfly).saturated
         assert len({f.bit_list for f in fams}) == 3
+
+    def test_n10_capped_walk_is_not_bounded_by_the_recursion_limit(self, butterfly):
+        fams = enumerate_saturated_families(10, butterfly, cap=1)
+        assert len(fams) == 1
+        assert saturation_report(fams[0], butterfly).saturated
+
+    @pytest.mark.parametrize(
+        "n, q, expected",
+        [
+            (5, butterfly_poset(), [
+                [0, 1, 2, 4, 8, 16, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24, 7, 25, 31],
+                [0, 1, 2, 4, 8, 16, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24, 7, 26, 31],
+                [0, 1, 2, 4, 8, 16, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24, 7, 28, 31],
+            ]),
+            (6, n_poset(), [
+                [0, 1, 2, 4, 8, 16, 32, 3, 12, 48, 15, 63],
+                [0, 1, 2, 4, 8, 16, 32, 3, 12, 48, 51, 63],
+                [0, 1, 2, 4, 8, 16, 32, 3, 12, 48, 60, 63],
+                [0, 1, 2, 4, 8, 16, 32, 3, 12, 19, 44, 63],
+            ]),
+            (5, complete_bipartite_poset(3, 2), [
+                [0, 1, 2, 4, 8, 16, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24,
+                 7, 11, 13, 14, 19, 21, 22, 25, 26, 28, 15, 31],
+                [0, 1, 2, 4, 8, 16, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24,
+                 7, 11, 13, 14, 19, 21, 22, 25, 26, 28, 23, 31],
+                [0, 1, 2, 4, 8, 16, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24,
+                 7, 11, 13, 14, 19, 21, 22, 25, 26, 28, 27, 31],
+            ]),
+        ],
+        ids=["B-5", "N-6", "K23-5"],
+    )
+    def test_capped_walk_pinned(self, n, q, expected):
+        fams = enumerate_saturated_families(n, q, cap=len(expected))
+        assert [list(f.bit_list) for f in fams] == expected
 
 
 class TestExactSatStar:
@@ -200,15 +239,28 @@ class TestBranchAndBoundAgainstEnumerator:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("name", list(CROSS_CHECK_POSETS))
     def test_size_search_finds_first_minimum(self, name, n):
-        from posetsat.solver import _lattice_maps, _search_saturated_of_size
+        from posetsat.solver import _lattice_maps, _saturated_walk
 
         q = CROSS_CHECK_POSETS[name]
         ground = GroundSet(n)
         best = first_minimum(n, q)
         maps = _lattice_maps(n, q)
-        found = _search_saturated_of_size(ground, q, len(best), None, maps)
-        assert found == list(best.bit_list)
-        assert _search_saturated_of_size(ground, q, len(best) - 1, None, maps) is None
+        found = next(_saturated_walk(ground, q, len(best), maps), None)
+        assert found.bit_list == best.bit_list
+        assert next(_saturated_walk(ground, q, len(best) - 1, maps), None) is None
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("name", list(CROSS_CHECK_POSETS))
+    def test_walk_lists_every_saturated_family_once(self, name, n):
+        from posetsat.solver import _saturated_walk
+
+        q = CROSS_CHECK_POSETS[name]
+        walked = [f.bit_list for f in _saturated_walk(GroundSet(n), q)]
+        assert len(walked) == len(set(walked))
+        assert set(walked) == {f.bit_list for f in enumerate_saturated_families(n, q)}
+        pos = positions(n)
+        keys = [[pos[b] for b in fam] for fam in walked]
+        assert keys == sorted(keys)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("name", list(CROSS_CHECK_POSETS))
@@ -254,6 +306,26 @@ class TestRandomGreedy:
     def test_trials_must_be_positive(self, nposet):
         with pytest.raises(UsageError):
             upper_bound_via_random_greedy(4, nposet, trials=0, rng_seed=1)
+
+    @pytest.mark.parametrize(
+        "n, q, trials, rng_seed, seeds, expected",
+        [
+            (5, n_poset(), 4, 11, None, [0, 1, 2, 4, 8, 16, 3, 7, 15, 31]),
+            (5, n_poset(), 4, 11, [], [0, 2, 10, 7, 11, 13, 14, 21, 27, 29, 30, 31]),
+            (6, butterfly_poset(), 5, 3, None, [
+                0, 1, 2, 4, 8, 16, 32, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24,
+                33, 34, 36, 40, 48, 7, 15, 31, 63,
+            ]),
+            (6, butterfly_poset(), 5, 3, [], [
+                0, 4, 5, 12, 24, 33, 34, 36, 48, 7, 13, 14, 21, 22, 26, 28, 35,
+                37, 38, 41, 42, 44, 49, 50, 52, 56, 23, 27, 29, 43, 46, 57, 31, 59, 63,
+            ]),
+        ],
+        ids=["N-5-named", "N-5-random", "B-6-named", "B-6-random"],
+    )
+    def test_pinned_certificates(self, n, q, trials, rng_seed, seeds, expected):
+        res = upper_bound_via_random_greedy(n, q, trials=trials, rng_seed=rng_seed, seeds=seeds)
+        assert list(res.certificate.bit_list) == expected
 
     def test_reproducible(self, nposet):
         a = upper_bound_via_random_greedy(5, nposet, trials=4, rng_seed=11)
