@@ -27,7 +27,7 @@ from .core import (
     subset_relation,
     validate_poset,
 )
-from .embedding import EmbeddingWitness, count_induced_copies, find_induced_copy
+from .embedding import EmbeddingWitness, find_induced_copy
 from .errors import ContractViolationError, PosetSatError, PosetValidationError, UsageError
 from .hasse import cover_edges, emit_hasse
 from .saturation import (
@@ -86,7 +86,6 @@ __all__ = [
     "parse_poset_json",
     "EmbeddingWitness",
     "find_induced_copy",
-    "count_induced_copies",
     "SaturationReport",
     "is_free",
     "saturation_report",

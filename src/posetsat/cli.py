@@ -3,7 +3,9 @@
 Subcommands: construct, check, embed, greedy, verify, solve, hasse. Reports
 go to stdout as JSON (or the family/DOT text formats); human-readable
 summaries go to stderr. Exit codes: 0 success, 1 failed check/verify (the
-report is still emitted), 2 usage error, 3 broken internal contract.
+report is still emitted), 2 usage error, 3 broken internal contract or any
+other internal error, printed as one line (``--debug`` re-raises the latter
+with its traceback).
 """
 
 from __future__ import annotations
@@ -239,6 +241,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="posetsat",
         description="Induced poset saturation in the Boolean lattice",
     )
+    parser.add_argument(
+        "--debug", action="store_true", help="re-raise internal errors with a traceback"
+    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("construct", help="emit a named family")
@@ -310,6 +315,12 @@ def run(argv=None) -> int:
         return EXIT_USAGE
     except ContractViolationError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
+        return EXIT_CONTRACT
+    except Exception as exc:
+        if args.debug:
+            raise
+        detail = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return EXIT_CONTRACT
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .core import PosetSpec, SetFamily, SubsetMask, _order_isomorphisms
@@ -237,6 +236,92 @@ class _FamilyIndex:
         finally:
             self.pop()
 
+    def completing_sets(self, q: PosetSpec, targets: int) -> int:
+        """The sets among ``targets`` whose addition creates a copy of ``q``
+        through them, in one pass instead of one ``probe_with`` per set.
+
+        Sets are bitmaps over all 2^n subsets (bit s for subset s), and
+        ``targets`` must hold no member. For each orbit representative p of
+        q, one walk lists the copies of q - p among the members, with the
+        plan of the search forced at p minus its first step. It carries the
+        region of sets that fit at p against the images assigned so far:
+        subsets of the image of an element above p, supersets of the image
+        of one below p, and sets incomparable to the image of the rest. A
+        full copy blocks its region, and a branch ends once its region holds
+        no target left unblocked. No member lies in the region, so a set in
+        it differs from every image and relates to each strictly. Twins
+        relate to p alike, so the twin ordering loses no region.
+        """
+        m = q.size
+        rel, _, lo_chain, hi_chain, orbit_reps = _poset_tables(q)
+        n = self.n
+        bits = self.bits
+        card = [self._card_range(lo_chain[x], n - hi_chain[x]) for x in range(m)]
+        tables = (self.incomp, self.below, self.above)
+
+        def up(u: int) -> int:  # bit s set iff s contains u
+            r = 1 << u
+            for i in range(n):
+                if not u >> i & 1:
+                    r |= r << (1 << i)
+            return r
+
+        def down(u: int) -> int:  # bit s set iff s lies inside u
+            r = 1
+            for i in range(n):
+                if u >> i & 1:
+                    r |= r << (1 << i)
+            return r
+
+        # indexed by the relation code of p to the element: _NONE, _BELOW,
+        # _ABOVE; each side is cached per member index for this call
+        build = (lambda u: ~(up(u) | down(u)), down, up)
+        sides: tuple[dict[int, int], ...] = ({}, {}, {})
+        unblocked = targets
+        assign = [-1] * m
+
+        def walk(steps, depth: int, used: int, region: int) -> None:
+            nonlocal unblocked
+            if depth == len(steps):
+                unblocked &= ~region
+                return
+            x, cand, checks, prev, code = steps[depth]
+            cand &= ~used
+            for y, table in checks:
+                cand &= table[assign[y]]
+            if prev >= 0:  # only indices above the previous twin's
+                cand &= -(2 << assign[prev])
+            side = sides[code]
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                i = low.bit_length() - 1
+                fit = side.get(i)
+                if fit is None:
+                    fit = side[i] = build[code](bits[i])
+                fit &= region & unblocked
+                if fit:
+                    assign[x] = i
+                    walk(steps, depth + 1, used | low, fit)
+
+        for p in orbit_reps:
+            if not unblocked:
+                break
+            order, checks, prev = _search_plan(q, p)
+            steps = [
+                (
+                    x,
+                    card[x],
+                    [(y, tables[r]) for y, r in checks[d] if y != p],
+                    prev[d],
+                    rel[p][x],
+                )
+                for d, x in enumerate(order)
+                if d
+            ]
+            walk(steps, 0, 0, unblocked)
+        return targets & ~unblocked
+
 
 def _search_bits(
     bits: Sequence[int],
@@ -318,18 +403,3 @@ def find_induced_copy(
         q, tuple(SubsetMask(b, family.ground) for b in assignment)
     )
 
-
-def count_induced_copies(family: SetFamily, q: PosetSpec, cap: int) -> int:
-    """Number of distinct unordered member subsets forming induced copies of
-    ``q``, truncated at ``cap``. Symmetric assignments onto the same image
-    count once."""
-    if cap < 1:
-        raise UsageError(f"cap must be at least 1, got {cap}")
-    n = family.ground.n
-    count = 0
-    for combo in combinations(family.bit_list, q.size):
-        if _search_bits(combo, n, q) is not None:
-            count += 1
-            if count >= cap:
-                return count
-    return count

@@ -2,9 +2,17 @@
 completion of free families to saturated ones.
 
 A family is q-saturated when it is q-free and adding any missing subset
-creates an induced copy of q; equivalently, when it is maximal q-free. The
-per-missing-set test can restrict the copy search to copies through the new
-set because the base family is free.
+creates an induced copy of q; equivalently, when it is maximal q-free. Once
+the family is known to be free, any new copy passes through the new set.
+
+The saturation scan finds every such set in one pass over completion
+regions rather than one forced search per missing set: for each orbit
+representative p of q it lists the copies of q - p among the members, and
+each copy blocks the region of subsets that complete it at p: those inside
+the images of the elements above p, containing the images of the elements
+below p, and incomparable to the other images. The missing sets that no
+copy blocks are the unsaturated ones. Greedy completion still probes one
+set at a time, since its family grows between probes.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import GroundSet, PosetSpec, SetFamily, SubsetMask
+from .core import GroundSet, PosetSpec, SetFamily, SubsetMask, mask_key
 from .embedding import EmbeddingWitness, _FamilyIndex, find_induced_copy
 from .errors import UsageError
 
@@ -41,6 +49,17 @@ class SaturationReport:
         }
 
 
+def _bit_positions(x: int) -> list[int]:
+    """Positions of the set bits of ``x``, ascending."""
+    digits = bin(x)[:1:-1]  # least significant first
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
 def is_free(family: SetFamily, q: PosetSpec) -> bool:
     """True iff the family contains no induced copy of q."""
     return find_induced_copy(family, q) is None
@@ -51,20 +70,23 @@ def saturation_report(
     q: PosetSpec,
     fail_fast: bool = False,
 ) -> SaturationReport:
-    """Full saturation verdict: freeness, then a scan of every missing subset.
+    """Full saturation verdict: freeness, then every missing subset that
+    completes no copy, in canonical order.
 
-    ``fail_fast`` stops at the first unsaturated set (solver hot loop).
+    ``fail_fast`` keeps only the first unsaturated set.
     """
     witness = find_induced_copy(family, q)
     if witness is not None:
         return SaturationReport(False, witness, (), False)
-    index = _FamilyIndex(family.bit_list, family.ground.n)
-    unsat: list[int] = []
-    for s in family.missing_masks():
-        if not index.probe_with(q, s):
-            unsat.append(s)
-            if fail_fast:
-                break
+    n = family.ground.n
+    missing = (1 << (1 << n)) - 1
+    for b in family.bit_list:
+        missing ^= 1 << b
+    index = _FamilyIndex(family.bit_list, n)
+    unblocked = missing ^ index.completing_sets(q, missing)
+    unsat = sorted(_bit_positions(unblocked), key=mask_key)
+    if fail_fast:
+        del unsat[1:]
     masks = tuple(SubsetMask(s, family.ground) for s in unsat)
     return SaturationReport(True, None, masks, not unsat)
 

@@ -43,6 +43,15 @@ def naive_is_saturated(bits, n, q) -> bool:
     return True
 
 
+def naive_unsaturated_sets(bits, n, q):
+    """Every missing subset, ascending, whose addition creates no copy."""
+    members = sorted(set(bits))
+    return [
+        s for s in range(1 << n)
+        if s not in members and not naive_has_copy(members + [s], q)
+    ]
+
+
 def naive_orbit_representatives(q):
     """Least element of each automorphism orbit, over every permutation of
     the elements that preserves the strict order."""

@@ -7,8 +7,17 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posetsat import butterfly_construction, format_family, n_construction, parse_family
+from posetsat import (
+    SetFamily,
+    butterfly_construction,
+    format_family,
+    n_construction,
+    n_poset,
+    parse_family,
+)
+from posetsat import cli
 from posetsat.cli import run
+from posetsat.embedding import _FamilyIndex
 
 
 def invoke(capsys, *argv):
@@ -86,6 +95,28 @@ class TestCheck:
         _, out1, _ = invoke(capsys, *args)
         _, out2, _ = invoke(capsys, *args)
         assert out1 == out2
+
+    def test_fail_fast_reports_the_first_unsaturated_set(self, capsys, tmp_path):
+        # the N construction at n=14 without {1..5} has three addable sets
+        fam = n_construction(14)
+        prefix = 0b11111
+        fam = SetFamily.from_masks(fam.ground, [b for b in fam.bit_list if b != prefix])
+        index = _FamilyIndex(fam.bit_list, 14)
+        first = next(s for s in fam.missing_masks() if not index.probe_with(n_poset(), s))
+        path = tmp_path / "n14-neg.txt"
+        path.write_text(format_family(fam))
+        args = ("check", "--poset", "n", "--in", str(path), "--n", "14")
+        code, out, err = invoke(capsys, *args)
+        assert code == 1
+        assert json.loads(out)["unsaturated"] == [[5, 6], [1, 2, 3, 4, 5], [1, 2, 3, 4, 6]]
+        assert err == "free but unsaturated: 3 addable sets\n"
+        code, out, err = invoke(capsys, *args, "--fail-fast")
+        assert code == 1
+        assert first == 0b110000
+        assert json.loads(out) == {
+            "free": True, "saturated": False, "unsaturated": [[5, 6]], "witness": None,
+        }
+        assert err == "free but unsaturated: 1 addable sets\n"
 
 
 class TestEmbed:
@@ -265,6 +296,34 @@ def run_module(*argv):
     return subprocess.run(
         [sys.executable, "-m", "posetsat.cli", *argv], capture_output=True, text=True
     )
+
+
+class TestInternalErrors:
+    """Any other exception exits 3 with one ``internal error:`` line;
+    ``--debug`` re-raises it."""
+
+    @pytest.fixture
+    def broken_construct(self, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(cli, "_cmd_construct", boom)
+
+    def test_exit_three_with_one_line(self, capsys, broken_construct):
+        code, out, err = invoke(capsys, "construct", "--family", "n", "--n", "4")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: RuntimeError: boom second line\n"
+        assert "Traceback" not in err
+
+    def test_debug_reraises(self, capsys, broken_construct):
+        with pytest.raises(RuntimeError, match="boom"):
+            run(["--debug", "construct", "--family", "n", "--n", "4"])
+
+    def test_usage_errors_keep_exit_two_under_debug(self, capsys):
+        code, _, err = invoke(capsys, "--debug", "construct", "--family", "k2k", "--n", "5")
+        assert code == 2
+        assert "requires --k" in err
 
 
 class TestUsageErrors:

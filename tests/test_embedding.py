@@ -10,7 +10,6 @@ from posetsat import (
     butterfly_poset,
     chain_poset,
     complete_bipartite_poset,
-    count_induced_copies,
     find_induced_copy,
     n_poset,
     poset_isomorphic,
@@ -101,30 +100,6 @@ class TestAgainstNaiveOracle:
         for q in (butterfly, nposet):
             if find_induced_copy(fam, q) is not None:
                 assert find_induced_copy(fam.with_member(extra), q) is not None
-
-
-class TestCountInducedCopies:
-    def test_single_image(self, butterfly):
-        fam = family(4, [1], [2], [1, 2, 3], [1, 2, 4])
-        assert count_induced_copies(fam, butterfly, cap=10) == 1
-
-    def test_free_family_counts_zero(self, butterfly):
-        fam = SetFamily.from_masks(GroundSet(3), range(8))
-        assert count_induced_copies(fam, butterfly, cap=10) == 0
-
-    def test_cap_truncates(self, butterfly):
-        fam = SetFamily.from_masks(GroundSet(4), range(16))
-        assert count_induced_copies(fam, butterfly, cap=1) == 1
-
-    def test_cap_must_be_positive(self, butterfly):
-        with pytest.raises(UsageError):
-            count_induced_copies(family(4), butterfly, cap=0)
-
-    @given(fam=small_family)
-    @settings(max_examples=40, deadline=None)
-    def test_counts_distinct_images_of_naive_witnesses(self, fam, nposet):
-        expected = len({frozenset(t) for t in naive_witnesses(fam.bit_list, nposet)})
-        assert count_induced_copies(fam, nposet, cap=10_000) == expected
 
 
 # poset -> one representative per automorphism orbit (smallest element)

@@ -6,17 +6,21 @@ from posetsat import (
     SetFamily,
     UsageError,
     butterfly_construction,
+    butterfly_poset,
     complete_bipartite_poset,
     greedy_saturate,
     is_free,
     k2k_seed,
     kkk_seed,
     n_construction,
+    n_poset,
     saturation_report,
 )
+from posetsat.core import mask_key
+from posetsat.embedding import _FamilyIndex
 
-from conftest import family
-from oracles import naive_is_saturated
+from conftest import CROSS_CHECK_POSETS, family
+from oracles import naive_has_copy, naive_is_saturated, naive_unsaturated_sets
 
 
 class TestIsFree:
@@ -201,3 +205,63 @@ class TestSaturatedEqualsMaximalFree:
             return
         fam = SetFamily.from_masks(GroundSet(4), bits)
         assert saturation_report(fam, nposet).saturated == naive_is_saturated(bits, 4, nposet)
+
+
+@st.composite
+def cross_check_cases(draw):
+    """A cross-check poset and a family over [n], n = 2..5: random, closed
+    greedily under a random order, or closed with one member removed. The
+    5-element posets take closed families only up to n = 4: at n = 5 the
+    all-tuples oracle spends over 10 s on one of them."""
+    q = CROSS_CHECK_POSETS[draw(st.sampled_from(sorted(CROSS_CHECK_POSETS)))]
+    kind = draw(st.sampled_from(["random", "closed", "removed"]))
+    n = draw(st.integers(2, 5 if kind == "random" or q.size < 5 else 4))
+    ground = GroundSet(n)
+    if kind == "random":
+        masks = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=8))
+        return q, SetFamily.from_masks(ground, masks)
+    order = draw(st.permutations(ground.all_masks()))
+    fam = greedy_saturate(SetFamily.from_masks(ground, []), q, order=order)
+    if kind == "removed":
+        drop = draw(st.sampled_from(fam.bit_list))
+        fam = SetFamily.from_masks(ground, [b for b in fam.bit_list if b != drop])
+    return q, fam
+
+
+class TestReportAgainstDefinition:
+    @given(case=cross_check_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_unsaturated_sets_match_oracle(self, case):
+        q, fam = case
+        rep = saturation_report(fam, q)
+        assert rep.free == (not naive_has_copy(list(fam.bit_list), q))
+        expected = naive_unsaturated_sets(fam.bit_list, fam.ground.n, q)
+        assert [s.bits for s in rep.unsaturated_sets] == sorted(expected, key=mask_key)
+        assert rep.saturated == (rep.free and not expected)
+
+
+class TestScanWideConstructions:
+    """The constructions of the benchmark's scan-wide part, and each without
+    the prefix {1..5}, against one forced probe per missing set."""
+
+    @pytest.mark.parametrize("negative", [False, True], ids=["whole", "minus-prefix"])
+    @pytest.mark.parametrize(
+        "build,q,n",
+        [
+            (butterfly_construction, butterfly_poset(), 12),
+            (butterfly_construction, butterfly_poset(), 13),
+            (n_construction, n_poset(), 13),
+            (n_construction, n_poset(), 14),
+        ],
+        ids=["B12", "B13", "N13", "N14"],
+    )
+    def test_report_matches_probe_loop(self, build, q, n, negative):
+        fam = build(n)
+        if negative:
+            fam = SetFamily.from_masks(fam.ground, [b for b in fam.bit_list if b != 0b11111])
+        index = _FamilyIndex(fam.bit_list, n)
+        expected = [s for s in fam.missing_masks() if not index.probe_with(q, s)]
+        rep = saturation_report(fam, q)
+        assert rep.free
+        assert [s.bits for s in rep.unsaturated_sets] == expected
+        assert (0b11111 in expected) == negative
