@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .core import (
     GroundSet,
@@ -119,7 +120,9 @@ def _cmd_construct(args) -> int:
 def _cmd_check(args) -> int:
     q = _resolve_poset(args.poset)
     fam = _load_family_arg(args)
-    report = saturation_report(fam, q, fail_fast=args.fail_fast)
+    report = saturation_report(fam, q)
+    if args.fail_fast:
+        report = replace(report, unsaturated_sets=report.unsaturated_sets[:1])
     _print_json(report.to_json_obj())
     if report.saturated:
         print(f"saturated: {len(fam)} sets, no free additions", file=sys.stderr)
@@ -143,8 +146,6 @@ def _cmd_embed(args) -> int:
         if len(required_fam) != 1:
             raise UsageError(f"--required must name exactly one set, got {args.required!r}")
         required = required_fam.members[0]
-        if required.bits not in fam:
-            raise UsageError(f"required set {required} is not a member of the family")
     witness = find_induced_copy(fam, q, required=required)
     if witness is None:
         print("none")
@@ -197,7 +198,7 @@ def _cmd_verify(args) -> int:
         if args.target not in ("t2", "t3"):
             raise UsageError("--format tsv is only available for t2 and t3")
         if not report.hypotheses_hold:
-            raise UsageError("chevron export needs a butterfly-saturated family")
+            raise UsageError(report.counterexample["reason"])
         assignment = (
             theorem2_assignment(fam) if args.target == "t2" else theorem3_assignment(fam)
         )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .core import PosetSpec, SetFamily, SubsetMask, _order_isomorphisms
+from .core import GroundSet, PosetSpec, SetFamily, SubsetMask, _order_isomorphisms
 from .errors import UsageError
 
 _BELOW, _ABOVE, _NONE = 1, 2, 0
@@ -323,27 +323,6 @@ class _FamilyIndex:
         return targets & ~unblocked
 
 
-def _search_bits(
-    bits: Sequence[int],
-    n: int,
-    q: PosetSpec,
-    required_bit: int | None = None,
-) -> tuple[int, ...] | None:
-    """One-shot search over raw masks; ``bits`` must be duplicate-free (in
-    canonical order when the caller needs the deterministic witness). Returns
-    the assignment (poset index -> mask) or None."""
-    if q.size > len(bits):
-        return None
-    index = _FamilyIndex(bits, n)
-    forced = None
-    if required_bit is not None:
-        forced = index.bits.index(required_bit)
-    assignment = index.search(q, forced_index=forced)
-    if assignment is None:
-        return None
-    return tuple(bits[i] for i in assignment)
-
-
 @dataclass(frozen=True)
 class EmbeddingWitness:
     """Injective assignment of poset elements to family members realising an
@@ -381,6 +360,15 @@ class EmbeddingWitness:
         ]
 
 
+def _search_witness(index: _FamilyIndex, q: PosetSpec, ground: GroundSet, forced=None):
+    """The copy that ``index.search`` finds (through member index ``forced``
+    when given) as a witness over ``ground``, or None."""
+    assignment = index.search(q, forced)
+    if assignment is None:
+        return None
+    return EmbeddingWitness(q, tuple(SubsetMask(index.bits[i], ground) for i in assignment))
+
+
 def find_induced_copy(
     family: SetFamily,
     q: PosetSpec,
@@ -389,17 +377,12 @@ def find_induced_copy(
     """First induced copy of ``q`` in ``family`` in deterministic search
     order, or None. When ``required`` is given it must be a family member and
     appears in the image of any returned witness."""
-    required_bit = None
+    forced = None
     if required is not None:
         if required.ground != family.ground:
             raise UsageError("required member over a different ground set")
         if required.bits not in family:
             raise UsageError(f"required set {required} is not a member of the family")
-        required_bit = required.bits
-    assignment = _search_bits(family.bit_list, family.ground.n, q, required_bit)
-    if assignment is None:
-        return None
-    return EmbeddingWitness(
-        q, tuple(SubsetMask(b, family.ground) for b in assignment)
-    )
-
+        forced = family.bit_list.index(required.bits)
+    index = _FamilyIndex(family.bit_list, family.ground.n)
+    return _search_witness(index, q, family.ground, forced)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import GroundSet, PosetSpec, SetFamily, SubsetMask, mask_key
-from .embedding import EmbeddingWitness, _FamilyIndex, find_induced_copy
+from .embedding import EmbeddingWitness, _FamilyIndex, _search_witness, find_induced_copy
 from .errors import UsageError
 
 
@@ -65,28 +65,20 @@ def is_free(family: SetFamily, q: PosetSpec) -> bool:
     return find_induced_copy(family, q) is None
 
 
-def saturation_report(
-    family: SetFamily,
-    q: PosetSpec,
-    fail_fast: bool = False,
-) -> SaturationReport:
+def saturation_report(family: SetFamily, q: PosetSpec) -> SaturationReport:
     """Full saturation verdict: freeness, then every missing subset that
-    completes no copy, in canonical order.
-
-    ``fail_fast`` keeps only the first unsaturated set.
-    """
-    witness = find_induced_copy(family, q)
+    completes no copy, in canonical order. One search index over the
+    members serves both steps."""
+    n = family.ground.n
+    index = _FamilyIndex(family.bit_list, n)
+    witness = _search_witness(index, q, family.ground)
     if witness is not None:
         return SaturationReport(False, witness, (), False)
-    n = family.ground.n
     missing = (1 << (1 << n)) - 1
     for b in family.bit_list:
         missing ^= 1 << b
-    index = _FamilyIndex(family.bit_list, n)
     unblocked = missing ^ index.completing_sets(q, missing)
     unsat = sorted(_bit_positions(unblocked), key=mask_key)
-    if fail_fast:
-        del unsat[1:]
     masks = tuple(SubsetMask(s, family.ground) for s in unsat)
     return SaturationReport(True, None, masks, not unsat)
 
@@ -100,11 +92,12 @@ def greedy_saturate(
     the given order (canonical by default) and add it whenever the addition
     creates no copy through it. One pass suffices since rejections stay
     rejected as the family grows."""
-    witness = find_induced_copy(seed, q)
-    if witness is not None:
-        raise UsageError("greedy seed already contains an induced copy", witness=witness)
     ground = seed.ground
     n = ground.n
+    index = _FamilyIndex(seed.bit_list, n)
+    witness = _search_witness(index, q, ground)
+    if witness is not None:
+        raise UsageError("greedy seed already contains an induced copy", witness=witness)
     if order is None:
         candidates: Sequence[int] = ground.all_masks()
     else:
@@ -112,7 +105,6 @@ def greedy_saturate(
         needed = set(range(1 << n)) - set(seed.bit_list)
         if not needed.issubset(candidates):
             raise UsageError("candidate order must cover every subset outside the seed")
-    index = _FamilyIndex(seed.bit_list, n)
     present = set(seed.bit_list)
     for s in candidates:
         if s in present:

@@ -330,6 +330,8 @@ def exact_sat_star(
     ground = GroundSet(n)
     if method not in ("auto", "enumerate"):
         raise UsageError(f"unknown method {method!r}")
+    if budget_s is not None and not budget_s >= 0:
+        raise UsageError(f"budget must be a non-negative number of seconds, got {budget_s}")
     exact = True
     enumerated_count = None
     if method == "enumerate":
@@ -384,11 +386,13 @@ def _named_seed(n: int, q: PosetSpec) -> SetFamily | None:
     return None
 
 
-def _random_free_seed(ground: GroundSet, q: PosetSpec, rng: random.Random,
-                      max_size: int = 3) -> SetFamily:
-    target = rng.randint(0, max_size)
+_RANDOM_SEED_MAX_SIZE = 3
+
+
+def _random_free_seed(ground: GroundSet, q: PosetSpec, rng: random.Random) -> SetFamily:
+    target = rng.randint(0, _RANDOM_SEED_MAX_SIZE)
     index = _FamilyIndex([], ground.n)
-    for _ in range(4 * max_size):
+    for _ in range(4 * _RANDOM_SEED_MAX_SIZE):
         if len(index.bits) >= target:
             break
         s = rng.randrange(1 << ground.n)
@@ -402,21 +406,19 @@ def upper_bound_via_random_greedy(
     q: PosetSpec,
     trials: int,
     rng_seed: int,
-    seeds: list[SetFamily] | None = None,
 ) -> SolveResult:
-    """Best saturated family over ``trials`` greedy closures: explicit seeds
-    first (falling back to the recognised construction, then the empty
-    family), then random free seeds under random candidate orders. Fully
-    reproducible from ``rng_seed``."""
+    """Best saturated family over ``trials`` greedy closures: the first
+    closes the recognised construction (the empty family when none
+    matches), the rest random free seeds under random candidate orders.
+    Fully reproducible from ``rng_seed``."""
     if trials < 1:
         raise UsageError(f"trials must be at least 1, got {trials}")
     t0 = time.perf_counter()
-    if seeds is None:
-        named = _named_seed(n, q)
-        seeds = [named] if named is not None else [SetFamily.from_masks(GroundSet(n), [])]
-    closed = [greedy_saturate(seed, q) for seed in seeds[:trials]]
-    if trials > len(seeds):
-        closed += sample_saturated_families(n, q, trials - len(seeds), rng_seed)
+    named = _named_seed(n, q)
+    seed = named if named is not None else SetFamily.from_masks(GroundSet(n), [])
+    closed = [greedy_saturate(seed, q)]
+    if trials > 1:
+        closed += sample_saturated_families(n, q, trials - 1, rng_seed)
     best = min(closed, key=lambda f: (len(f), f.bit_list))
     return SolveResult(
         n=n,

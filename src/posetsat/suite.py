@@ -54,28 +54,16 @@ def _butterfly_size(n: int) -> int:
     return 1 + n + comb(n, 2) + (n - 2)
 
 
-def _row_construction_b() -> SuiteRow:
-    q = butterfly_poset()
+def _row_construction(key, q, build, expected_size, ns, claim) -> SuiteRow:
+    """Each ``build(n)`` for n in ``ns`` is q-saturated of size
+    ``expected_size(n)``."""
     bad = []
-    for n in range(4, 9):
-        fam = butterfly_construction(n)
-        rep = saturation_report(fam, q)
-        if not rep.saturated or len(fam) != _butterfly_size(n):
+    for n in ns:
+        fam = build(n)
+        if not saturation_report(fam, q).saturated or len(fam) != expected_size(n):
             bad.append(n)
-    detail = "saturated with expected sizes at n=4..8" if not bad else f"failed at n={bad}"
-    return SuiteRow("construction-B", not bad, detail)
-
-
-def _row_construction_n() -> SuiteRow:
-    q = n_poset()
-    bad = []
-    for n in range(3, 11):
-        fam = n_construction(n)
-        rep = saturation_report(fam, q)
-        if not rep.saturated or len(fam) != 2 * n:
-            bad.append(n)
-    detail = "saturated with size 2n at n=3..10" if not bad else f"failed at n={bad}"
-    return SuiteRow("construction-N", not bad, detail)
+    detail = claim if not bad else f"failed at n={bad}"
+    return SuiteRow(key, not bad, detail)
 
 
 def _row_exact_oracle() -> tuple[SuiteRow, list[SetFamily]]:
@@ -94,41 +82,21 @@ def _row_exact_oracle() -> tuple[SuiteRow, list[SetFamily]]:
     return SuiteRow("exact-oracle", ok, detail), families4
 
 
-def _b_instances(seed: int, exhaustive4: list[SetFamily]) -> list[SetFamily]:
-    instances = list(exhaustive4)
-    q = butterfly_poset()
-    for n, count in sorted(B_GREEDY_COUNTS.items()):
-        instances.extend(sample_saturated_families(n, q, count, rng_seed=seed * 1000 + n))
+def _instances(q, exhaustive, counts, rng_base) -> list[SetFamily]:
+    """``exhaustive``, then ``counts[n]`` sampled q-saturated families over
+    each [n], sampled with seed ``rng_base + n``."""
+    instances = list(exhaustive)
+    for n, count in sorted(counts.items()):
+        instances.extend(sample_saturated_families(n, q, count, rng_seed=rng_base + n))
     return instances
 
 
-def _n_instances(seed: int) -> list[SetFamily]:
-    q = n_poset()
-    instances: list[SetFamily] = []
-    for n in (2, 3, 4):
-        instances.extend(enumerate_saturated_families(n, q))
-    for n, count in sorted(N_GREEDY_COUNTS.items()):
-        instances.extend(sample_saturated_families(n, q, count, rng_seed=seed * 2000 + n))
-    return instances
-
-
-def _row_lemma1(instances: list[SetFamily]) -> SuiteRow:
-    failures = sum(1 for fam in instances if not lemma1_check(fam).passed)
-    return SuiteRow(
-        "lemma1",
-        failures == 0,
-        f"pair closure on {len(instances)} saturated families, {failures} counterexamples",
-    )
-
-
-def _row_theorem2(instances: list[SetFamily]) -> SuiteRow:
-    failures = sum(1 for fam in instances if not verify_theorem2(fam).passed)
-    return SuiteRow(
-        "theorem2",
-        failures == 0,
-        f"singleton map injective with |F|>=n+1 on {len(instances)} families, "
-        f"{failures} counterexamples",
-    )
+def _row_verifier(key, verify, instances, claim) -> SuiteRow:
+    """``verify`` passes on every instance; ``claim`` holds a ``{}`` for the
+    instance count."""
+    failures = sum(1 for fam in instances if not verify(fam).passed)
+    detail = f"{claim.format(len(instances))}, {failures} counterexamples"
+    return SuiteRow(key, failures == 0, detail)
 
 
 def _row_theorem3(instances: list[SetFamily]) -> SuiteRow:
@@ -150,13 +118,15 @@ def _row_theorem3(instances: list[SetFamily]) -> SuiteRow:
     )
 
 
-def _row_prop4(instances: list[SetFamily]) -> SuiteRow:
-    failures = sum(1 for fam in instances if not verify_prop4(fam).passed)
-    return SuiteRow(
-        "prop4",
-        failures == 0,
-        f"difference-pair cover with |F|^2>=n on {len(instances)} families, "
-        f"{failures} counterexamples",
+def _closure_ok(seed_fam: SetFamily, q, max_card: int, bound: int) -> bool:
+    """The greedy closure of ``seed_fam`` is q-saturated, adds only sets of
+    at most ``max_card`` elements, and has at most ``bound`` members."""
+    closed = greedy_saturate(seed_fam, q)
+    added = [b for b in closed.bit_list if not seed_fam.has_mask(b)]
+    return (
+        saturation_report(closed, q).saturated
+        and all(b.bit_count() <= max_card for b in added)
+        and len(closed) <= bound
     )
 
 
@@ -165,16 +135,8 @@ def _row_prop5() -> SuiteRow:
     for k in (2, 3):
         q = complete_bipartite_poset(k, 2)
         for n in range(k + 1, 9):
-            seed_fam = k2k_seed(n, k)
-            closed = greedy_saturate(seed_fam, q)
-            added = [b for b in closed.bit_list if not seed_fam.has_mask(b)]
             bound = sum(comb(n, i) for i in range(k + 1)) + n - k
-            ok = (
-                saturation_report(closed, q).saturated
-                and all(b.bit_count() <= k for b in added)
-                and len(closed) <= bound
-            )
-            if not ok:
+            if not _closure_ok(k2k_seed(n, k), q, k, bound):
                 bad.append((n, k))
     detail = (
         "greedy closures stay below the level-k size bound for k=2,3"
@@ -189,16 +151,8 @@ def _row_prop6() -> SuiteRow:
     q = complete_bipartite_poset(k, k)
     bad = []
     for n in range(6, 9):
-        seed_fam = kkk_seed(n, k)
-        closed = greedy_saturate(seed_fam, q)
-        added = [b for b in closed.bit_list if not seed_fam.has_mask(b)]
         bound = sum(comb(n, i) for i in range(2 * k - 1)) + (k - 1) * (n - 2 * k + 1)
-        ok = (
-            saturation_report(closed, q).saturated
-            and all(b.bit_count() <= 2 * k - 2 for b in added)
-            and len(closed) <= bound
-        )
-        if not ok:
+        if not _closure_ok(kkk_seed(n, k), q, 2 * k - 2, bound):
             bad.append(n)
     detail = (
         "greedy closures stay below the level-(2k-2) size bound for k=3"
@@ -245,20 +199,45 @@ def run_paper_suite(seed: int = 1, out=None, err=None) -> bool:
 
     rows: list[SuiteRow] = []
     progress("checking explicit constructions")
-    rows.append(_row_construction_b())
-    rows.append(_row_construction_n())
+    rows.append(
+        _row_construction(
+            "construction-B", butterfly_poset(), butterfly_construction, _butterfly_size,
+            range(4, 9), "saturated with expected sizes at n=4..8",
+        )
+    )
+    rows.append(
+        _row_construction(
+            "construction-N", n_poset(), n_construction, lambda n: 2 * n,
+            range(3, 11), "saturated with size 2n at n=3..10",
+        )
+    )
     progress("enumerating saturated families at small n")
     oracle_row, exhaustive4 = _row_exact_oracle()
     rows.append(oracle_row)
     progress("generating butterfly-saturated instances")
-    b_instances = _b_instances(seed, exhaustive4)
+    b_instances = _instances(butterfly_poset(), exhaustive4, B_GREEDY_COUNTS, seed * 1000)
     progress("running singleton and pair analyses")
-    rows.append(_row_lemma1(b_instances))
-    rows.append(_row_theorem2(b_instances))
+    rows.append(
+        _row_verifier(
+            "lemma1", lemma1_check, b_instances, "pair closure on {} saturated families"
+        )
+    )
+    rows.append(
+        _row_verifier(
+            "theorem2", verify_theorem2, b_instances,
+            "singleton map injective with |F|>=n+1 on {} families",
+        )
+    )
     rows.append(_row_theorem3(b_instances))
     progress("generating N-saturated instances")
-    n_instances = _n_instances(seed)
-    rows.append(_row_prop4(n_instances))
+    n_small = [f for n in (2, 3, 4) for f in enumerate_saturated_families(n, n_poset())]
+    n_instances = _instances(n_poset(), n_small, N_GREEDY_COUNTS, seed * 2000)
+    rows.append(
+        _row_verifier(
+            "prop4", verify_prop4, n_instances,
+            "difference-pair cover with |F|^2>=n on {} families",
+        )
+    )
     progress("closing bipartite seed families")
     rows.append(_row_prop5())
     rows.append(_row_prop6())

@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from posetsat import (
     SetFamily,
     butterfly_construction,
+    butterfly_poset,
     format_family,
     n_construction,
     n_poset,
     parse_family,
+    sample_saturated_families,
 )
 from posetsat import cli
 from posetsat.cli import run
@@ -211,6 +213,21 @@ class TestVerify:
         assert code == 2
         assert "saturated" in err
 
+    def test_tsv_refusal_gives_the_verifier_reason(self, capsys, tmp_path):
+        # butterfly-saturated, 38 sets, no singletons: T3 refuses, T2 exports
+        fam = sample_saturated_families(6, butterfly_poset(), 17, 1006)[11]
+        assert len(fam) == 38 and not any(m.cardinality == 1 for m in fam)
+        path = tmp_path / "fam.txt"
+        path.write_text(format_family(fam))
+        args = ("verify", "t3", "--in", str(path), "--n", "6", "--format", "tsv")
+        code, out, err = invoke(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert err == "error: no singletons present; the bound is vacuous\n"
+        code, out, _ = invoke(capsys, "verify", "t2", *args[2:])
+        assert code == 0
+        assert out.startswith("domain\tA\tB\tC\timage\n")
+
     def test_tsv_rejected_for_p4(self, capsys, tmp_path):
         path = tmp_path / "fam.txt"
         path.write_text(format_family(n_construction(4)))
@@ -365,6 +382,10 @@ class TestUsageErrors:
         fam.write_text("{1}\n")
         self.assert_usage_error(run_module("check", "--poset", str(poset), "--in", str(fam)))
 
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    def test_budget_must_be_a_non_negative_number(self, budget):
+        self.assert_usage_error(run_module("solve", "--poset", "b", "--n", "3", "--budget", budget))
+
     def test_unwritable_out_path(self, tmp_path):
         out = str(tmp_path / "missing-dir" / "x")
         self.assert_usage_error(run_module("construct", "--family", "n", "--n", "4", "--out", out))
@@ -386,7 +407,7 @@ _FLAG_VALUES = {
     "--out": ("@out", "@no_dir"),
     "--required": ("{1,2}", "{1}", "{}", "x", "{9}"),
     "--method": ("auto", "enumerate", "greedy", "x"),
-    "--budget": ("5", "x"),
+    "--budget": ("5", "x", "nan", "-1"),
     "--trials": ("1", "0", "x"),
     "--format": ("json", "tsv", "text", "x"),
     "--suite": ("x",),

@@ -17,7 +17,7 @@ from posetsat import (
     saturation_report,
 )
 from posetsat.core import mask_key
-from posetsat.embedding import _FamilyIndex
+from posetsat.embedding import _FamilyIndex, find_induced_copy
 
 from conftest import CROSS_CHECK_POSETS, family
 from oracles import naive_has_copy, naive_is_saturated, naive_unsaturated_sets
@@ -56,11 +56,6 @@ class TestSaturationReport:
         assert rep.witness_if_not_free is not None
         assert rep.witness_if_not_free.verify()
         assert rep.unsaturated_sets == ()
-
-    def test_fail_fast_stops_early(self, butterfly):
-        rep = saturation_report(family(4, []), butterfly, fail_fast=True)
-        assert not rep.saturated
-        assert len(rep.unsaturated_sets) == 1
 
     def test_report_json_shape(self, nposet):
         obj = saturation_report(n_construction(4), nposet).to_json_obj()
@@ -238,6 +233,65 @@ class TestReportAgainstDefinition:
         expected = naive_unsaturated_sets(fam.bit_list, fam.ground.n, q)
         assert [s.bits for s in rep.unsaturated_sets] == sorted(expected, key=mask_key)
         assert rep.saturated == (rep.free and not expected)
+
+
+class TestOneIndexPerCall:
+    """The freeness search and the saturation or closure step share one
+    search index over the members."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = [0]
+        init = _FamilyIndex.__init__
+
+        def counting_init(self, bits, n):
+            count[0] += 1
+            init(self, bits, n)
+
+        monkeypatch.setattr(_FamilyIndex, "__init__", counting_init)
+        return count
+
+    @pytest.mark.parametrize(
+        "fam",
+        [
+            butterfly_construction(5),
+            family(4, [1], [2], [3], [1, 2]),
+            family(4, [1], [2], [1, 2, 3], [1, 2, 4]),
+        ],
+        ids=["saturated", "unsaturated", "not-free"],
+    )
+    def test_saturation_report_builds_one_index(self, builds, butterfly, fam):
+        saturation_report(fam, butterfly)
+        assert builds[0] == 1
+
+    def test_greedy_saturate_builds_one_index(self, builds, butterfly):
+        greedy_saturate(k2k_seed(6, 2), butterfly)
+        assert builds[0] == 1
+
+    def test_rejected_greedy_seed_builds_one_index(self, builds, butterfly):
+        with pytest.raises(UsageError):
+            greedy_saturate(family(4, [1], [2], [1, 2, 3], [1, 2, 4]), butterfly)
+        assert builds[0] == 1
+
+
+@st.composite
+def small_families(draw):
+    q = CROSS_CHECK_POSETS[draw(st.sampled_from(sorted(CROSS_CHECK_POSETS)))]
+    n = draw(st.integers(1, 4))
+    masks = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=1 << n))
+    return q, SetFamily.from_masks(GroundSet(n), masks)
+
+
+class TestReportWitness:
+    @given(case=small_families())
+    @settings(max_examples=150, deadline=None)
+    def test_witness_matches_find_induced_copy(self, case):
+        q, fam = case
+        witness = saturation_report(fam, q).witness_if_not_free
+        expected = find_induced_copy(fam, q)
+        assert (witness is None) == (expected is None)
+        if expected is not None:
+            assert witness.to_json_obj() == expected.to_json_obj()
 
 
 class TestScanWideConstructions:

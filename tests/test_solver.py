@@ -137,6 +137,12 @@ class TestExactSatStar:
         assert saturation_report(res.certificate, butterfly).saturated
         assert res.value <= len(butterfly_construction(6))
 
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0])
+    def test_budget_must_be_a_non_negative_number(self, butterfly, budget):
+        # a NaN deadline never expires, so it would switch the limit off
+        with pytest.raises(UsageError, match="budget"):
+            exact_sat_star(3, butterfly, budget_s=budget)
+
     def test_enumerate_method_rejected_for_large_n(self, butterfly):
         with pytest.raises(UsageError):
             exact_sat_star(5, butterfly, method="enumerate")
@@ -274,7 +280,7 @@ class TestRandomGreedy:
 
     def test_single_trial_with_saturated_seed_returns_it(self, nposet):
         seed_fam = n_construction(6)
-        res = upper_bound_via_random_greedy(6, nposet, trials=1, rng_seed=7, seeds=[seed_fam])
+        res = upper_bound_via_random_greedy(6, nposet, trials=1, rng_seed=7)
         assert res.certificate.bit_list == seed_fam.bit_list
 
     def test_trials_must_be_positive(self, nposet):
@@ -282,24 +288,31 @@ class TestRandomGreedy:
             upper_bound_via_random_greedy(4, nposet, trials=0, rng_seed=1)
 
     @pytest.mark.parametrize(
-        "n, q, trials, rng_seed, seeds, expected",
+        "n, q, trials, rng_seed, named, expected",
         [
-            (5, n_poset(), 4, 11, None, [0, 1, 2, 4, 8, 16, 3, 7, 15, 31]),
-            (5, n_poset(), 4, 11, [], [0, 2, 10, 7, 11, 13, 14, 21, 27, 29, 30, 31]),
-            (6, butterfly_poset(), 5, 3, None, [
+            (5, n_poset(), 4, 11, True, [0, 1, 2, 4, 8, 16, 3, 7, 15, 31]),
+            (5, n_poset(), 4, 11, False, [0, 2, 10, 7, 11, 13, 14, 21, 27, 29, 30, 31]),
+            (6, butterfly_poset(), 5, 3, True, [
                 0, 1, 2, 4, 8, 16, 32, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24,
                 33, 34, 36, 40, 48, 7, 15, 31, 63,
             ]),
-            (6, butterfly_poset(), 5, 3, [], [
+            (6, butterfly_poset(), 5, 3, False, [
                 0, 4, 5, 12, 24, 33, 34, 36, 48, 7, 13, 14, 21, 22, 26, 28, 35,
                 37, 38, 41, 42, 44, 49, 50, 52, 56, 23, 27, 29, 43, 46, 57, 31, 59, 63,
             ]),
         ],
         ids=["N-5-named", "N-5-random", "B-6-named", "B-6-random"],
     )
-    def test_pinned_certificates(self, n, q, trials, rng_seed, seeds, expected):
-        res = upper_bound_via_random_greedy(n, q, trials=trials, rng_seed=rng_seed, seeds=seeds)
-        assert list(res.certificate.bit_list) == expected
+    def test_pinned_certificates(self, n, q, trials, rng_seed, named, expected):
+        # "named" pins the greedy bound, whose first closure starts from the
+        # recognised construction; the others pin the first smallest sampled
+        # family under the same (size, members) order
+        if named:
+            best = upper_bound_via_random_greedy(n, q, trials=trials, rng_seed=rng_seed).certificate
+        else:
+            sampled = sample_saturated_families(n, q, trials, rng_seed)
+            best = min(sampled, key=lambda f: (len(f), f.bit_list))
+        assert list(best.bit_list) == expected
 
     def test_reproducible(self, nposet):
         a = upper_bound_via_random_greedy(5, nposet, trials=4, rng_seed=11)
