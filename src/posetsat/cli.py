@@ -182,6 +182,8 @@ _VERIFIERS = {
 
 
 def _cmd_verify(args) -> int:
+    if args.strong and (args.suite is not None or args.target != "p4"):
+        raise UsageError("--strong applies only to verify p4")
     if args.suite is not None:
         if args.suite != "paper":
             raise UsageError(f"unknown suite {args.suite!r}")
@@ -219,6 +221,8 @@ def _cmd_verify(args) -> int:
 def _cmd_solve(args) -> int:
     q = _resolve_poset(args.poset)
     if args.method == "greedy":
+        if args.budget is not None:
+            raise UsageError("--budget does not apply to --method greedy")
         result = upper_bound_via_random_greedy(
             args.n, q, trials=args.trials, rng_seed=args.rng_seed
         )

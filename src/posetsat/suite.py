@@ -37,7 +37,7 @@ from .solver import (
     enumerate_saturated_families,
     sample_saturated_families,
 )
-from .theorems import lemma1_check, verify_prop4, verify_theorem2, verify_theorem3
+from .theorems import _butterfly_saturated, _lemma1, _theorem2, _theorem3, verify_prop4
 
 B_GREEDY_COUNTS = {5: 17, 6: 14, 7: 11, 8: 8}
 N_GREEDY_COUNTS = {5: 15, 6: 12, 7: 9, 8: 6, 9: 4, 10: 4}
@@ -91,31 +91,11 @@ def _instances(q, exhaustive, counts, rng_base) -> list[SetFamily]:
     return instances
 
 
-def _row_verifier(key, verify, instances, claim) -> SuiteRow:
-    """``verify`` passes on every instance; ``claim`` holds a ``{}`` for the
-    instance count."""
-    failures = sum(1 for fam in instances if not verify(fam).passed)
-    detail = f"{claim.format(len(instances))}, {failures} counterexamples"
+def _row_verifier(key, reports, claim) -> SuiteRow:
+    """Every report passes; ``claim`` holds a ``{}`` for the report count."""
+    failures = sum(1 for r in reports if not r.passed)
+    detail = f"{claim.format(len(reports))}, {failures} counterexamples"
     return SuiteRow(key, failures == 0, detail)
-
-
-def _row_theorem3(instances: list[SetFamily]) -> SuiteRow:
-    evaluated = 0
-    failures = 0
-    skipped = 0
-    for fam in instances:
-        if not any(m.cardinality == 1 for m in fam):
-            skipped += 1
-            continue
-        evaluated += 1
-        if not verify_theorem3(fam).passed:
-            failures += 1
-    return SuiteRow(
-        "theorem3",
-        failures == 0,
-        f"pair map injective with the binomial bound on {evaluated} families "
-        f"({skipped} without singletons skipped), {failures} counterexamples",
-    )
 
 
 def _closure_ok(seed_fam: SetFamily, q, max_card: int, bound: int) -> bool:
@@ -217,24 +197,26 @@ def run_paper_suite(seed: int = 1, out=None, err=None) -> bool:
     progress("generating butterfly-saturated instances")
     b_instances = _instances(butterfly_poset(), exhaustive4, B_GREEDY_COUNTS, seed * 1000)
     progress("running singleton and pair analyses")
-    rows.append(
-        _row_verifier(
-            "lemma1", lemma1_check, b_instances, "pair closure on {} saturated families"
-        )
-    )
-    rows.append(
-        _row_verifier(
-            "theorem2", verify_theorem2, b_instances,
-            "singleton map injective with |F|>=n+1 on {} families",
-        )
-    )
-    rows.append(_row_theorem3(b_instances))
+    # one butterfly verdict per family serves all three claim checks
+    verdicts = [(fam, _butterfly_saturated(fam)) for fam in b_instances]
+    with_singletons = [v for v in verdicts if any(m.cardinality == 1 for m in v[0])]
+    skipped = len(verdicts) - len(with_singletons)
+    for key, check, pool, claim in (
+        ("lemma1", _lemma1, verdicts, "pair closure on {} saturated families"),
+        ("theorem2", _theorem2, verdicts, "singleton map injective with |F|>=n+1 on {} families"),
+        (
+            "theorem3", _theorem3, with_singletons,
+            "pair map injective with the binomial bound on {} families "
+            f"({skipped} without singletons skipped)",
+        ),
+    ):
+        rows.append(_row_verifier(key, [check(*v) for v in pool], claim))
     progress("generating N-saturated instances")
     n_small = [f for n in (2, 3, 4) for f in enumerate_saturated_families(n, n_poset())]
     n_instances = _instances(n_poset(), n_small, N_GREEDY_COUNTS, seed * 2000)
     rows.append(
         _row_verifier(
-            "prop4", verify_prop4, n_instances,
+            "prop4", [verify_prop4(fam) for fam in n_instances],
             "difference-pair cover with |F|^2>=n on {} families",
         )
     )

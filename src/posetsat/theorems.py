@@ -3,7 +3,9 @@
 Each verifier re-derives its hypothesis (saturation of the input family)
 before checking the structural claims, and reports counterexamples instead of
 aborting: a failure here means either an implementation bug or a genuine
-discrepancy, and both need to be inspectable.
+discrepancy, and both need to be inspectable. The butterfly verifiers (lemma
+1, theorems 2 and 3) take one saturation verdict, which the claim battery
+computes once per family for all three.
 
 The chevron machinery mirrors the injection arguments: a missing singleton
 {i} (or a missing pair with exactly one singleton present) must complete a
@@ -90,20 +92,37 @@ class TheoremReport:
 _SMALL_GROUND = "ground sets of size 1 are outside the analysed range"
 
 
+def _report(
+    theorem: str,
+    family: SetFamily,
+    bound: int,
+    counterexample: dict | None,
+    k: int | None = None,
+    hold: bool = True,
+) -> TheoremReport:
+    """Verifier report; it passes iff the hypotheses hold and no
+    counterexample was found."""
+    return TheoremReport(
+        theorem=theorem,
+        n=family.ground.n,
+        hypotheses_hold=hold,
+        bound_value=bound,
+        family_size=len(family),
+        passed=hold and counterexample is None,
+        counterexample=counterexample,
+        k=k,
+    )
+
+
 def _refused(
     theorem: str, family: SetFamily, reason: str, bound: int = 0, k: int | None = None
 ) -> TheoremReport:
     """Report for a family outside the verifier's hypotheses."""
-    return TheoremReport(
-        theorem=theorem,
-        n=family.ground.n,
-        hypotheses_hold=False,
-        bound_value=bound,
-        family_size=len(family),
-        passed=False,
-        counterexample={"reason": reason},
-        k=k,
-    )
+    return _report(theorem, family, bound, {"reason": reason}, k, hold=False)
+
+
+def _butterfly_saturated(family: SetFamily) -> bool:
+    return saturation_report(family, butterfly_poset()).saturated
 
 
 def _singleton_bits(family: SetFamily) -> list[int]:
@@ -236,36 +255,38 @@ def lemma1_check(family: SetFamily) -> TheoremReport:
     """Pair closure on singletons: if {i} and {j} are members of a
     butterfly-saturated family, so is {i,j}. The closure scan runs even when
     the saturation hypothesis fails, so the report carries both facts."""
-    n = family.ground.n
-    if n < 2:
-        return _refused("L1", family, _SMALL_GROUND)
-    rep = saturation_report(family, butterfly_poset())
-    singles = _singleton_bits(family)
-    missing = _missing_singleton_pair(family, singles)
-    counterexample = None if missing is None else {"missing_pair": missing}
-    if counterexample is None and not rep.saturated:
-        counterexample = {"reason": "family is not butterfly-saturated"}
-    return TheoremReport(
-        theorem="L1",
-        n=n,
-        hypotheses_hold=rep.saturated,
-        bound_value=0,
-        family_size=len(family),
-        passed=rep.saturated and missing is None,
-        counterexample=counterexample,
-        k=len(singles),
-    )
+    return _lemma1(family, _butterfly_saturated(family))
 
 
 def verify_theorem2(family: SetFamily) -> TheoremReport:
     """Size bound |F| >= n+1 for butterfly-saturated families, via the
     injective singleton/chevron map and the membership of the empty set."""
+    return _theorem2(family, _butterfly_saturated(family))
+
+
+def verify_theorem3(family: SetFamily) -> TheoremReport:
+    """Size bound |F| >= C(k,2) + k(n-k) for butterfly-saturated families with
+    k >= 1 singletons, via the injective pair/chevron map."""
+    return _theorem3(family, _butterfly_saturated(family))
+
+
+def _lemma1(family: SetFamily, saturated: bool) -> TheoremReport:
+    if family.ground.n < 2:
+        return _refused("L1", family, _SMALL_GROUND)
+    singles = _singleton_bits(family)
+    missing = _missing_singleton_pair(family, singles)
+    counterexample = None if missing is None else {"missing_pair": missing}
+    if counterexample is None and not saturated:
+        counterexample = {"reason": "family is not butterfly-saturated"}
+    return _report("L1", family, 0, counterexample, len(singles), hold=saturated)
+
+
+def _theorem2(family: SetFamily, saturated: bool) -> TheoremReport:
     n = family.ground.n
     if n < 2:
         return _refused("T2", family, _SMALL_GROUND)
     bound = n + 1
-    rep = saturation_report(family, butterfly_poset())
-    if not rep.saturated:
+    if not saturated:
         return _refused("T2", family, "family is not butterfly-saturated", bound)
     counterexample = None
     images = {}
@@ -304,28 +325,17 @@ def verify_theorem2(family: SetFamily) -> TheoremReport:
     size_ok = len(family) >= bound
     if counterexample is None and not size_ok:
         counterexample = {"reason": "size below bound", "bound": bound}
-    return TheoremReport(
-        theorem="T2",
-        n=n,
-        hypotheses_hold=True,
-        bound_value=bound,
-        family_size=len(family),
-        passed=counterexample is None,
-        counterexample=counterexample,
-    )
+    return _report("T2", family, bound, counterexample)
 
 
-def verify_theorem3(family: SetFamily) -> TheoremReport:
-    """Size bound |F| >= C(k,2) + k(n-k) for butterfly-saturated families with
-    k >= 1 singletons, via the injective pair/chevron map."""
+def _theorem3(family: SetFamily, saturated: bool) -> TheoremReport:
     n = family.ground.n
     if n < 2:
         return _refused("T3", family, _SMALL_GROUND)
-    rep = saturation_report(family, butterfly_poset())
     singles = _singleton_bits(family)
     k = len(singles)
     bound = comb(k, 2) + k * (n - k)
-    if not rep.saturated:
+    if not saturated:
         return _refused("T3", family, "family is not butterfly-saturated", bound, k)
     if k == 0:
         return _refused("T3", family, "no singletons present; the bound is vacuous", bound, k)
@@ -352,16 +362,7 @@ def verify_theorem3(family: SetFamily) -> TheoremReport:
             counterexample = {"reason": "pair map is not injective"}
         elif len(family) < bound:
             counterexample = {"reason": "size below bound", "bound": bound}
-    return TheoremReport(
-        theorem="T3",
-        n=n,
-        hypotheses_hold=True,
-        bound_value=bound,
-        family_size=len(family),
-        passed=counterexample is None,
-        counterexample=counterexample,
-        k=k,
-    )
+    return _report("T3", family, bound, counterexample, k)
 
 
 def difference_pair_cover(family: SetFamily) -> dict:
@@ -436,12 +437,4 @@ def verify_prop4(family: SetFamily, strong: bool = False) -> TheoremReport:
         counterexample = _strong_difference_check(family)
     if counterexample is None and len(family) ** 2 < n:
         counterexample = {"reason": "size below bound", "bound": bound}
-    return TheoremReport(
-        theorem="P4",
-        n=n,
-        hypotheses_hold=True,
-        bound_value=bound,
-        family_size=len(family),
-        passed=counterexample is None,
-        counterexample=counterexample,
-    )
+    return _report("P4", family, bound, counterexample)

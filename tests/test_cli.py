@@ -245,6 +245,13 @@ class TestVerify:
         assert code == 0
         assert out.startswith("P4: passed")
 
+    def test_p4_strong(self, capsys, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text(format_family(n_construction(6)))
+        code, out, _ = invoke(capsys, "verify", "p4", "--in", str(path), "--n", "6", "--strong")
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
     def test_verify_needs_target_or_suite(self, capsys):
         code, _, _ = invoke(capsys, "verify")
         assert code == 2
@@ -385,6 +392,24 @@ class TestUsageErrors:
     @pytest.mark.parametrize("budget", ["nan", "-1"])
     def test_budget_must_be_a_non_negative_number(self, budget):
         self.assert_usage_error(run_module("solve", "--poset", "b", "--n", "3", "--budget", budget))
+
+    @pytest.mark.parametrize("target", ["lemma1", "t2", "t3"])
+    def test_strong_applies_only_to_p4(self, target, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text(format_family(butterfly_construction(4)))
+        self.assert_usage_error(run_module("verify", target, "--in", str(path), "--strong"))
+
+    def test_strong_rejected_with_suite(self):
+        self.assert_usage_error(run_module("verify", "--suite", "paper", "--strong"))
+
+    @pytest.mark.parametrize("budget", ["5", "nan", "-1"])
+    def test_budget_rejected_with_greedy(self, budget):
+        self.assert_usage_error(
+            run_module(
+                "solve", "--poset", "b", "--n", "3", "--method", "greedy", "--trials", "1",
+                "--budget", budget,
+            )
+        )
 
     def test_unwritable_out_path(self, tmp_path):
         out = str(tmp_path / "missing-dir" / "x")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,15 +15,18 @@ from posetsat import (
     SubsetMask,
     UsageError,
     antichain_poset,
+    butterfly_construction,
     butterfly_poset,
     chain_poset,
     complete_bipartite_poset,
     format_family,
+    load_family,
     n_poset,
     parse_family,
     parse_poset_json,
     poset_isomorphic,
     poset_name,
+    save_family,
     subset_relation,
     validate_poset,
 )
@@ -241,6 +248,17 @@ class TestFamilyFiles:
         again = parse_family(format_family(fam), G4)
         assert again.bit_list == fam.bit_list
 
+    @pytest.mark.parametrize(
+        "fam",
+        [butterfly_construction(5), SetFamily.from_masks(GroundSet(5), [])],
+        ids=["butterfly-5", "empty"],
+    )
+    def test_save_family_round_trip(self, fam, tmp_path):
+        path = tmp_path / "fam.txt"
+        save_family(fam, path)
+        assert path.read_text(encoding="utf-8") == format_family(fam)
+        assert load_family(path, fam.ground) == fam
+
 
 class TestPosetFiles:
     def test_json_with_closure(self):
@@ -266,3 +284,24 @@ class TestPosetFiles:
     def test_malformed_fields_are_usage_errors(self, obj):
         with pytest.raises(UsageError):
             parse_poset_json(json.dumps(obj))
+
+
+def test_package_imports_only_the_standard_library():
+    # compare sys.modules before and after the import: site .pth files may
+    # load third-party modules at interpreter start-up
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import posetsat, posetsat.cli\n"
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        check=True,
+    )
+    new = set(proc.stdout.split()) - {"posetsat"}
+    assert new <= set(sys.stdlib_module_names), sorted(new - set(sys.stdlib_module_names))

@@ -1,4 +1,6 @@
+import io
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,8 @@ from posetsat import (
     verify_theorem2,
     verify_theorem3,
 )
+
+from posetsat import saturation, suite, theorems
 
 from conftest import family
 
@@ -354,3 +358,21 @@ PINNED_REPORTS = {
 def test_pinned_reports(name, position, verifier):
     fam = _pinned_families()[name]
     assert verifier(fam).to_json_obj() == PINNED_REPORTS[name][position]
+
+
+def test_battery_makes_one_butterfly_verdict_per_family(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return saturation.saturation_report(*args, **kwargs)
+
+    monkeypatch.setattr(suite, "saturation_report", counted)
+    monkeypatch.setattr(theorems, "saturation_report", counted)
+    out, err = io.StringIO(), io.StringIO()
+    assert suite.run_paper_suite(1, out, err)
+    golden = (Path(__file__).parent / "paper_battery_seed1.txt").read_text()
+    assert out.getvalue() == golden
+    # one verdict for each of the 62 butterfly instances serves lemma 1 and
+    # theorems 2 and 3; a verdict per verifier call would make 383 reports
+    assert len(calls) == 267
