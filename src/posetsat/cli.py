@@ -187,6 +187,8 @@ def _cmd_verify(args) -> int:
     if args.suite is not None:
         if args.suite != "paper":
             raise UsageError(f"unknown suite {args.suite!r}")
+        if args.target is not None or args.infile is not None or args.format is not None:
+            raise UsageError("--suite takes no verify target, --in or --format")
         ok = run_paper_suite(seed=args.rng_seed)
         return EXIT_OK if ok else EXIT_FAILED
     if args.target is None:
@@ -223,10 +225,11 @@ def _cmd_solve(args) -> int:
     if args.method == "greedy":
         if args.budget is not None:
             raise UsageError("--budget does not apply to --method greedy")
-        result = upper_bound_via_random_greedy(
-            args.n, q, trials=args.trials, rng_seed=args.rng_seed
-        )
+        trials = 20 if args.trials is None else args.trials
+        result = upper_bound_via_random_greedy(args.n, q, trials=trials, rng_seed=args.rng_seed)
     else:
+        if args.trials is not None:
+            raise UsageError("--trials applies only to --method greedy")
         result = exact_sat_star(args.n, q, budget_s=args.budget, method=args.method)
     _print_json(result.to_json_obj())
     kind = "exact" if result.exact else "upper bound"
@@ -285,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile")
     p.add_argument("--n", type=int)
     p.add_argument("--strong", action="store_true", help="p4: also check the per-member claim")
-    p.add_argument("--format", choices=["json", "tsv", "text"], default="json")
+    p.add_argument("--format", choices=["json", "tsv", "text"], help="default json")
     p.add_argument("--rng-seed", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
@@ -294,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=["auto", "enumerate", "greedy"], default="auto")
     p.add_argument("--budget", type=float, help="time budget in seconds")
-    p.add_argument("--trials", type=int, default=20, help="greedy method: closure count")
+    p.add_argument("--trials", type=int, help="greedy method: closure count (default 20)")
     p.add_argument("--rng-seed", type=int, default=1)
     p.set_defaults(func=_cmd_solve)
 

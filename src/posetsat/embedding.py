@@ -5,14 +5,13 @@ An induced copy is an injective assignment of poset elements to family
 members that reproduces the strict order exactly: x below y iff the image of
 x is a proper subset of the image of y, and incomparable elements map to
 incomparable sets. The search backtracks over poset elements in descending
-constraint order; candidate sets are pruned by cardinality bounds and by
-intersecting precomputed relation bitsets over member indices, so the hot
-loops run on machine-word operations.
+constraint order; candidate sets are pruned by intersecting precomputed
+relation bitsets over member indices, so the hot loops run on machine-word
+operations.
 
 Each (poset, forced element) pair has a cached plan: the search order, and
 per depth the earlier elements whose relation bitsets constrain the
-candidate, so a node touches only assigned elements. Each element's
-cardinality-window mask is computed once per search. Twins, elements with
+candidate, so a node touches only assigned elements. Twins, elements with
 identical relation rows (such as the bottoms or the tops of ``K_{s,t}``),
 must take ascending member indices in search order; a forced element is
 left out of its twin chain. The ordering changes no witness: swapping two
@@ -63,8 +62,8 @@ def _automorphism_orbits(q: PosetSpec) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _poset_tables(q: PosetSpec):
-    """Relation codes, search order, chain-length bounds, and automorphism
-    orbit representatives for a poset."""
+    """Relation codes, search order, and automorphism orbit representatives
+    for a poset."""
     m = q.size
     rel = [[_NONE] * m for _ in range(m)]
     degree = [0] * m
@@ -76,18 +75,8 @@ def _poset_tables(q: PosetSpec):
                 degree[a] += 1
                 degree[b] += 1
     order = tuple(sorted(range(m), key=lambda x: (-degree[x], x)))
-
-    def chain_len(x: int, direction: int, memo: dict) -> int:
-        if x in memo:
-            return memo[x]
-        nbrs = [y for y in range(m) if rel[x][y] == direction]
-        memo[x] = 1 + max(chain_len(y, direction, memo) for y in nbrs) if nbrs else 0
-        return memo[x]
-
-    below = tuple(chain_len(x, _ABOVE, {}) for x in range(m))
-    above = tuple(chain_len(x, _BELOW, {}) for x in range(m))
     rel = tuple(tuple(row) for row in rel)
-    return rel, order, below, above, _automorphism_orbits(q)
+    return rel, order, _automorphism_orbits(q)
 
 
 @lru_cache(maxsize=None)
@@ -100,7 +89,7 @@ def _search_plan(q: PosetSpec, forced: int | None):
     of its twin class in search order, or -1. The forced element is left out
     of its twin chain: swapping it with a twin would move the forced member.
     """
-    rel, order, _, _, _ = _poset_tables(q)
+    rel, order, _ = _poset_tables(q)
     if forced is not None:
         order = (forced,) + tuple(x for x in order if x != forced)
     checks = tuple(
@@ -121,11 +110,11 @@ class _FamilyIndex:
     """Mutable search index over a duplicate-free list of subset masks.
 
     Per member index i it keeps bitsets (ints over member indices) of the
-    members strictly below, strictly above, and incomparable, plus cumulative
-    cardinality masks. Append/pop make probing family-plus-one-set cheap.
+    members strictly below, strictly above, and incomparable. Append/pop
+    make probing family-plus-one-set cheap.
     """
 
-    __slots__ = ("n", "bits", "below", "above", "incomp", "cum_card")
+    __slots__ = ("n", "bits", "below", "above", "incomp")
 
     def __init__(self, bits: Sequence[int], n: int):
         self.n = n
@@ -133,7 +122,6 @@ class _FamilyIndex:
         self.below: list[int] = []
         self.above: list[int] = []
         self.incomp: list[int] = []
-        self.cum_card = [0] * (n + 1)
         for b in bits:
             self.append(b)
 
@@ -156,8 +144,6 @@ class _FamilyIndex:
         self.below.append(bl)
         self.above.append(ab)
         self.incomp.append(inc)
-        for c in range(new.bit_count(), self.n + 1):
-            self.cum_card[c] |= bit
 
     def pop(self) -> None:
         idx = len(self.bits) - 1
@@ -169,17 +155,18 @@ class _FamilyIndex:
         for row in (self.below, self.above, self.incomp):
             for j in range(idx):
                 row[j] &= keep
-        for c in range(self.n + 1):
-            self.cum_card[c] &= keep
 
-    def _card_range(self, lo: int, hi: int) -> int:
-        hi = min(hi, self.n)
-        if hi < lo:
-            return 0
-        mask = self.cum_card[hi]
-        if lo > 0:
-            mask &= ~self.cum_card[lo - 1]
-        return mask
+    def _steps(self, q: PosetSpec, forced: int | None):
+        """``_search_plan(q, forced)`` bound to this index: per step the
+        element, its (earlier element, relation bitsets) checks, and the
+        previous element of its twin chain or -1."""
+        order, checks, prev = _search_plan(q, forced)
+        # indexed by relation code: _NONE, _BELOW, _ABOVE
+        tables = (self.incomp, self.below, self.above)
+        return [
+            (x, [(y, tables[r]) for y, r in checks[d]], prev[d])
+            for d, x in enumerate(order)
+        ]
 
     def search(self, q: PosetSpec, forced_index: int | None = None) -> list[int] | None:
         """Assignment of poset elements to member indices, or None. When
@@ -187,18 +174,14 @@ class _FamilyIndex:
         m = q.size
         if m > len(self.bits):
             return None
-        _, _, lo_chain, hi_chain, orbit_reps = _poset_tables(q)
-        n = self.n
-        card = [self._card_range(lo_chain[x], n - hi_chain[x]) for x in range(m)]
-        # indexed by relation code: _NONE, _BELOW, _ABOVE
-        tables = (self.incomp, self.below, self.above)
+        members = (1 << len(self.bits)) - 1
         assign = [-1] * m
 
         def backtrack(steps, depth: int, used: int) -> bool:
             if depth == m:
                 return True
-            x, cand, checks, prev = steps[depth]
-            cand &= ~used
+            x, checks, prev = steps[depth]
+            cand = members & ~used
             for y, table in checks:
                 cand &= table[assign[y]]
             if prev >= 0:  # only indices above the previous twin's
@@ -211,20 +194,12 @@ class _FamilyIndex:
                     return True
             return False
 
-        def bind(forced: int | None):
-            order, checks, prev = _search_plan(q, forced)
-            steps = [
-                (x, card[x], [(y, tables[r]) for y, r in checks[d]], prev[d])
-                for d, x in enumerate(order)
-            ]
-            if forced is not None:
-                steps[0] = (forced, card[forced] & (1 << forced_index), [], -1)
-            return steps
-
         if forced_index is None:
-            return list(assign) if backtrack(bind(None), 0, 0) else None
-        for p in orbit_reps:
-            if backtrack(bind(p), 0, 0):
+            return list(assign) if backtrack(self._steps(q, None), 0, 0) else None
+        # the forced element takes the forced member; the walk starts after it
+        for p in _poset_tables(q)[2]:
+            assign[p] = forced_index
+            if backtrack(self._steps(q, p), 1, 1 << forced_index):
                 return list(assign)
         return None
 
@@ -243,7 +218,7 @@ class _FamilyIndex:
         Sets are bitmaps over all 2^n subsets (bit s for subset s), and
         ``targets`` must hold no member. For each orbit representative p of
         q, one walk lists the copies of q - p among the members, with the
-        plan of the search forced at p minus its first step. It carries the
+        steps of the search forced at p minus its first step. It carries the
         region of sets that fit at p against the images assigned so far:
         subsets of the image of an element above p, supersets of the image
         of one below p, and sets incomparable to the image of the rest. A
@@ -252,12 +227,10 @@ class _FamilyIndex:
         it differs from every image and relates to each strictly. Twins
         relate to p alike, so the twin ordering loses no region.
         """
-        m = q.size
-        rel, _, lo_chain, hi_chain, orbit_reps = _poset_tables(q)
+        rel, _, orbit_reps = _poset_tables(q)
         n = self.n
         bits = self.bits
-        card = [self._card_range(lo_chain[x], n - hi_chain[x]) for x in range(m)]
-        tables = (self.incomp, self.below, self.above)
+        members = (1 << len(bits)) - 1
 
         def up(u: int) -> int:  # bit s set iff s contains u
             r = 1 << u
@@ -278,15 +251,15 @@ class _FamilyIndex:
         build = (lambda u: ~(up(u) | down(u)), down, up)
         sides: tuple[dict[int, int], ...] = ({}, {}, {})
         unblocked = targets
-        assign = [-1] * m
+        assign = [-1] * q.size
 
         def walk(steps, depth: int, used: int, region: int) -> None:
             nonlocal unblocked
             if depth == len(steps):
                 unblocked &= ~region
                 return
-            x, cand, checks, prev, code = steps[depth]
-            cand &= ~used
+            x, checks, prev, code = steps[depth]
+            cand = members & ~used
             for y, table in checks:
                 cand &= table[assign[y]]
             if prev >= 0:  # only indices above the previous twin's
@@ -307,17 +280,9 @@ class _FamilyIndex:
         for p in orbit_reps:
             if not unblocked:
                 break
-            order, checks, prev = _search_plan(q, p)
             steps = [
-                (
-                    x,
-                    card[x],
-                    [(y, tables[r]) for y, r in checks[d] if y != p],
-                    prev[d],
-                    rel[p][x],
-                )
-                for d, x in enumerate(order)
-                if d
+                (x, [(y, table) for y, table in checks if y != p], prev, rel[p][x])
+                for x, checks, prev in self._steps(q, p)[1:]
             ]
             walk(steps, 0, 0, unblocked)
         return targets & ~unblocked

@@ -296,17 +296,17 @@ def _saturated_walk(
     return walk(0)
 
 
-def _bound_discrepancy_check(n: int, q: PosetSpec, result: "SolveResult") -> None:
+def _bound_discrepancy_check(n: int, result: "SolveResult") -> None:
     """Exact values must respect the proved lower bounds; a violation is a
     halt-worthy discrepancy, never silently reported."""
     if not result.exact:
         return
-    if _bipartite_shape(q) == (2, 2) and result.value < n + 1:
+    if result.poset == "B" and result.value < n + 1:
         raise ContractViolationError(
             f"exact sat*({n}, B) = {result.value} violates the n+1 lower bound",
             detail={"certificate": [list(m.elements()) for m in result.certificate]},
         )
-    if poset_isomorphic(q, n_poset()) and result.value ** 2 < n:
+    if result.poset == "N" and result.value ** 2 < n:
         raise ContractViolationError(
             f"exact sat*({n}, N) = {result.value} violates the sqrt(n) lower bound",
             detail={"certificate": [list(m.elements()) for m in result.certificate]},
@@ -366,7 +366,7 @@ def exact_sat_star(
         enumerated_count=enumerated_count,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
-    _bound_discrepancy_check(n, q, result)
+    _bound_discrepancy_check(n, result)
     return result
 
 

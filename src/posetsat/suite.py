@@ -98,48 +98,46 @@ def _row_verifier(key, reports, claim) -> SuiteRow:
     return SuiteRow(key, failures == 0, detail)
 
 
-def _closure_ok(seed_fam: SetFamily, q, max_card: int, bound: int) -> bool:
-    """The greedy closure of ``seed_fam`` is q-saturated, adds only sets of
-    at most ``max_card`` elements, and has at most ``bound`` members."""
-    closed = greedy_saturate(seed_fam, q)
-    added = [b for b in closed.bit_list if not seed_fam.has_mask(b)]
-    return (
-        saturation_report(closed, q).saturated
-        and all(b.bit_count() <= max_card for b in added)
-        and len(closed) <= bound
-    )
+def _row_closures(key, cases, claim, where) -> SuiteRow:
+    """The greedy closure of each ``(label, seed, q, max_card, bound)`` case
+    is q-saturated, adds only sets of at most ``max_card`` elements, and has
+    at most ``bound`` members; ``where`` names the labels of the failures."""
+    bad = []
+    for label, seed_fam, q, max_card, bound in cases:
+        closed = greedy_saturate(seed_fam, q)
+        added = [b for b in closed.bit_list if not seed_fam.has_mask(b)]
+        if not (
+            saturation_report(closed, q).saturated
+            and all(b.bit_count() <= max_card for b in added)
+            and len(closed) <= bound
+        ):
+            bad.append(label)
+    detail = claim if not bad else f"failed at {where}={bad}"
+    return SuiteRow(key, not bad, detail)
 
 
 def _row_prop5() -> SuiteRow:
-    bad = []
-    for k in (2, 3):
-        q = complete_bipartite_poset(k, 2)
-        for n in range(k + 1, 9):
-            bound = sum(comb(n, i) for i in range(k + 1)) + n - k
-            if not _closure_ok(k2k_seed(n, k), q, k, bound):
-                bad.append((n, k))
-    detail = (
-        "greedy closures stay below the level-k size bound for k=2,3"
-        if not bad
-        else f"failed at (n,k)={bad}"
+    cases = [
+        ((n, k), k2k_seed(n, k), complete_bipartite_poset(k, 2), k,
+         sum(comb(n, i) for i in range(k + 1)) + n - k)
+        for k in (2, 3)
+        for n in range(k + 1, 9)
+    ]
+    return _row_closures(
+        "prop5", cases, "greedy closures stay below the level-k size bound for k=2,3", "(n,k)"
     )
-    return SuiteRow("prop5", not bad, detail)
 
 
 def _row_prop6() -> SuiteRow:
     k = 3
-    q = complete_bipartite_poset(k, k)
-    bad = []
-    for n in range(6, 9):
-        bound = sum(comb(n, i) for i in range(2 * k - 1)) + (k - 1) * (n - 2 * k + 1)
-        if not _closure_ok(kkk_seed(n, k), q, 2 * k - 2, bound):
-            bad.append(n)
-    detail = (
-        "greedy closures stay below the level-(2k-2) size bound for k=3"
-        if not bad
-        else f"failed at n={bad}"
+    cases = [
+        (n, kkk_seed(n, k), complete_bipartite_poset(k, k), 2 * k - 2,
+         sum(comb(n, i) for i in range(2 * k - 1)) + (k - 1) * (n - 2 * k + 1))
+        for n in range(6, 9)
+    ]
+    return _row_closures(
+        "prop6", cases, "greedy closures stay below the level-(2k-2) size bound for k=3", "n"
     )
-    return SuiteRow("prop6", not bad, detail)
 
 
 def _row_embedding_oracle() -> SuiteRow:

@@ -402,6 +402,24 @@ class TestUsageErrors:
     def test_strong_rejected_with_suite(self):
         self.assert_usage_error(run_module("verify", "--suite", "paper", "--strong"))
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["t2"], ["--in", "@fam"], ["--format", "json"], ["t2", "--in", "@fam", "--format", "tsv"]],
+    )
+    def test_suite_rejects_target_in_and_format(self, extra, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text(format_family(butterfly_construction(4)))
+        extra = [str(path) if a == "@fam" else a for a in extra]
+        self.assert_usage_error(run_module("verify", "--suite", "paper", *extra))
+
+    @pytest.mark.parametrize("method", [[], ["--method", "auto"], ["--method", "enumerate"]])
+    def test_trials_rejected_without_greedy(self, method):
+        self.assert_usage_error(
+            run_module(
+                "solve", "--poset", "b", "--n", "2", *method, "--trials", "-5", "--rng-seed", "3"
+            )
+        )
+
     @pytest.mark.parametrize("budget", ["5", "nan", "-1"])
     def test_budget_rejected_with_greedy(self, budget):
         self.assert_usage_error(

@@ -226,6 +226,34 @@ class TestTwinOrdering:
                 first[order.index(x)] for x in range(q.size)
             ]
 
+    @given(fam=small_family)
+    @settings(max_examples=200, deadline=None)
+    def test_forced_witness_is_first_in_search_order(self, fam, butterfly, nposet):
+        """With every member required in turn, the witness comes from the
+        first orbit representative p that has a copy through the member at
+        p, and is the first such copy in the search order forced at p."""
+        for q in (butterfly, nposet, complete_bipartite_poset(2, 3)):
+            order, reps = _poset_tables(q)[1], _poset_tables(q)[-1]
+            witnesses = list(naive_witnesses(fam.bit_list, q))
+            for required in fam.members:
+                expected = None
+                for p in reps:
+                    forced_order = (p,) + tuple(x for x in order if x != p)
+                    keyed = [
+                        tuple(fam.bit_list.index(tup[x]) for x in forced_order)
+                        for tup in witnesses
+                        if tup[p] == required.bits
+                    ]
+                    if keyed:
+                        first = min(keyed)
+                        expected = [first[forced_order.index(x)] for x in range(q.size)]
+                        break
+                w = find_induced_copy(fam, q, required=required)
+                if expected is None:
+                    assert w is None
+                else:
+                    assert [fam.bit_list.index(s.bits) for s in w.assignment] == expected
+
 
 def pinned(labels, sets):
     return [{"poset_element": lab, "set": list(s)} for lab, s in zip(labels, sets)]
