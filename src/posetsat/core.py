@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import PosetValidationError, UsageError
 
@@ -201,9 +201,6 @@ class PosetSpec:
     def relation_count(self) -> int:
         return sum(row.count(True) for row in self.less)
 
-    def incomparable(self, a: int, b: int) -> bool:
-        return a != b and not self.less[a][b] and not self.less[b][a]
-
 
 def _transitive_closure(matrix: list[list[bool]]) -> list[list[bool]]:
     m = len(matrix)
@@ -306,20 +303,26 @@ def _bipartite_shape(spec: PosetSpec) -> tuple[int, int] | None:
     return (len(mins), len(maxs))
 
 
-def _order_isomorphisms(p: PosetSpec, q: PosetSpec) -> Iterator[list[int]]:
-    """Every order isomorphism from p onto q of equal size, in lexicographic
-    order of images; ``iso[x]`` is the image of x. The yielded list is reused
-    between steps, so copy it to keep it."""
+def poset_isomorphic(p: PosetSpec, q: PosetSpec) -> bool:
+    """Exact order-isomorphism test: a backtracking search for the first
+    isomorphism. Each element of p maps only to an unused element of q with
+    the same up- and down-degree, which every isomorphism keeps."""
+    if p.size != q.size or p.relation_count() != q.relation_count():
+        return False
     m = p.size
+
+    def degrees(s: PosetSpec) -> list[tuple[int, int]]:
+        return [(sum(s.less[x]), sum(row[x] for row in s.less)) for x in range(m)]
+
+    p_deg, q_deg = degrees(p), degrees(q)
     image: list[int] = []
     used = [False] * m
 
-    def extend(x: int) -> Iterator[list[int]]:
+    def extend(x: int) -> bool:
         if x == m:
-            yield image
-            return
+            return True
         for y in range(m):
-            if used[y]:
+            if used[y] or p_deg[x] != q_deg[y]:
                 continue
             if all(
                 p.less[x][x2] == q.less[y][y2] and p.less[x2][x] == q.less[y2][y]
@@ -327,18 +330,13 @@ def _order_isomorphisms(p: PosetSpec, q: PosetSpec) -> Iterator[list[int]]:
             ):
                 image.append(y)
                 used[y] = True
-                yield from extend(x + 1)
+                if extend(x + 1):
+                    return True
                 image.pop()
                 used[y] = False
+        return False
 
     return extend(0)
-
-
-def poset_isomorphic(p: PosetSpec, q: PosetSpec) -> bool:
-    """Exact order-isomorphism test (small posets only)."""
-    if p.size != q.size or p.relation_count() != q.relation_count():
-        return False
-    return next(_order_isomorphisms(p, q), None) is not None
 
 
 def poset_name(spec: PosetSpec) -> str:

@@ -16,7 +16,9 @@ identical relation rows (such as the bottoms or the tops of ``K_{s,t}``),
 must take ascending member indices in search order; a forced element is
 left out of its twin chain. The ordering changes no witness: swapping two
 out-of-order twins gives another copy that comes earlier in search order,
-so the first copy found already has its twins in ascending order.
+so the first copy found already has its twins in ascending order. A forced
+search tries the forced member only at the least element of each twin
+class.
 """
 
 from __future__ import annotations
@@ -25,45 +27,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .core import GroundSet, PosetSpec, SetFamily, SubsetMask, _order_isomorphisms
+from .core import GroundSet, PosetSpec, SetFamily, SubsetMask
 from .errors import UsageError
 
 _BELOW, _ABOVE, _NONE = 1, 2, 0
 
 
-def _automorphism_orbits(q: PosetSpec) -> tuple[int, ...]:
-    """One representative element per automorphism orbit: a copy through a
-    required member exists at some position iff it exists at the orbit's
-    representative, so the forced search only tries representatives.
-
-    Twins (elements with identical relation rows) always share an orbit, so
-    the automorphisms are taken on the quotient by twin classes, one element
-    per class, and only those that keep class sizes: each lifts to q by
-    mapping classes onto classes, and every automorphism of q arises so."""
-    m = q.size
-    classes: dict[tuple, list[int]] = {}
-    for x in range(m):
-        column = tuple(q.less[y][x] for y in range(m))
-        classes.setdefault((q.less[x], column), []).append(x)
-    members = list(classes.values())
-    heads = [c[0] for c in members]
-    quotient = PosetSpec(
-        len(heads), tuple(tuple(q.less[a][b] for b in heads) for a in heads)
-    )
-    # the orbit of class c is {iso[c]} over all size-keeping automorphisms;
-    # keep the least element of its classes
-    low = list(heads)
-    for iso in _order_isomorphisms(quotient, quotient):
-        if all(len(members[c]) == len(members[d]) for c, d in enumerate(iso)):
-            for c, d in enumerate(iso):
-                low[c] = min(low[c], heads[d])
-    return tuple(sorted(set(low)))
-
-
 @lru_cache(maxsize=None)
 def _poset_tables(q: PosetSpec):
-    """Relation codes, search order, and automorphism orbit representatives
-    for a poset."""
+    """Relation codes, search order, and the least element of each twin
+    class for a poset.
+
+    A forced search and ``completing_sets`` place the forced member or the
+    new set only at these class heads. That loses nothing: twins relate to
+    every other element alike and to each other not at all, so swapping
+    the images of two twins turns a copy with a given set at one into a
+    copy with that set at the other."""
     m = q.size
     rel = [[_NONE] * m for _ in range(m)]
     degree = [0] * m
@@ -76,7 +55,7 @@ def _poset_tables(q: PosetSpec):
                 degree[b] += 1
     order = tuple(sorted(range(m), key=lambda x: (-degree[x], x)))
     rel = tuple(tuple(row) for row in rel)
-    return rel, order, _automorphism_orbits(q)
+    return rel, order, tuple(x for x, row in enumerate(rel) if rel.index(row) == x)
 
 
 @lru_cache(maxsize=None)
@@ -216,18 +195,19 @@ class _FamilyIndex:
         through them, in one pass instead of one ``probe_with`` per set.
 
         Sets are bitmaps over all 2^n subsets (bit s for subset s), and
-        ``targets`` must hold no member. For each orbit representative p of
-        q, one walk lists the copies of q - p among the members, with the
-        steps of the search forced at p minus its first step. It carries the
-        region of sets that fit at p against the images assigned so far:
-        subsets of the image of an element above p, supersets of the image
-        of one below p, and sets incomparable to the image of the rest. A
-        full copy blocks its region, and a branch ends once its region holds
-        no target left unblocked. No member lies in the region, so a set in
-        it differs from every image and relates to each strictly. Twins
-        relate to p alike, so the twin ordering loses no region.
+        ``targets`` must hold no member. For the least element p of each
+        twin class of q, one walk lists the copies of q - p among the
+        members, with the steps of the search forced at p minus its first
+        step. It carries the region of sets that fit at p against the
+        images assigned so far: subsets of the image of an element above p,
+        supersets of the image of one below p, and sets incomparable to the
+        image of the rest. A full copy blocks its region, and a branch ends
+        once its region holds no target left unblocked. No member lies in
+        the region, so a set in it differs from every image and relates to
+        each strictly. Twins relate to p alike, so the twin ordering loses
+        no region.
         """
-        rel, _, orbit_reps = _poset_tables(q)
+        rel, _, heads = _poset_tables(q)
         n = self.n
         bits = self.bits
         members = (1 << len(bits)) - 1
@@ -277,7 +257,7 @@ class _FamilyIndex:
                     assign[x] = i
                     walk(steps, depth + 1, used | low, fit)
 
-        for p in orbit_reps:
+        for p in heads:
             if not unblocked:
                 break
             steps = [

@@ -6,13 +6,13 @@ creates an induced copy of q; equivalently, when it is maximal q-free. Once
 the family is known to be free, any new copy passes through the new set.
 
 The saturation scan finds every such set in one pass over completion
-regions rather than one forced search per missing set: for each orbit
-representative p of q it lists the copies of q - p among the members, and
-each copy blocks the region of subsets that complete it at p: those inside
-the images of the elements above p, containing the images of the elements
-below p, and incomparable to the other images. The missing sets that no
-copy blocks are the unsaturated ones. Greedy completion still probes one
-set at a time, since its family grows between probes.
+regions rather than one forced search per missing set: for the least
+element p of each twin class of q it lists the copies of q - p among the
+members, and each copy blocks the region of subsets that complete it at
+p: those inside the images of the elements above p, containing the images
+of the elements below p, and incomparable to the other images. The missing
+sets that no copy blocks are the unsaturated ones. Greedy completion still
+probes one set at a time, since its family grows between probes.
 """
 
 from __future__ import annotations

@@ -149,6 +149,26 @@ class TestEmbed:
         sets = [tuple(w["set"]) for w in json.loads(out)]
         assert (1, 2, 3) in sets
 
+    def test_required_on_ten_disjoint_chains_finishes(self, tmp_path):
+        # 10! automorphisms and no twins; the forced search tries the least
+        # element of each of the 20 one-element twin classes
+        poset = tmp_path / "chains.json"
+        poset.write_text(json.dumps({"size": 20, "less": [[2 * i, 2 * i + 1] for i in range(10)]}))
+        path = tmp_path / "fam.txt"
+        path.write_text("".join(f"{{{i}}}\n{{{i},11}}\n" for i in range(1, 11)))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "posetsat.cli", "embed", "--poset", str(poset),
+                "--in", str(path), "--n", "11", "--required", "{3,11}",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=20,
+        )
+        assert proc.returncode == 0
+        sets = [tuple(w["set"]) for w in json.loads(proc.stdout)]
+        assert sets[:2] == [(3,), (3, 11)]
+
     def test_required_not_member(self, capsys, tmp_path):
         path = tmp_path / "fam.txt"
         path.write_text("{1}\n{2}\n")
@@ -177,6 +197,13 @@ class TestGreedy:
 
 
 class TestVerify:
+    def test_suite_seed_defaults_to_one(self, capsys, monkeypatch):
+        seeds = []
+        monkeypatch.setattr(cli, "run_paper_suite", lambda seed: seeds.append(seed) or True)
+        assert invoke(capsys, "verify", "--suite", "paper")[0] == 0
+        assert invoke(capsys, "verify", "--suite", "paper", "--rng-seed", "7")[0] == 0
+        assert seeds == [1, 7]
+
     def test_t2_passes_on_construction(self, capsys, tmp_path):
         path = tmp_path / "fam.txt"
         path.write_text(format_family(butterfly_construction(4)))
@@ -285,6 +312,14 @@ class TestSolve:
         assert code == 0
         result = json.loads(out)
         assert result["exact"] is False and result["value"] <= 10
+
+    def test_greedy_seed_defaults_to_one(self, capsys):
+        argv = ("solve", "--poset", "n", "--n", "4", "--method", "greedy", "--trials", "2")
+        seeds = ((), ("--rng-seed", "1"))
+        results = [json.loads(invoke(capsys, *argv, *seed)[1]) for seed in seeds]
+        for result in results:
+            result.pop("elapsed_ms", None)
+        assert results[0] == results[1]
 
 
 class TestHasse:
@@ -418,6 +453,17 @@ class TestUsageErrors:
             run_module(
                 "solve", "--poset", "b", "--n", "2", *method, "--trials", "-5", "--rng-seed", "3"
             )
+        )
+
+    def test_rng_seed_rejected_without_suite(self, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text(format_family(butterfly_construction(4)))
+        self.assert_usage_error(run_module("verify", "t2", "--in", str(path), "--rng-seed", "99"))
+
+    @pytest.mark.parametrize("method", [[], ["--method", "auto"], ["--method", "enumerate"]])
+    def test_rng_seed_rejected_without_greedy(self, method):
+        self.assert_usage_error(
+            run_module("solve", "--poset", "b", "--n", "2", *method, "--rng-seed", "99")
         )
 
     @pytest.mark.parametrize("budget", ["5", "nan", "-1"])

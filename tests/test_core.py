@@ -305,3 +305,24 @@ def test_package_imports_only_the_standard_library():
     )
     new = set(proc.stdout.split()) - {"posetsat"}
     assert new <= set(sys.stdlib_module_names), sorted(new - set(sys.stdlib_module_names))
+
+
+def test_isomorphism_test_rejects_bipartite_dual_quickly():
+    # K_{6,7} and its dual have equal size and relation count, and no
+    # element of one has the up- and down-degree of a bottom of the other
+    code = (
+        "from posetsat import complete_bipartite_poset, poset_isomorphic\n"
+        "from posetsat.solver import _dual\n"
+        "q, p = complete_bipartite_poset(6, 7), complete_bipartite_poset(7, 6)\n"
+        "print(poset_isomorphic(q, _dual(q)), poset_isomorphic(_dual(q), p))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=10,
+        check=True,
+    )
+    assert proc.stdout.split() == ["False", "True"]

@@ -1,5 +1,7 @@
+from itertools import permutations
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from posetsat import (
     GroundSet,
@@ -16,10 +18,16 @@ from posetsat import (
     validate_poset,
 )
 from posetsat.core import _transitive_closure
-from posetsat.embedding import _automorphism_orbits, _poset_tables
+from posetsat.embedding import _poset_tables
+from posetsat.saturation import saturation_report
 
 from conftest import family
-from oracles import naive_has_copy, naive_orbit_representatives, naive_witnesses
+from oracles import (
+    naive_has_copy,
+    naive_orbit_representatives,
+    naive_unsaturated_sets,
+    naive_witnesses,
+)
 
 small_family = st.builds(
     lambda masks: SetFamily.from_masks(GroundSet(4), masks),
@@ -102,8 +110,8 @@ class TestAgainstNaiveOracle:
                 assert find_induced_copy(fam.with_member(extra), q) is not None
 
 
-# poset -> one representative per automorphism orbit (smallest element)
-ORBITS = {
+# poset -> the least element of each twin class
+TWIN_HEADS = {
     "B": (butterfly_poset(), (0, 2)),
     "bipartite(2,3)": (complete_bipartite_poset(2, 3), (0, 2)),
     "bipartite(3,2)": (complete_bipartite_poset(3, 2), (0, 3)),
@@ -113,15 +121,68 @@ ORBITS = {
 }
 
 
-class TestAutomorphismOrbits:
-    @pytest.mark.parametrize("name", list(ORBITS))
-    def test_representatives(self, name):
-        q, reps = ORBITS[name]
-        assert _automorphism_orbits(q) == reps
+def twin_heads(q):
+    """The least element of each class of elements with equal rows and
+    columns in ``q.less``."""
+    rows = [(q.less[x], tuple(row[x] for row in q.less)) for x in range(q.size)]
+    return tuple(x for x in range(q.size) if rows.index(rows[x]) == x)
 
-    @given(name=st.sampled_from(list(ORBITS)), data=st.data())
+
+def relabelled_poset(size, pairs, perm):
+    """The order on ``range(size)`` generated by the pairs (a, b) with
+    a < b, with element a renamed to the a-th entry of ``perm`` below
+    ``size``."""
+    less = [[False] * size for _ in range(size)]
+    for a, b in pairs:
+        if a < b < size:
+            less[a][b] = True
+    closed = _transitive_closure(less)
+    rank = [p for p in perm if p < size]
+    return validate_poset(
+        [[closed[rank.index(a)][rank.index(b)] for b in range(size)] for a in range(size)]
+    )
+
+
+@st.composite
+def small_posets(draw):
+    """Relabelled posets of at most five elements: disjoint chains, whose
+    automorphisms need not be twin swaps, or random orders."""
+    if draw(st.booleans()):
+        lengths = draw(
+            st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda ls: sum(ls) <= 5)
+        )
+        size, pairs = 0, set()
+        for k in lengths:
+            pairs |= {(size + i, size + i + 1) for i in range(k - 1)}
+            size += k
+    else:
+        size = draw(st.integers(1, 5))
+        pairs = draw(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4))))
+    return relabelled_poset(size, pairs, draw(st.permutations(range(size))))
+
+
+@st.composite
+def posets_with_families(draw):
+    """A poset from ``small_posets`` and a family over {1..m}, m its size:
+    the principal down-sets of some of its elements, which form a copy of
+    the order they induce, plus up to two other sets."""
+    q = draw(small_posets())
+    m = q.size
+    downsets = [sum(1 << y for y in range(m) if y == x or q.less[y][x]) for x in range(m)]
+    keep = draw(st.sets(st.integers(0, m - 1)))
+    extra = draw(st.sets(st.integers(0, (1 << m) - 1), max_size=2))
+    return q, SetFamily.from_masks(GroundSet(m), {downsets[x] for x in keep} | extra)
+
+
+class TestTwinClassHeads:
+    @pytest.mark.parametrize("name", list(TWIN_HEADS))
+    def test_representatives(self, name):
+        q, reps = TWIN_HEADS[name]
+        assert _poset_tables(q)[2] == reps
+
+    @given(name=st.sampled_from(list(TWIN_HEADS)), data=st.data())
     def test_relabelling_is_isomorphic(self, name, data):
-        q, reps = ORBITS[name]
+        q, reps = TWIN_HEADS[name]
         perm = data.draw(st.permutations(range(q.size)))
         less = [[False] * q.size for _ in range(q.size)]
         for a, b in q.strict_pairs():
@@ -129,30 +190,43 @@ class TestAutomorphismOrbits:
         relabelled = validate_poset(less)
         assert poset_isomorphic(q, relabelled)
         assert poset_isomorphic(relabelled, q)
-        assert len(_automorphism_orbits(relabelled)) == len(reps)
+        assert len(_poset_tables(relabelled)[2]) == len(reps)
 
     def test_twin_classes_collapse(self):
         # 2 * (8!)^2 automorphisms; one bottom and one top represent them all
-        assert _automorphism_orbits(complete_bipartite_poset(8, 8)) == (0, 8)
+        assert _poset_tables(complete_bipartite_poset(8, 8))[2] == (0, 8)
 
     @given(
         size=st.integers(1, 6),
         pairs=st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5))),
         perm=st.permutations(range(6)),
     )
+    # two disjoint 2-chains: orbits {0, 2} and {1, 3}, but no twins
+    @example(size=4, pairs={(0, 1), (2, 3)}, perm=[0, 1, 2, 3, 4, 5])
     @settings(max_examples=150, deadline=None)
-    def test_matches_naive_orbits(self, size, pairs, perm):
-        # relations only from lower to higher rank, then a relabelling
-        less = [[False] * size for _ in range(size)]
-        for a, b in pairs:
-            if a < b < size:
-                less[a][b] = True
-        closed = _transitive_closure(less)
-        rank = [p for p in perm if p < size]
-        relabelled = [[closed[rank.index(a)][rank.index(b)] for b in range(size)]
-                      for a in range(size)]
-        q = validate_poset(relabelled)
-        assert _automorphism_orbits(q) == naive_orbit_representatives(q)
+    def test_heads_cover_naive_orbits(self, size, pairs, perm):
+        # each automorphism orbit is a union of twin classes, so the least
+        # element of an orbit heads its own twin class
+        q = relabelled_poset(size, pairs, perm)
+        heads = _poset_tables(q)[2]
+        assert heads == twin_heads(q)
+        assert set(naive_orbit_representatives(q)) <= set(heads)
+
+
+class TestPosetIsomorphic:
+    @given(p=small_posets(), q=small_posets(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_every_permutation(self, p, q, data):
+        m = p.size
+        # half the draws compare p with a relabelling of itself
+        if data.draw(st.booleans()):
+            perm = data.draw(st.permutations(range(m)))
+            q = validate_poset([[p.less[perm[a]][perm[b]] for b in range(m)] for a in range(m)])
+        expected = m == q.size and any(
+            all(p.less[a][b] == q.less[perm[a]][perm[b]] for a in range(m) for b in range(m))
+            for perm in permutations(range(m))
+        )
+        assert poset_isomorphic(p, q) == expected
 
 
 def twin_chains(q, forced=None):
@@ -194,7 +268,7 @@ class TestTwinOrdering:
     def test_twin_chains_pinned(self, name):
         q = TWIN_POSETS[name]
         expected = TWIN_CHAINS[name]
-        assert set(expected) == {None, *_automorphism_orbits(q)}
+        assert set(expected) == {None, *_poset_tables(q)[2]}
         for forced, chains in expected.items():
             assert twin_chains(q, forced) == chains
 
@@ -230,29 +304,59 @@ class TestTwinOrdering:
     @settings(max_examples=200, deadline=None)
     def test_forced_witness_is_first_in_search_order(self, fam, butterfly, nposet):
         """With every member required in turn, the witness comes from the
-        first orbit representative p that has a copy through the member at
-        p, and is the first such copy in the search order forced at p."""
+        first twin class head p that has a copy through the member at p,
+        and is the first such copy in the search order forced at p."""
         for q in (butterfly, nposet, complete_bipartite_poset(2, 3)):
-            order, reps = _poset_tables(q)[1], _poset_tables(q)[-1]
             witnesses = list(naive_witnesses(fam.bit_list, q))
             for required in fam.members:
-                expected = None
-                for p in reps:
-                    forced_order = (p,) + tuple(x for x in order if x != p)
-                    keyed = [
-                        tuple(fam.bit_list.index(tup[x]) for x in forced_order)
-                        for tup in witnesses
-                        if tup[p] == required.bits
-                    ]
-                    if keyed:
-                        first = min(keyed)
-                        expected = [first[forced_order.index(x)] for x in range(q.size)]
-                        break
-                w = find_induced_copy(fam, q, required=required)
-                if expected is None:
-                    assert w is None
-                else:
-                    assert [fam.bit_list.index(s.bits) for s in w.assignment] == expected
+                expected = first_forced_copy(fam, q, witnesses, required.bits, _poset_tables(q)[2])
+                assert forced_copy_indices(fam, q, required) == expected
+
+    @given(case=posets_with_families())
+    @settings(max_examples=200, deadline=None)
+    def test_posets_with_more_symmetry_than_twins(self, case):
+        """On posets whose automorphisms need not be twin swaps, saturation
+        reports match the naive scan, and forced witnesses follow the
+        first-witness rule over the twin class heads, which picks the same
+        copy as the rule over one element per automorphism orbit."""
+        q, fam = case
+        report = saturation_report(fam, q)
+        assert sorted(s.bits for s in report.unsaturated_sets) == naive_unsaturated_sets(
+            fam.bit_list, fam.ground.n, q
+        )
+        witnesses = list(naive_witnesses(fam.bit_list, q))
+        for required in fam.members:
+            expected = first_forced_copy(fam, q, witnesses, required.bits, twin_heads(q))
+            assert expected == first_forced_copy(
+                fam, q, witnesses, required.bits, naive_orbit_representatives(q)
+            )
+            assert forced_copy_indices(fam, q, required) == expected
+
+
+def first_forced_copy(fam, q, witnesses, required, reps):
+    """Member indices per poset element of the copy that the forced search
+    should return: the first p in ``reps`` with a copy among ``witnesses``
+    that has ``required`` at p, and its first such copy in the search order
+    forced at p; None when no p has one."""
+    order = _poset_tables(q)[1]
+    for p in reps:
+        forced_order = (p,) + tuple(x for x in order if x != p)
+        keyed = [
+            tuple(fam.bit_list.index(tup[x]) for x in forced_order)
+            for tup in witnesses
+            if tup[p] == required
+        ]
+        if keyed:
+            first = min(keyed)
+            return [first[forced_order.index(x)] for x in range(q.size)]
+    return None
+
+
+def forced_copy_indices(fam, q, required):
+    """Member indices per poset element of ``find_induced_copy`` through
+    ``required``, or None."""
+    w = find_induced_copy(fam, q, required=required)
+    return None if w is None else [fam.bit_list.index(s.bits) for s in w.assignment]
 
 
 def pinned(labels, sets):
