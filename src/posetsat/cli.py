@@ -5,13 +5,15 @@ go to stdout as JSON (or the family/DOT text formats); human-readable
 summaries go to stderr. Exit codes: 0 success, 1 failed check/verify (the
 report is still emitted), 2 usage error, 3 broken internal contract or any
 other internal error, printed as one line (``--debug`` re-raises the latter
-with its traceback).
+with its traceback), and 141 (128 + SIGPIPE), silently, when the reader of
+stdout has closed it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -53,6 +55,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CONTRACT = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool stopped by a closed pipe
 
 
 def _resolve_poset(selector: str | None):
@@ -322,7 +325,13 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # send what is left to the null device, so the flush at exit cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

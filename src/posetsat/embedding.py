@@ -9,16 +9,21 @@ constraint order; candidate sets are pruned by intersecting precomputed
 relation bitsets over member indices, so the hot loops run on machine-word
 operations.
 
-Each (poset, forced element) pair has a cached plan: the search order, and
-per depth the earlier elements whose relation bitsets constrain the
-candidate, so a node touches only assigned elements. Twins, elements with
-identical relation rows (such as the bottoms or the tops of ``K_{s,t}``),
-must take ascending member indices in search order; a forced element is
-left out of its twin chain. The ordering changes no witness: swapping two
-out-of-order twins gives another copy that comes earlier in search order,
-so the first copy found already has its twins in ascending order. A forced
-search tries the forced member only at the least element of each twin
-class.
+Each poset and tuple of forced elements has a cached plan: the search
+order, forced elements first, and per depth the earlier elements whose
+relation bitsets constrain the candidate, so a node touches only assigned
+elements. Twins, elements with identical relation rows (such as the bottoms
+or the tops of ``K_{s,t}``), must take ascending member indices in search
+order; forced elements are left out of their twin chains. The ordering
+changes no witness: swapping two out-of-order twins gives another copy that
+comes earlier in search order, so the first copy found already has its
+twins in ascending order. A forced search tries the forced member only at
+the least element of each twin class.
+
+The index can also keep, for one poset, the bitmap of the missing sets
+whose addition keeps the family free: each append pushes the next bitmap,
+found by completion walks through the new member, and each pop pops it. A
+family is saturated exactly when that bitmap is empty.
 """
 
 from __future__ import annotations
@@ -35,11 +40,13 @@ _BELOW, _ABOVE, _NONE = 1, 2, 0
 
 @lru_cache(maxsize=None)
 def _poset_tables(q: PosetSpec):
-    """Relation codes, search order, and the least element of each twin
-    class for a poset.
+    """Relation codes, search order, the least element of each twin class
+    for a poset, and the pairs (p, x) of such a class head p and the least
+    element x of a twin class of q - p.
 
     A forced search and ``completing_sets`` place the forced member or the
-    new set only at these class heads. That loses nothing: twins relate to
+    new set only at these class heads, and a completion walk through a new
+    member places it only at such an x. That loses nothing: twins relate to
     every other element alike and to each other not at all, so swapping
     the images of two twins turns a copy with a given set at one into a
     copy with that set at the other."""
@@ -55,33 +62,34 @@ def _poset_tables(q: PosetSpec):
                 degree[b] += 1
     order = tuple(sorted(range(m), key=lambda x: (-degree[x], x)))
     rel = tuple(tuple(row) for row in rel)
-    return rel, order, tuple(x for x, row in enumerate(rel) if rel.index(row) == x)
+    heads = tuple(x for x, row in enumerate(rel) if rel.index(row) == x)
+    pairs = tuple(
+        (p, x) for p in heads for x in range(m)
+        if x != p and x == next(y for y in range(m) if y != p and rel[y] == rel[x])
+    )
+    return rel, order, heads, pairs
 
 
 @lru_cache(maxsize=None)
-def _search_plan(q: PosetSpec, forced: int | None):
-    """Search order, per-depth relation checks and twin chain for one search
-    of ``q``, unforced or with ``forced`` placed first.
+def _search_plan(q: PosetSpec, forced: tuple[int, ...]):
+    """Search order, per-depth relation checks and twin chains for one search
+    of ``q`` with the ``forced`` elements placed first, in the given order.
 
     ``checks[d]`` lists (earlier element, relation code) pairs that the
     candidate at depth d must satisfy; ``prev[d]`` is the previous element
-    of its twin class in search order, or -1. The forced element is left out
-    of its twin chain: swapping it with a twin would move the forced member.
+    of its twin class in search order, or -1. Forced elements are left out
+    of their twin chains: swapping one with a twin would move its member.
     """
-    rel, order, _ = _poset_tables(q)
-    if forced is not None:
-        order = (forced,) + tuple(x for x in order if x != forced)
+    rel, order = _poset_tables(q)[:2]
+    order = forced + tuple(x for x in order if x not in forced)
     checks = tuple(
         tuple((y, rel[x][y]) for y in order[:d]) for d, x in enumerate(order)
     )
     last: dict[tuple[int, ...], int] = {}
-    prev = []
-    for x in order:
-        if x == forced:
-            prev.append(-1)
-        else:
-            prev.append(last.get(rel[x], -1))
-            last[rel[x]] = x
+    prev = [-1] * len(forced)
+    for x in order[len(forced):]:
+        prev.append(last.get(rel[x], -1))
+        last[rel[x]] = x
     return order, checks, tuple(prev)
 
 
@@ -89,11 +97,18 @@ class _FamilyIndex:
     """Mutable search index over a duplicate-free list of subset masks.
 
     Per member index i it keeps bitsets (ints over member indices) of the
-    members strictly below, strictly above, and incomparable. Append/pop
-    make probing family-plus-one-set cheap.
+    members strictly below, strictly above, and incomparable. Append and pop
+    change these lists in place, so the completion walks bound to them stay
+    valid, and are cached, for the lifetime of the index.
+
+    After ``track(q)`` on a q-free family, ``open[-1]`` is the bitmap over
+    all 2^n subsets (bit s for subset s) of the missing sets whose addition
+    keeps the family q-free, so the family is q-saturated exactly when it is
+    0. Each append then pushes the next bitmap and each pop pops it; while
+    tracking, only sets in ``open[-1]`` may be appended.
     """
 
-    __slots__ = ("n", "bits", "below", "above", "incomp")
+    __slots__ = ("n", "bits", "below", "above", "incomp", "open", "_q", "_plans")
 
     def __init__(self, bits: Sequence[int], n: int):
         self.n = n
@@ -101,8 +116,17 @@ class _FamilyIndex:
         self.below: list[int] = []
         self.above: list[int] = []
         self.incomp: list[int] = []
+        self._q: PosetSpec | None = None
+        self._plans: dict = {}
         for b in bits:
             self.append(b)
+
+    def track(self, q: PosetSpec) -> None:
+        """Keep ``open`` for q from now on, starting from one completion pass
+        over every missing set."""
+        missing = (1 << (1 << self.n)) - 1 - sum(1 << b for b in self.bits)
+        self.open: list[int] = [missing ^ self.completing_sets(q, missing)]
+        self._q = q
 
     def append(self, new: int) -> None:
         idx = len(self.bits)
@@ -123,19 +147,24 @@ class _FamilyIndex:
         self.below.append(bl)
         self.above.append(ab)
         self.incomp.append(inc)
+        if self._q is not None:
+            # a blocked set stays blocked, and a new copy in the family plus
+            # new and t passes through both
+            rest = self.open[-1] & ~(1 << new)
+            self.open.append(rest ^ self.completing_sets(self._q, rest, through=idx))
 
     def pop(self) -> None:
         idx = len(self.bits) - 1
         keep = (1 << idx) - 1
         self.bits.pop()
-        self.below.pop()
-        self.above.pop()
-        self.incomp.pop()
         for row in (self.below, self.above, self.incomp):
+            row.pop()
             for j in range(idx):
                 row[j] &= keep
+        if self._q is not None:
+            self.open.pop()
 
-    def _steps(self, q: PosetSpec, forced: int | None):
+    def _steps(self, q: PosetSpec, forced: tuple[int, ...] = ()):
         """``_search_plan(q, forced)`` bound to this index: per step the
         element, its (earlier element, relation bitsets) checks, and the
         previous element of its twin chain or -1."""
@@ -146,6 +175,24 @@ class _FamilyIndex:
             (x, [(y, tables[r]) for y, r in checks[d]], prev[d])
             for d, x in enumerate(order)
         ]
+
+    def _walks(self, q: PosetSpec, through: bool):
+        """The walks of ``completing_sets``, cached: per walk the fixed
+        elements (p, then the new member's element when ``through``), the
+        relation code of p to the last of them, and the steps after them,
+        each without its check against p and with the relation code of p to
+        its element."""
+        walks = self._plans.get((q, through))
+        if walks is None:
+            rel, _, heads, pairs = _poset_tables(q)
+            walks = self._plans[q, through] = [
+                (f, rel[f[0]][f[-1]], [
+                    (x, [(y, table) for y, table in checks if y != f[0]], prev, rel[f[0]][x])
+                    for x, checks, prev in self._steps(q, f)[len(f):]
+                ])
+                for f in (pairs if through else [(p,) for p in heads])
+            ]
+        return walks
 
     def search(self, q: PosetSpec, forced_index: int | None = None) -> list[int] | None:
         """Assignment of poset elements to member indices, or None. When
@@ -174,25 +221,20 @@ class _FamilyIndex:
             return False
 
         if forced_index is None:
-            return list(assign) if backtrack(self._steps(q, None), 0, 0) else None
-        # the forced element takes the forced member; the walk starts after it
-        for p in _poset_tables(q)[2]:
-            assign[p] = forced_index
-            if backtrack(self._steps(q, p), 1, 1 << forced_index):
-                return list(assign)
-        return None
+            found = backtrack(self._steps(q), 0, 0)
+        else:  # the forced element takes the forced member; the walk starts after it
+            found = False
+            for p in _poset_tables(q)[2]:
+                assign[p] = forced_index
+                found = backtrack(self._steps(q, (p,)), 1, 1 << forced_index)
+                if found:
+                    break
+        del backtrack  # it refers to itself; unbound, it leaves no garbage cycle
+        return list(assign) if found else None
 
-    def probe_with(self, q: PosetSpec, new: int) -> bool:
-        """True iff the family plus ``new`` contains a copy through ``new``."""
-        self.append(new)
-        try:
-            return self.search(q, forced_index=len(self.bits) - 1) is not None
-        finally:
-            self.pop()
-
-    def completing_sets(self, q: PosetSpec, targets: int) -> int:
+    def completing_sets(self, q: PosetSpec, targets: int, through: int | None = None) -> int:
         """The sets among ``targets`` whose addition creates a copy of ``q``
-        through them, in one pass instead of one ``probe_with`` per set.
+        through them, found in one pass over completion regions.
 
         Sets are bitmaps over all 2^n subsets (bit s for subset s), and
         ``targets`` must hold no member. For the least element p of each
@@ -206,29 +248,28 @@ class _FamilyIndex:
         the region, so a set in it differs from every image and relates to
         each strictly. Twins relate to p alike, so the twin ordering loses
         no region.
+
+        With ``through``, a member index, only copies through that member
+        count. Each walk then also fixes it at the least element x of a twin
+        class of q - p, follows the search forced at (p, x) after its first
+        two steps, and starts from the region that x's relation to p leaves.
         """
-        rel, _, heads = _poset_tables(q)
         n = self.n
         bits = self.bits
         members = (1 << len(bits)) - 1
 
-        def up(u: int) -> int:  # bit s set iff s contains u
-            r = 1 << u
+        def span(low: int, free: int) -> int:  # bit s set iff s is low plus part of free
+            r = 1 << low
             for i in range(n):
-                if not u >> i & 1:
-                    r |= r << (1 << i)
-            return r
-
-        def down(u: int) -> int:  # bit s set iff s lies inside u
-            r = 1
-            for i in range(n):
-                if u >> i & 1:
+                if free >> i & 1:
                     r |= r << (1 << i)
             return r
 
         # indexed by the relation code of p to the element: _NONE, _BELOW,
-        # _ABOVE; each side is cached per member index for this call
-        build = (lambda u: ~(up(u) | down(u)), down, up)
+        # _ABOVE; sets incomparable to u, inside u, containing u. Each side
+        # is cached per member index for this call
+        down, up = (lambda u: span(0, u)), (lambda u: span(u, ~u))
+        build = (lambda u: ~(down(u) | up(u)), down, up)
         sides: tuple[dict[int, int], ...] = ({}, {}, {})
         unblocked = targets
         assign = [-1] * q.size
@@ -257,14 +298,17 @@ class _FamilyIndex:
                     assign[x] = i
                     walk(steps, depth + 1, used | low, fit)
 
-        for p in heads:
+        for fixed, code, steps in self._walks(q, through is not None):
             if not unblocked:
                 break
-            steps = [
-                (x, [(y, table) for y, table in checks if y != p], prev, rel[p][x])
-                for x, checks, prev in self._steps(q, p)[1:]
-            ]
-            walk(steps, 0, 0, unblocked)
+            region, used = unblocked, 0
+            if through is not None:
+                assign[fixed[1]] = through
+                region &= build[code](bits[through])
+                used = 1 << through
+            if region:
+                walk(steps, 0, used, region)
+        del walk  # it refers to itself; unbound, it leaves no garbage cycle
         return targets & ~unblocked
 
 

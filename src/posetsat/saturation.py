@@ -5,14 +5,16 @@ A family is q-saturated when it is q-free and adding any missing subset
 creates an induced copy of q; equivalently, when it is maximal q-free. Once
 the family is known to be free, any new copy passes through the new set.
 
-The saturation scan finds every such set in one pass over completion
-regions rather than one forced search per missing set: for the least
-element p of each twin class of q it lists the copies of q - p among the
-members, and each copy blocks the region of subsets that complete it at
+The search index keeps the missing sets whose addition keeps the family
+free as one bitmap over all subsets. It starts from one pass over
+completion regions rather than one forced search per missing set: for the
+least element p of each twin class of q it lists the copies of q - p among
+the members, and each copy blocks the region of subsets that complete it at
 p: those inside the images of the elements above p, containing the images
 of the elements below p, and incomparable to the other images. The missing
-sets that no copy blocks are the unsaturated ones. Greedy completion still
-probes one set at a time, since its family grows between probes.
+sets that no copy blocks are the unsaturated ones. Greedy completion adds
+one such set at a time, and each addition removes from the bitmap the sets
+that now complete a copy through it.
 """
 
 from __future__ import annotations
@@ -69,16 +71,12 @@ def saturation_report(family: SetFamily, q: PosetSpec) -> SaturationReport:
     """Full saturation verdict: freeness, then every missing subset that
     completes no copy, in canonical order. One search index over the
     members serves both steps."""
-    n = family.ground.n
-    index = _FamilyIndex(family.bit_list, n)
+    index = _FamilyIndex(family.bit_list, family.ground.n)
     witness = _search_witness(index, q, family.ground)
     if witness is not None:
         return SaturationReport(False, witness, (), False)
-    missing = (1 << (1 << n)) - 1
-    for b in family.bit_list:
-        missing ^= 1 << b
-    unblocked = missing ^ index.completing_sets(q, missing)
-    unsat = sorted(_bit_positions(unblocked), key=mask_key)
+    index.track(q)
+    unsat = sorted(_bit_positions(index.open[-1]), key=mask_key)
     masks = tuple(SubsetMask(s, family.ground) for s in unsat)
     return SaturationReport(True, None, masks, not unsat)
 
@@ -93,25 +91,17 @@ def greedy_saturate(
     creates no copy through it. One pass suffices since rejections stay
     rejected as the family grows."""
     ground = seed.ground
-    n = ground.n
-    index = _FamilyIndex(seed.bit_list, n)
+    index = _FamilyIndex(seed.bit_list, ground.n)
     witness = _search_witness(index, q, ground)
     if witness is not None:
         raise UsageError("greedy seed already contains an induced copy", witness=witness)
-    if order is None:
-        candidates: Sequence[int] = ground.all_masks()
-    else:
-        candidates = list(order)
-        needed = set(range(1 << n)) - set(seed.bit_list)
-        if not needed.issubset(candidates):
-            raise UsageError("candidate order must cover every subset outside the seed")
-    present = set(seed.bit_list)
+    candidates = ground.all_masks() if order is None else list(order)
+    if set(range(1 << ground.n)) - set(seed.bit_list) - set(candidates):
+        raise UsageError("candidate order must cover every subset outside the seed")
+    index.track(q)
     for s in candidates:
-        if s in present:
-            continue
-        if not index.probe_with(q, s):
+        if index.open[-1] >> s & 1:
             index.append(s)
-            present.add(s)
     return SetFamily.from_masks(ground, index.bits)
 
 

@@ -9,15 +9,18 @@ permutation check so the enumerator stays independent of the backtracking
 embedder it cross-checks.
 
 One depth-first walk over families in canonical order serves both other
-paths. It holds one incremental search index and yields saturated families
-in lexicographic order of their members' canonical positions. Larger n
-enumerate the first families of that walk, up to a cap. The exact solver
-(``method="auto"``) closes greedy upper bounds first, then takes the first
-family of each smaller size from the walk, which also prunes a partial
-family when a symmetry of the Boolean lattice (a transposition of [n], or
-complementation when q is self-dual) sends its members to an earlier
-family. The pruning keeps the certificate that the search without it would
-return. Randomised greedy closure gives upper bounds beyond that.
+paths. It holds one incremental search index, which keeps as a bitmap the
+missing sets whose addition keeps the family free, so each candidate costs
+one bit test and a family is saturated when the bitmap is empty. It yields
+saturated families in lexicographic order of their members' canonical
+positions. Larger n enumerate the first families of that walk, up to a
+cap. The exact solver (``method="auto"``) closes greedy upper bounds first,
+then takes the first family of each smaller size from the walk, which also
+prunes a partial family when a symmetry of the Boolean lattice (a
+transposition of [n], or complementation when q is self-dual) sends its
+members to an earlier family. The pruning keeps the certificate that the
+search without it would return. Randomised greedy closure gives upper
+bounds beyond that.
 """
 
 from __future__ import annotations
@@ -233,13 +236,11 @@ def _saturated_walk(
     The depth-first search adds one member per level, at a canonical
     position after the last member, so it recurses as deep as the family is
     large. One index follows the search: append on the way down, pop on the
-    way back. A set the search passes over while it is not blocked goes on
-    ``pending``. A family is saturated exactly when every pending set and
-    every set after its last member is blocked: any other missing set was
-    blocked when the search passed it, and blocked sets stay blocked as the
-    family grows.
+    way back. It keeps ``open``, the missing sets whose addition keeps the
+    family free, so a child is a set in ``open``, and a family is saturated
+    exactly when ``open`` is empty.
 
-    A child is pruned, its set left pending, when some map in ``maps``
+    A child is pruned when some map in ``maps``
     sends its chosen positions to a sorted list that is lexicographically
     smaller. This skips families, but never a prefix of the first saturated
     family F of a size: a map that made a prefix P of F smaller would make
@@ -251,16 +252,9 @@ def _saturated_walk(
     order = ground.all_masks()
     total = len(order)
     index = _FamilyIndex([], ground.n)
+    index.track(q)
     chosen: list[int] = []  # canonical positions of index.bits
-    pending: list[int] = []
     ticks = 0
-
-    def smallest_image() -> bool:
-        """False when some map sends the chosen positions lower."""
-        for g in maps:
-            if sorted([g[p] for p in chosen]) < chosen:
-                return False
-        return True
 
     def walk(start: int) -> Iterator[SetFamily]:
         nonlocal ticks
@@ -273,25 +267,18 @@ def _saturated_walk(
             stop = total - (size - len(chosen)) + 1
         else:
             stop = start
-        mark = len(pending)
         for idx in range(start, stop):
-            cand = order[idx]
+            if not index.open[-1] >> order[idx] & 1:
+                continue
             chosen.append(idx)
-            if not smallest_image():
-                pending.append(cand)
-            elif not index.probe_with(q, cand):
-                index.append(cand)
+            # pruned when some map sends the chosen positions lower
+            if all(sorted([g[p] for p in chosen]) >= chosen for g in maps):
+                index.append(order[idx])
                 yield from walk(idx + 1)
                 index.pop()
-                pending.append(cand)
             chosen.pop()
-        if (
-            (size is None or len(chosen) == size)
-            and all(index.probe_with(q, order[i]) for i in range(stop, total))
-            and all(index.probe_with(q, s) for s in reversed(pending))
-        ):
+        if (size is None or len(chosen) == size) and not index.open[-1]:
             yield SetFamily.from_masks(ground, index.bits)
-        del pending[mark:]
 
     return walk(0)
 
@@ -392,11 +379,12 @@ _RANDOM_SEED_MAX_SIZE = 3
 def _random_free_seed(ground: GroundSet, q: PosetSpec, rng: random.Random) -> SetFamily:
     target = rng.randint(0, _RANDOM_SEED_MAX_SIZE)
     index = _FamilyIndex([], ground.n)
+    index.track(q)
     for _ in range(4 * _RANDOM_SEED_MAX_SIZE):
         if len(index.bits) >= target:
             break
         s = rng.randrange(1 << ground.n)
-        if s not in index.bits and not index.probe_with(q, s):
+        if index.open[-1] >> s & 1:
             index.append(s)
     return SetFamily.from_masks(ground, index.bits)
 

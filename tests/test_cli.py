@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -104,7 +105,12 @@ class TestCheck:
         prefix = 0b11111
         fam = SetFamily.from_masks(fam.ground, [b for b in fam.bit_list if b != prefix])
         index = _FamilyIndex(fam.bit_list, 14)
-        first = next(s for s in fam.missing_masks() if not index.probe_with(n_poset(), s))
+        for first in fam.missing_masks():  # one forced search per missing set
+            index.append(first)
+            addable = index.search(n_poset(), forced_index=len(fam)) is None
+            index.pop()
+            if addable:
+                break
         path = tmp_path / "n14-neg.txt"
         path.write_text(format_family(fam))
         args = ("check", "--poset", "n", "--in", str(path), "--n", "14")
@@ -383,6 +389,38 @@ class TestInternalErrors:
         code, _, err = invoke(capsys, "--debug", "construct", "--family", "k2k", "--n", "5")
         assert code == 2
         assert "requires --k" in err
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early, as ``| head`` does, ends the run
+    with exit 141 (128 + SIGPIPE) and nothing printed."""
+
+    def test_exit_141_and_stdout_sent_to_null_device(self, capsys, monkeypatch, tmp_path):
+        class ClosedPipe:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return self.fd
+
+        target = tmp_path / "stdout"
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+            code = run(["construct", "--family", "n", "--n", "4"])
+            monkeypatch.undo()
+            os.write(fd, b"written after the pipe closed")
+        finally:
+            os.close(fd)
+        assert code == 141
+        assert capsys.readouterr() == ("", "")
+        assert target.read_bytes() == b""
 
 
 class TestUsageErrors:

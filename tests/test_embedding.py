@@ -278,7 +278,7 @@ class TestTwinOrdering:
 
         q = TWIN_POSETS[name]
         for forced, chains in TWIN_CHAINS[name].items():
-            order, _, prev = _search_plan(q, forced)
+            order, _, prev = _search_plan(q, () if forced is None else (forced,))
             links = {(p, x) for p, x in zip(prev, order) if p >= 0}
             assert links == {pair for chain in chains for pair in zip(chain, chain[1:])}
 

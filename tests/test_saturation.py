@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from posetsat import (
     UsageError,
     butterfly_construction,
     butterfly_poset,
+    chain_poset,
     complete_bipartite_poset,
     greedy_saturate,
     is_free,
@@ -296,7 +299,7 @@ class TestReportWitness:
 
 class TestScanWideConstructions:
     """The constructions of the benchmark's scan-wide part, and each without
-    the prefix {1..5}, against one forced probe per missing set."""
+    the prefix {1..5}, against one forced search per missing set."""
 
     @pytest.mark.parametrize("negative", [False, True], ids=["whole", "minus-prefix"])
     @pytest.mark.parametrize(
@@ -314,8 +317,65 @@ class TestScanWideConstructions:
         if negative:
             fam = SetFamily.from_masks(fam.ground, [b for b in fam.bit_list if b != 0b11111])
         index = _FamilyIndex(fam.bit_list, n)
-        expected = [s for s in fam.missing_masks() if not index.probe_with(q, s)]
+        expected = []
+        for s in fam.missing_masks():  # one forced search per missing set
+            index.append(s)
+            if index.search(q, forced_index=len(fam)) is None:
+                expected.append(s)
+            index.pop()
         rep = saturation_report(fam, q)
         assert rep.free
         assert [s.bits for s in rep.unsaturated_sets] == expected
         assert (0b11111 in expected) == negative
+
+
+OPEN_REGION_POSETS = sorted(CROSS_CHECK_POSETS.items()) + [("chain1", chain_poset(1))]
+
+
+class TestOpenRegion:
+    """``open[-1]`` of a tracking index equals the oracle's unsaturated sets
+    after ``track`` and after every append and pop."""
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_open_matches_oracle(self, data):
+        _, q = data.draw(st.sampled_from(OPEN_REGION_POSETS))
+        n = data.draw(st.integers(1, 4))
+        seed: list[int] = []
+        for s in data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4, unique=True)):
+            if not naive_has_copy(seed + [s], q):
+                seed.append(s)
+        index = _FamilyIndex(seed, n)
+
+        def assert_open_is_exact():
+            expected = naive_unsaturated_sets(index.bits, n, q)
+            assert index.open[-1] == sum(1 << s for s in expected)
+
+        index.track(q)
+        assert_open_is_exact()
+        added = 0
+        for grow in data.draw(st.lists(st.booleans(), max_size=8)):
+            if grow and index.open[-1]:
+                opened = [s for s in range(1 << n) if index.open[-1] >> s & 1]
+                index.append(data.draw(st.sampled_from(opened)))
+                added += 1
+            elif added:
+                index.pop()
+                added -= 1
+            assert_open_is_exact()
+
+
+class TestNoGarbageCycles:
+    """A closure and a report free all they allocate by reference counting:
+    the nested recursive searches leave no cycle for the collector."""
+
+    def test_closure_and_report_leave_nothing_to_collect(self):
+        gc.collect()
+        gc.disable()
+        try:
+            greedy_saturate(kkk_seed(7, 3), complete_bipartite_poset(3, 3))
+            assert gc.collect() == 0
+            saturation_report(butterfly_construction(8), butterfly_poset())
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
