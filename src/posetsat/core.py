@@ -336,7 +336,9 @@ def poset_isomorphic(p: PosetSpec, q: PosetSpec) -> bool:
                 used[y] = False
         return False
 
-    return extend(0)
+    found = extend(0)
+    del extend  # it refers to itself; unbound, it leaves no garbage cycle
+    return found
 
 
 def poset_name(spec: PosetSpec) -> str:
@@ -444,22 +446,21 @@ def parse_poset_json(text: str) -> PosetSpec:
         raise UsageError(f"bad poset JSON: {exc}") from None
     if not isinstance(obj, dict) or "size" not in obj or "less" not in obj:
         raise UsageError('poset JSON must be {"size": m, "less": [[a,b], ...]}')
+    # only JSON integers count: a float is not truncated, and bool, a
+    # subclass of int, is not read as 0 or 1
     size = obj["size"]
-    if not isinstance(size, int) or size < 1:
+    if type(size) is not int or size < 1:
         raise UsageError(f"poset size must be a positive integer, got {size!r}")
     if not isinstance(obj["less"], list):
         raise UsageError(f"poset \"less\" must be a list of pairs, got {obj['less']!r}")
     pairs = []
     for item in obj["less"]:
-        if not (isinstance(item, (list, tuple)) and len(item) == 2):
+        if not (isinstance(item, list) and len(item) == 2 and all(type(e) is int for e in item)):
             raise UsageError(f"bad strict pair {item!r}")
-        try:
-            pairs.append((int(item[0]), int(item[1])))
-        except (TypeError, ValueError):
-            raise UsageError(f"bad strict pair {item!r}") from None
+        pairs.append(tuple(item))
     labels = obj.get("labels", [])
-    if not isinstance(labels, list):
-        raise UsageError(f"poset labels must be a list, got {labels!r}")
+    if not (isinstance(labels, list) and all(isinstance(e, str) for e in labels)):
+        raise UsageError(f"poset labels must be a list of strings, got {labels!r}")
     return _build_poset(pairs, size, tuple(labels))
 
 

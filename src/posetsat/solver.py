@@ -280,7 +280,10 @@ def _saturated_walk(
         if (size is None or len(chosen) == size) and not index.open[-1]:
             yield SetFamily.from_masks(ground, index.bits)
 
-    return walk(0)
+    try:
+        yield from walk(0)
+    finally:
+        del walk  # it refers to itself; unbound, it leaves no garbage cycle
 
 
 def _bound_discrepancy_check(n: int, result: "SolveResult") -> None:

@@ -11,7 +11,11 @@ The chevron machinery mirrors the injection arguments: a missing singleton
 {i} (or a missing pair with exactly one singleton present) must complete a
 butterfly whose two tops and remaining bottom form a chevron (A, B, C) with C
 below both tops and the tops incomparable; taking |C| maximal makes the map
-i -> C u {i} injective into the family.
+i -> C u {i} injective into the family. One chevron map serves both
+theorems: theorem 2 runs it over the missing singletons, theorem 3 over the
+qualifying missing pairs. It raises at the first item with no chevron or
+with an image outside the family, and both verifiers check injectivity the
+same way, with the members that map to themselves added to the images.
 """
 
 from __future__ import annotations
@@ -161,23 +165,48 @@ def _max_chevron_through(family: SetFamily, probe: int) -> Chevron | None:
     return None
 
 
+def _chevron_map(family: SetFamily, domain: list[int]) -> ChevronAssignment:
+    """Largest chevron through each missing singleton or pair in ``domain``,
+    in domain order, and its image C u item. The first item with no chevron,
+    or whose image is not a member, breaks the injection argument and raises
+    with ``detail == {"singleton": [i]}`` or ``{"pair": [i, j]}``."""
+    ground = family.ground
+    chevrons = {}
+    images = {}
+    for item in domain:
+        mask = SubsetMask(item, ground)
+        kind = "singleton" if item.bit_count() == 1 else "pair"
+        detail = {kind: list(mask.elements())}
+        chevron = _max_chevron_through(family, item)
+        if chevron is None:
+            raise ContractViolationError(
+                f"no butterfly through the missing {kind} {mask}; "
+                "the family cannot be butterfly-saturated",
+                detail,
+            )
+        image = SubsetMask(chevron.c.bits | item, ground)
+        if not family.has_mask(image.bits):
+            raise ContractViolationError(
+                f"chevron image {image} for {kind} {mask} is not a family member", detail
+            )
+        chevrons[item] = chevron
+        images[item] = image
+    return ChevronAssignment(tuple(SubsetMask(b, ground) for b in domain), chevrons, images)
+
+
 def assign_chevron_to_singleton(family: SetFamily, i: int) -> Chevron:
     """Chevron assigned to the missing singleton {i} of a butterfly-saturated
-    family. The family is assumed saturated; a missing chevron is then a
-    broken contract, not a usage error."""
+    family; also requires the image C u {i} to be a member, as the injection
+    argument guarantees. The family is assumed saturated; a missing chevron or
+    image is then a broken contract, not a usage error, and raises with
+    ``detail == {"singleton": [i]}``."""
     n = family.ground.n
     if not 1 <= i <= n:
         raise UsageError(f"element {i} outside ground set 1..{n}")
     s = 1 << (i - 1)
     if family.has_mask(s):
         raise UsageError(f"singleton {{{i}}} is already a family member")
-    chevron = _max_chevron_through(family, s)
-    if chevron is None:
-        raise ContractViolationError(
-            f"no butterfly through the missing singleton {{{i}}}; "
-            "the family cannot be butterfly-saturated"
-        )
-    return chevron
+    return _chevron_map(family, [s]).chevrons[s]
 
 
 def assign_chevron_to_pair(family: SetFamily, pair: SubsetMask) -> Chevron:
@@ -196,43 +225,13 @@ def assign_chevron_to_pair(family: SetFamily, pair: SubsetMask) -> Chevron:
         raise UsageError(
             f"pair {pair} must have exactly one singleton in the family, found {present}"
         )
-    detail = {"pair": list(pair.elements())}
-    chevron = _max_chevron_through(family, pair.bits)
-    if chevron is None:
-        raise ContractViolationError(
-            f"no butterfly through the missing pair {pair}; "
-            "the family cannot be butterfly-saturated",
-            detail,
-        )
-    image = chevron.c.bits | pair.bits
-    if not family.has_mask(image):
-        raise ContractViolationError(
-            f"chevron image {SubsetMask(image, family.ground)} for pair {pair} "
-            "is not a family member",
-            detail,
-        )
-    return chevron
-
-
-def _chevron_assignment(family: SetFamily, domain: list[int], assign) -> ChevronAssignment:
-    """Chevron ``assign(item)`` and image C u item for each domain mask, in
-    domain order."""
-    ground = family.ground
-    chevrons = {}
-    images = {}
-    for item in domain:
-        ch = assign(item)
-        chevrons[item] = ch
-        images[item] = SubsetMask(ch.c.bits | item, ground)
-    return ChevronAssignment(tuple(SubsetMask(b, ground) for b in domain), chevrons, images)
+    return _chevron_map(family, [pair.bits]).chevrons[pair.bits]
 
 
 def theorem2_assignment(family: SetFamily) -> ChevronAssignment:
     """Chevron map over all missing singletons (assumes butterfly-saturation)."""
     missing = [1 << i for i in range(family.ground.n) if not family.has_mask(1 << i)]
-    return _chevron_assignment(
-        family, missing, lambda s: assign_chevron_to_singleton(family, s.bit_length())
-    )
+    return _chevron_map(family, missing)
 
 
 def theorem3_assignment(family: SetFamily) -> ChevronAssignment:
@@ -246,9 +245,7 @@ def theorem3_assignment(family: SetFamily) -> ChevronAssignment:
         if not family.has_mask(1 << i | 1 << j)
         and family.has_mask(1 << i) != family.has_mask(1 << j)
     ]
-    return _chevron_assignment(
-        family, pairs, lambda p: assign_chevron_to_pair(family, SubsetMask(p, family.ground))
-    )
+    return _chevron_map(family, pairs)
 
 
 def lemma1_check(family: SetFamily) -> TheoremReport:
@@ -281,6 +278,20 @@ def _lemma1(family: SetFamily, saturated: bool) -> TheoremReport:
     return _report("L1", family, 0, counterexample, len(singles), hold=saturated)
 
 
+def _injection_failure(family: SetFamily, assign, fixed: list[int]) -> dict | None:
+    """Counterexample to the injection ``assign(family)`` extended by the
+    members ``fixed`` that map to themselves, or None: the chevron map's own
+    failure, or a set hit twice."""
+    try:
+        assignment = assign(family)
+    except ContractViolationError as exc:
+        return {**exc.detail, "reason": str(exc)}
+    images = fixed + [img.bits for img in assignment.images.values()]
+    if len(set(images)) != len(images):
+        return {"reason": "map is not injective"}
+    return None
+
+
 def _theorem2(family: SetFamily, saturated: bool) -> TheoremReport:
     n = family.ground.n
     if n < 2:
@@ -288,42 +299,11 @@ def _theorem2(family: SetFamily, saturated: bool) -> TheoremReport:
     bound = n + 1
     if not saturated:
         return _refused("T2", family, "family is not butterfly-saturated", bound)
-    counterexample = None
-    images = {}
-    try:
-        assignment = theorem2_assignment(family)
-    except ContractViolationError as exc:
-        assignment = None
-        counterexample = {"reason": str(exc)}
-    if assignment is not None:
-        for i in range(1, n + 1):
-            s = 1 << (i - 1)
-            if family.has_mask(s):
-                images[i] = s
-                continue
-            image = assignment.images[s]
-            chev = assignment.chevrons[s]
-            if chev.c.bits & s:
-                counterexample = {"singleton": i, "reason": "chevron bottom contains i"}
-                break
-            if not family.has_mask(image.bits):
-                counterexample = {
-                    "singleton": i,
-                    "reason": "image is not a family member",
-                    "image": list(image.elements()),
-                }
-                break
-            images[i] = image.bits
-        else:
-            if len(set(images.values())) != n:
-                collisions = sorted(
-                    [i for i in images if list(images.values()).count(images[i]) > 1]
-                )
-                counterexample = {"reason": "map is not injective", "elements": collisions}
-            elif not family.has_mask(0):
-                counterexample = {"reason": "empty set missing from the family"}
-    size_ok = len(family) >= bound
-    if counterexample is None and not size_ok:
+    # present singletons map to themselves
+    counterexample = _injection_failure(family, theorem2_assignment, _singleton_bits(family))
+    if counterexample is None and not family.has_mask(0):
+        counterexample = {"reason": "empty set missing from the family"}
+    if counterexample is None and len(family) < bound:
         counterexample = {"reason": "size below bound", "bound": bound}
     return _report("T2", family, bound, counterexample)
 
@@ -339,29 +319,19 @@ def _theorem3(family: SetFamily, saturated: bool) -> TheoremReport:
         return _refused("T3", family, "family is not butterfly-saturated", bound, k)
     if k == 0:
         return _refused("T3", family, "no singletons present; the bound is vacuous", bound, k)
-    # the first offending pair in lexicographic order is reported
-    counterexample = None
     missing = _missing_singleton_pair(family, singles)
-    try:
-        assignment = theorem3_assignment(family)
-    except ContractViolationError as exc:
-        pair = exc.detail["pair"]
-        if missing is None or pair < missing:
-            counterexample = {"pair": pair, "reason": str(exc)}
-    if counterexample is None and missing is not None:
+    if missing is not None:
         counterexample = {
             "pair": missing,
             "reason": "both singletons present but the pair is missing",
         }
-    if counterexample is None:
+    else:
         # present pairs through a present singleton map to themselves
         singles_mask = sum(singles)
-        images = [b for b in family.bit_list if b.bit_count() == 2 and b & singles_mask]
-        images += [img.bits for img in assignment.images.values()]
-        if len(set(images)) != len(images):
-            counterexample = {"reason": "pair map is not injective"}
-        elif len(family) < bound:
-            counterexample = {"reason": "size below bound", "bound": bound}
+        fixed = [b for b in family.bit_list if b.bit_count() == 2 and b & singles_mask]
+        counterexample = _injection_failure(family, theorem3_assignment, fixed)
+    if counterexample is None and len(family) < bound:
+        counterexample = {"reason": "size below bound", "bound": bound}
     return _report("T3", family, bound, counterexample, k)
 
 

@@ -529,7 +529,10 @@ _FLAG_VALUES = {
     "--family": ("butterfly", "n", "k2k", "kkk", "x"),
     "--n": ("0", "2", "3", "x", "25"),
     "--k": ("0", "2", "3", "x"),
-    "--poset": ("b", "n", "k2k:2", "kkk:x", "k2k:x", "@poset", "@poset_pair", "@poset_bytes", "@missing"),
+    "--poset": (
+        "b", "n", "k2k:2", "kkk:x", "k2k:x",
+        "@poset", "@poset_pair", "@poset_labels", "@poset_bytes", "@missing",
+    ),
     "--in": ("@fam_b4", "@fam_n3", "@fam_empty", "@fam_bytes", "@fam_bad_line", "@missing"),
     "--out": ("@out", "@no_dir"),
     "--required": ("{1,2}", "{1}", "{}", "x", "{9}"),
@@ -551,6 +554,7 @@ def cli_files(tmp_path_factory):
     texts = {
         "poset": b'{"size": 3, "less": [[0, 1], [1, 2]]}',
         "poset_pair": b'{"size":2,"less":[["a",1]]}',
+        "poset_labels": b'{"size":2,"less":[[0,1]],"labels":[{"a":1},"b"]}',
         "poset_bytes": b'{"size":2,"less":[[0,1]]}\xff',
         "fam_b4": format_family(butterfly_construction(4)).encode(),
         "fam_n3": format_family(n_construction(3)).encode(),

@@ -280,6 +280,12 @@ class TestPosetFiles:
         {"size": 2, "less": [[None, 1]]},
         {"size": 2, "less": 5},
         {"size": 2, "less": [[0, 1]], "labels": 5},
+        {"size": 2, "less": [[0, 1]], "labels": [{"a": 1}, "b"]},
+        {"size": 2, "less": [[0, 1]], "labels": [1, 2]},
+        {"size": 2, "less": [[0, 1.9]]},
+        {"size": 3, "less": [[True, 2]]},
+        {"size": 2, "less": [["0", 1]]},
+        {"size": True, "less": []},
     ])
     def test_malformed_fields_are_usage_errors(self, obj):
         with pytest.raises(UsageError):

@@ -11,6 +11,8 @@ from posetsat import (
     butterfly_poset,
     chain_poset,
     complete_bipartite_poset,
+    enumerate_saturated_families,
+    exact_sat_star,
     greedy_saturate,
     is_free,
     k2k_seed,
@@ -21,6 +23,7 @@ from posetsat import (
 )
 from posetsat.core import mask_key
 from posetsat.embedding import _FamilyIndex, find_induced_copy
+from posetsat.solver import _saturated_walk
 
 from conftest import CROSS_CHECK_POSETS, family
 from oracles import naive_has_copy, naive_is_saturated, naive_unsaturated_sets
@@ -366,8 +369,9 @@ class TestOpenRegion:
 
 
 class TestNoGarbageCycles:
-    """A closure and a report free all they allocate by reference counting:
-    the nested recursive searches leave no cycle for the collector."""
+    """A closure, a report and the saturated walk free all they allocate by
+    reference counting: the nested recursive searches leave no cycle for the
+    collector, whether they run out, stop early or raise."""
 
     def test_closure_and_report_leave_nothing_to_collect(self):
         gc.collect()
@@ -376,6 +380,22 @@ class TestNoGarbageCycles:
             greedy_saturate(kkk_seed(7, 3), complete_bipartite_poset(3, 3))
             assert gc.collect() == 0
             saturation_report(butterfly_construction(8), butterfly_poset())
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("run", [
+        lambda: list(_saturated_walk(GroundSet(3), butterfly_poset())),
+        lambda: exact_sat_star(4, butterfly_poset()),
+        lambda: enumerate_saturated_families(5, butterfly_poset(), cap=3),
+        # the budget stops the walk with an exception deep in its recursion
+        lambda: exact_sat_star(6, butterfly_poset(), budget_s=0.05),
+    ], ids=["walk-3", "exact-4", "capped-5", "expired-6"])
+    def test_walks_leave_nothing_to_collect(self, run):
+        gc.collect()
+        gc.disable()
+        try:
+            run()
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -376,3 +376,100 @@ def test_battery_makes_one_butterfly_verdict_per_family(monkeypatch):
     # one verdict for each of the 62 butterfly instances serves lemma 1 and
     # theorems 2 and 3; a verdict per verifier call would make 383 reports
     assert len(calls) == 267
+
+
+NO_CHEVRON = "no butterfly through the missing {} {}; the family cannot be butterfly-saturated"
+NOT_MEMBER = "chevron image {} for {} {} is not a family member"
+
+
+def _fake_chevrons(monkeypatch, n, table):
+    """Make the chevron search answer from ``table``, which maps a probe's
+    elements to the elements of the chevron (A, B, C) through it."""
+    g = GroundSet(n)
+
+    def fake(family, probe):
+        a, b, c = table[SubsetMask(probe, g).elements()]
+        return Chevron(*(SubsetMask.from_elements(g, e) for e in (a, b, c)))
+
+    monkeypatch.setattr(theorems, "_max_chevron_through", fake)
+
+
+def _empty_assignment(family):
+    return theorems.ChevronAssignment((), {}, {})
+
+
+class TestInjectionFailures:
+    """Each failure branch of theorems 2 and 3, reached with the saturation
+    verdict passed in as the battery does. No saturated family reaches
+    them, so the families are built by hand and, where the paper's argument
+    rules a branch out, the chevron search or the map is replaced."""
+
+    def test_t2_no_chevron(self):
+        rep = theorems._theorem2(family(3, [], [1, 2, 3]), True)
+        assert rep.counterexample == {
+            "singleton": [1], "reason": NO_CHEVRON.format("singleton", "{1}"),
+        }
+        assert rep.hypotheses_hold and not rep.passed
+
+    def test_t2_image_not_a_member(self):
+        fam = family(4, [], [2], [1, 2, 3], [1, 2, 4])
+        assert theorems._theorem2(fam, True).counterexample == {
+            "singleton": [1], "reason": NOT_MEMBER.format("{1,2}", "singleton", "{1}"),
+        }
+        with pytest.raises(ContractViolationError) as exc:
+            assign_chevron_to_singleton(fam, 1)
+        assert exc.value.detail == {"singleton": [1]}
+
+    def test_t2_not_injective(self, monkeypatch):
+        # {1} and {2} both map to {1,2}
+        _fake_chevrons(monkeypatch, 3, {
+            (1,): ((1, 2), (2, 3), (2,)),
+            (2,): ((1, 2), (1, 3), (1,)),
+        })
+        rep = theorems._theorem2(family(3, [], [3], [1, 2]), True)
+        assert rep.counterexample == {"reason": "map is not injective"}
+
+    def test_t2_empty_set_missing(self):
+        rep = theorems._theorem2(family(2, [1], [2], [1, 2]), True)
+        assert rep.counterexample == {"reason": "empty set missing from the family"}
+
+    def test_t2_size_below_bound(self, monkeypatch):
+        # an injective map into the family forces the bound, so the map is
+        # replaced by one that assigns nothing
+        monkeypatch.setattr(theorems, "theorem2_assignment", _empty_assignment)
+        rep = theorems._theorem2(family(3, [], [1, 2, 3]), True)
+        assert rep.counterexample == {"reason": "size below bound", "bound": 4}
+
+    def test_t3_lemma1_pair_comes_first(self):
+        # {1,2} has no chevron, but the missing pair of lemma 1 is reported
+        rep = theorems._theorem3(family(3, [], [2], [3], [1, 2, 3]), True)
+        assert rep.counterexample == {
+            "pair": [2, 3], "reason": "both singletons present but the pair is missing",
+        }
+        assert rep.k == 2 and rep.hypotheses_hold and not rep.passed
+
+    def test_t3_no_chevron(self):
+        rep = theorems._theorem3(family(3, [], [1], [1, 2, 3]), True)
+        assert rep.counterexample == {
+            "pair": [1, 2], "reason": NO_CHEVRON.format("pair", "{1,2}"),
+        }
+
+    def test_t3_image_not_a_member(self):
+        fam = family(6, [], [1], [3, 4], [1, 2, 3, 4, 5], [1, 2, 3, 4, 6])
+        assert theorems._theorem3(fam, True).counterexample == {
+            "pair": [1, 2], "reason": NOT_MEMBER.format("{1,2,3,4}", "pair", "{1,2}"),
+        }
+
+    def test_t3_not_injective(self, monkeypatch):
+        # {1,2} and {1,3} both map to {1,2,3}
+        _fake_chevrons(monkeypatch, 3, {
+            (1, 2): ((1, 3), (2, 3), (3,)),
+            (1, 3): ((1, 2), (2, 3), (2,)),
+        })
+        rep = theorems._theorem3(family(3, [], [1], [1, 2, 3]), True)
+        assert rep.counterexample == {"reason": "map is not injective"}
+
+    def test_t3_size_below_bound(self, monkeypatch):
+        monkeypatch.setattr(theorems, "theorem3_assignment", _empty_assignment)
+        rep = theorems._theorem3(family(3, [1]), True)
+        assert rep.counterexample == {"reason": "size below bound", "bound": 2}
