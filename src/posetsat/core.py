@@ -17,6 +17,9 @@ from typing import Iterable, Sequence
 from .errors import PosetValidationError, UsageError
 
 MAX_GROUND_SIZE = 24
+# posets are built and closed as dense matrices, in cubic time, so their size
+# is checked before any of that work
+MAX_POSET_SIZE = 64
 
 
 def mask_key(bits: int) -> tuple[int, int]:
@@ -124,20 +127,15 @@ class SetFamily:
     _bit_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        bits = []
+        first: dict[int, SubsetMask] = {}  # the first member given per mask
         for m in self.members:
             if m.ground != self.ground:
                 raise UsageError("family member over a different ground set")
-            if m.bits not in seen:
-                seen.add(m.bits)
-                bits.append(m.bits)
-        bits.sort(key=mask_key)
+            first.setdefault(m.bits, m)
+        bits = sorted(first, key=mask_key)
         object.__setattr__(self, "bit_list", tuple(bits))
         object.__setattr__(self, "_bit_set", frozenset(bits))
-        object.__setattr__(
-            self, "members", tuple(SubsetMask(b, self.ground) for b in bits)
-        )
+        object.__setattr__(self, "members", tuple(first[b] for b in bits))
 
     @classmethod
     def from_masks(cls, ground: GroundSet, masks: Iterable[int]) -> "SetFamily":
@@ -216,10 +214,16 @@ def _transitive_closure(matrix: list[list[bool]]) -> list[list[bool]]:
     return closed
 
 
+def _check_poset_size(size: int) -> None:
+    if size > MAX_POSET_SIZE:
+        raise UsageError(f"poset size {size} exceeds the limit of {MAX_POSET_SIZE} elements")
+
+
 def validate_poset(raw: Sequence[Sequence[bool]], labels: Sequence[str] = ()) -> PosetSpec:
     """Check a strict-order matrix and return the spec, or raise listing every
-    violated axiom cell."""
+    violated axiom cell. Matrices above ``MAX_POSET_SIZE`` rows are refused."""
     m = len(raw)
+    _check_poset_size(m)
     for row in raw:
         if len(row) != m:
             raise UsageError(f"relation matrix must be square, got a row of length {len(row)}")
@@ -246,6 +250,7 @@ def validate_poset(raw: Sequence[Sequence[bool]], labels: Sequence[str] = ()) ->
 
 def _build_poset(strict_pairs: Iterable[tuple[int, int]], size: int,
                  labels: Sequence[str] = ()) -> PosetSpec:
+    _check_poset_size(size)
     matrix = [[False] * size for _ in range(size)]
     for a, b in strict_pairs:
         if not (0 <= a < size and 0 <= b < size):
@@ -259,6 +264,7 @@ def complete_bipartite_poset(bottoms: int, tops: int) -> PosetSpec:
     strictly below ``tops`` mutually incomparable maximal elements."""
     if bottoms < 1 or tops < 1:
         raise UsageError("complete bipartite poset needs at least one bottom and one top")
+    _check_poset_size(bottoms + tops)
     pairs = [(a, bottoms + b) for a in range(bottoms) for b in range(tops)]
     labels = tuple(f"min{i + 1}" for i in range(bottoms)) + tuple(
         f"max{j + 1}" for j in range(tops)

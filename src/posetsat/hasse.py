@@ -4,27 +4,24 @@ diagram."""
 from __future__ import annotations
 
 from .core import SetFamily
+from .embedding import _FamilyIndex
+from .saturation import _bit_positions
 
 
 def cover_edges(family: SetFamily) -> list[tuple[int, int]]:
     """Index pairs (i, j) into the canonical member list with member i
-    covered by member j: a proper subset with no member strictly between."""
-    bits = family.bit_list
-    k = len(bits)
+    covered by member j: a proper subset with no member strictly between.
+
+    The pairs are read from the relation bitsets of a search index: member
+    j covers member i when j is above i and above no member that is above
+    i. They come in ascending order of i, then j."""
+    above = _FamilyIndex(family.bit_list, family.ground.n).above
     edges = []
-    for i in range(k):
-        a = bits[i]
-        for j in range(k):
-            b = bits[j]
-            if a == b or a & b != a:
-                continue
-            between = False
-            for c in bits:
-                if c != a and c != b and a & c == a and c & b == c:
-                    between = True
-                    break
-            if not between:
-                edges.append((i, j))
+    for i, up in enumerate(above):
+        between = 0
+        for k in _bit_positions(up):
+            between |= above[k]
+        edges += [(i, j) for j in _bit_positions(up & ~between)]
     return edges
 
 

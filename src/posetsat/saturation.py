@@ -20,6 +20,7 @@ that now complete a copy through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from .core import GroundSet, PosetSpec, SetFamily, SubsetMask, mask_key
@@ -89,13 +90,18 @@ def greedy_saturate(
     """Close a free seed to a saturated family: walk every missing subset in
     the given order (canonical by default) and add it whenever the addition
     creates no copy through it. One pass suffices since rejections stay
-    rejected as the family grows."""
+    rejected as the family grows. Every entry of ``order`` must be an
+    integer mask of the ground set, and together they must cover every
+    subset outside the seed."""
     ground = seed.ground
     index = _FamilyIndex(seed.bit_list, ground.n)
     witness = _search_witness(index, q, ground)
     if witness is not None:
         raise UsageError("greedy seed already contains an induced copy", witness=witness)
     candidates = ground.all_masks() if order is None else list(order)
+    for s in candidates:
+        if type(s) is not int or not 0 <= s <= ground.full_mask:
+            raise UsageError(f"candidate {s!r} is not a subset mask of 1..{ground.n}")
     if set(range(1 << ground.n)) - set(seed.bit_list) - set(candidates):
         raise UsageError("candidate order must cover every subset outside the seed")
     index.track(q)
@@ -108,35 +114,25 @@ def greedy_saturate(
 # --- explicit families ------------------------------------------------------
 
 
-def _prefix_mask(i: int) -> int:
-    return (1 << i) - 1
+def _construction(n: int, name: str) -> tuple[GroundSet, set[int]]:
+    """The ground set [n] and the masks of the empty set, the singletons and
+    the prefixes {1..i}, the members both constructions share."""
+    if n < 2:
+        raise UsageError(f"{name} construction needs n >= 2, got {n}")
+    ground = GroundSet(n)
+    return ground, {0} | {1 << i for i in range(n)} | {(1 << i) - 1 for i in range(1, n + 1)}
 
 
 def butterfly_construction(n: int) -> SetFamily:
     """The empty set, all singletons, all pairs, and all prefixes {1..i}."""
-    if n < 2:
-        raise UsageError(f"butterfly construction needs n >= 2, got {n}")
-    ground = GroundSet(n)
-    masks = {0}
-    for i in range(n):
-        masks.add(1 << i)
-        for j in range(i + 1, n):
-            masks.add(1 << i | 1 << j)
-    for i in range(1, n + 1):
-        masks.add(_prefix_mask(i))
-    return SetFamily.from_masks(ground, masks)
+    ground, masks = _construction(n, "butterfly")
+    pairs = {1 << i | 1 << j for i, j in combinations(range(n), 2)}
+    return SetFamily.from_masks(ground, masks | pairs)
 
 
 def n_construction(n: int) -> SetFamily:
     """The empty set, all singletons, and all prefixes {1..i}; 2n sets."""
-    if n < 2:
-        raise UsageError(f"N construction needs n >= 2, got {n}")
-    ground = GroundSet(n)
-    masks = {0}
-    for i in range(n):
-        masks.add(1 << i)
-    for i in range(1, n + 1):
-        masks.add(_prefix_mask(i))
+    ground, masks = _construction(n, "N")
     return SetFamily.from_masks(ground, masks)
 
 

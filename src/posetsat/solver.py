@@ -20,7 +20,8 @@ prunes a partial family when a symmetry of the Boolean lattice (a
 transposition of [n], or complementation when q is self-dual) sends its
 members to an earlier family. The pruning keeps the certificate that the
 search without it would return. Randomised greedy closure gives upper
-bounds beyond that.
+bounds beyond that: each sampled family grows a small random free seed and
+then closes it under a shuffled order, both on one search index.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .core import (
 from .embedding import _FamilyIndex
 from .errors import ContractViolationError, UsageError
 from .saturation import (
+    _bit_positions,
     butterfly_construction,
     greedy_saturate,
     k2k_seed,
@@ -75,6 +77,20 @@ class SolveResult:
             "enumerated_count": self.enumerated_count,
             "elapsed_ms": self.elapsed_ms,
         }
+
+
+def _result(n: int, q: PosetSpec, best: SetFamily, exact: bool, t0: float,
+            count: int | None = None) -> SolveResult:
+    """The result for certificate ``best``, timed from ``t0``."""
+    return SolveResult(
+        n=n,
+        poset=poset_name(q),
+        value=len(best),
+        exact=exact,
+        certificate=best,
+        enumerated_count=count,
+        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+    )
 
 
 def _naive_has_copy(bits: tuple[int, ...], q: PosetSpec) -> bool:
@@ -171,17 +187,8 @@ def enumerate_saturated_families(
         return list(islice(_saturated_walk(ground, q), cap))
     nsets = 1 << n
     copies, rest = _forbidden_tables(n, q)
-    free = _free_bitmap(nsets, copies)
-    found = []
-    for fam in _saturated_masks(nsets, free, rest):
-        found.append(fam)
-        if cap is not None and len(found) >= cap:
-            break
-    out = []
-    for fam in found:
-        masks = [s for s in range(nsets) if fam >> s & 1]
-        out.append(SetFamily.from_masks(ground, masks))
-    return out
+    found = _saturated_masks(nsets, _free_bitmap(nsets, copies), rest)
+    return [SetFamily.from_masks(ground, _bit_positions(fam)) for fam in islice(found, cap)]
 
 
 class _BudgetExpired(Exception):
@@ -347,15 +354,7 @@ def exact_sat_star(
                     break
         except _BudgetExpired:
             exact = False
-    result = SolveResult(
-        n=n,
-        poset=poset_name(q),
-        value=len(best),
-        exact=exact,
-        certificate=best,
-        enumerated_count=enumerated_count,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    result = _result(n, q, best, exact, t0, count=enumerated_count)
     _bound_discrepancy_check(n, result)
     return result
 
@@ -379,19 +378,6 @@ def _named_seed(n: int, q: PosetSpec) -> SetFamily | None:
 _RANDOM_SEED_MAX_SIZE = 3
 
 
-def _random_free_seed(ground: GroundSet, q: PosetSpec, rng: random.Random) -> SetFamily:
-    target = rng.randint(0, _RANDOM_SEED_MAX_SIZE)
-    index = _FamilyIndex([], ground.n)
-    index.track(q)
-    for _ in range(4 * _RANDOM_SEED_MAX_SIZE):
-        if len(index.bits) >= target:
-            break
-        s = rng.randrange(1 << ground.n)
-        if index.open[-1] >> s & 1:
-            index.append(s)
-    return SetFamily.from_masks(ground, index.bits)
-
-
 def upper_bound_via_random_greedy(
     n: int,
     q: PosetSpec,
@@ -411,15 +397,7 @@ def upper_bound_via_random_greedy(
     if trials > 1:
         closed += sample_saturated_families(n, q, trials - 1, rng_seed)
     best = min(closed, key=lambda f: (len(f), f.bit_list))
-    return SolveResult(
-        n=n,
-        poset=poset_name(q),
-        value=len(best),
-        exact=False,
-        certificate=best,
-        enumerated_count=None,
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    return _result(n, q, best, False, t0)
 
 
 def sample_saturated_families(
@@ -430,15 +408,32 @@ def sample_saturated_families(
 ) -> list[SetFamily]:
     """``count`` greedy-closed saturated families from random free seeds and
     random candidate orders; deterministic in ``rng_seed``. Duplicates are
-    possible and harmless."""
+    possible and harmless.
+
+    Each family grows on one search index that tracks q: a seed of up to
+    ``_RANDOM_SEED_MAX_SIZE`` random sets that keep it free, then every
+    subset in a shuffled order, each added when its bit in ``open`` is set.
+    A seed member is never open, so the second pass is greedy closure of
+    the seed under that order."""
     if count < 1:
         raise UsageError(f"count must be at least 1, got {count}")
     ground = GroundSet(n)
     rng = random.Random(rng_seed)
     out = []
     for _ in range(count):
-        seed = _random_free_seed(ground, q, rng)
+        target = rng.randint(0, _RANDOM_SEED_MAX_SIZE)
+        index = _FamilyIndex([], n)
+        index.track(q)
+        for _ in range(4 * _RANDOM_SEED_MAX_SIZE):
+            if len(index.bits) >= target:
+                break
+            s = rng.randrange(1 << n)
+            if index.open[-1] >> s & 1:
+                index.append(s)
         order = list(range(1 << n))
         rng.shuffle(order)
-        out.append(greedy_saturate(seed, q, order=order))
+        for s in order:
+            if index.open[-1] >> s & 1:
+                index.append(s)
+        out.append(SetFamily.from_masks(ground, index.bits))
     return out

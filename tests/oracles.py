@@ -62,3 +62,17 @@ def naive_orbit_representatives(q):
             for x in range(m):
                 low[x] = min(low[x], perm[x])
     return tuple(sorted(set(low)))
+
+
+def naive_cover_edges(bits):
+    """Every index pair (i, j) into ``bits`` with bits[i] a proper subset of
+    bits[j] and no member strictly between them, ascending."""
+    def proper(a, b):
+        return a != b and a & b == a
+
+    return [
+        (i, j)
+        for i, a in enumerate(bits)
+        for j, b in enumerate(bits)
+        if proper(a, b) and not any(proper(a, c) and proper(c, b) for c in bits)
+    ]

@@ -450,6 +450,22 @@ class TestUsageErrors:
         fam.write_text("{1}\n")
         self.assert_usage_error(run_module("check", "--poset", str(poset), "--in", str(fam)))
 
+    def assert_poset_too_large(self, selector, tmp_path):
+        fam = tmp_path / "fam.txt"
+        fam.write_text("{1}\n")
+        proc = run_module("check", "--poset", str(selector), "--in", str(fam))
+        self.assert_usage_error(proc)
+        assert "exceeds the limit of 64 elements" in proc.stderr
+
+    def test_poset_file_above_the_size_limit(self, tmp_path):
+        poset = tmp_path / "q.json"
+        poset.write_text(json.dumps({"size": 65, "less": [[i, i + 1] for i in range(64)]}))
+        self.assert_poset_too_large(poset, tmp_path)
+
+    @pytest.mark.parametrize("selector", ["kkk:33", "k2k:63"])
+    def test_bipartite_selector_above_the_size_limit(self, selector, tmp_path):
+        self.assert_poset_too_large(selector, tmp_path)
+
     def test_non_utf8_family_file(self, tmp_path):
         path = tmp_path / "fam.txt"
         path.write_bytes(b"{1}\n\xff\xfe\n")

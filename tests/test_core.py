@@ -30,6 +30,7 @@ from posetsat import (
     subset_relation,
     validate_poset,
 )
+from posetsat.core import MAX_POSET_SIZE
 
 G4 = GroundSet(4)
 
@@ -268,6 +269,17 @@ class TestPosetFiles:
     def test_cycle_rejected(self):
         with pytest.raises(PosetValidationError):
             parse_poset_json(json.dumps({"size": 2, "less": [[0, 1], [1, 0]]}))
+
+    def test_size_limit(self):
+        chain = [[i, i + 1] for i in range(MAX_POSET_SIZE)]
+        spec = parse_poset_json(json.dumps({"size": MAX_POSET_SIZE, "less": chain[:-1]}))
+        assert spec.size == MAX_POSET_SIZE and spec.less[0][-1]
+        with pytest.raises(UsageError, match="poset size 65 exceeds the limit of 64 elements"):
+            parse_poset_json(json.dumps({"size": MAX_POSET_SIZE + 1, "less": chain}))
+        with pytest.raises(UsageError, match="poset size 66 exceeds"):
+            complete_bipartite_poset(33, 33)
+        with pytest.raises(UsageError, match="poset size 65 exceeds"):
+            validate_poset([[False] * 65 for _ in range(65)])
 
     def test_malformed(self):
         with pytest.raises(UsageError):

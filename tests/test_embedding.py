@@ -1,9 +1,11 @@
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from posetsat import (
+    EmbeddingWitness,
     GroundSet,
     SetFamily,
     SubsetMask,
@@ -21,12 +23,13 @@ from posetsat.core import _transitive_closure
 from posetsat.embedding import _poset_tables
 from posetsat.saturation import saturation_report
 
-from conftest import family
+from conftest import CROSS_CHECK_POSETS, family
 from oracles import (
     naive_has_copy,
     naive_orbit_representatives,
     naive_unsaturated_sets,
     naive_witnesses,
+    tuple_matches,
 )
 
 small_family = st.builds(
@@ -394,3 +397,73 @@ class TestRequiredWitnessPinned:
             assert w is None
         else:
             assert w.to_json_obj() == pinned(q.labels, sets)
+
+
+@lru_cache(maxsize=None)
+def _copies(name, n):
+    """Every copy of a cross-check poset among the subsets of [n]."""
+    return list(naive_witnesses(range(1 << n), CROSS_CHECK_POSETS[name]))
+
+
+def witness(q, n, *sets):
+    g = GroundSet(n)
+    return EmbeddingWitness(q, tuple(SubsetMask.from_elements(g, e) for e in sets))
+
+
+class TestWitnessVerify:
+    """``verify`` is the independent recheck of every witness the search
+    returns, so each way a hand-built witness can be wrong must fail it."""
+
+    def test_valid_witness_passes(self, two_chain):
+        assert witness(two_chain, 2, [1], [1, 2]).verify()
+        assert witness(two_chain, 2, [1], [1, 2]).verify(family(2, [1], [1, 2]))
+
+    # the long one is a copy plus a repeat of one of its sets: it has as many
+    # distinct sets as the poset has elements, and its first two are a copy
+    @pytest.mark.parametrize("sets", [[[1]], [[1], [1, 2], [1]]], ids=["short", "long"])
+    def test_wrong_length(self, two_chain, sets):
+        assert not witness(two_chain, 2, *sets).verify()
+
+    def test_repeated_set(self, two_antichain):
+        # the same set twice relates to itself as incomparable elements do
+        assert not witness(two_antichain, 2, [1], [1]).verify()
+
+    def test_set_outside_the_family(self, two_chain):
+        w = witness(two_chain, 2, [1], [1, 2])
+        assert not w.verify(family(2, [1], [2]))
+
+    @pytest.mark.parametrize(
+        "q, sets",
+        [
+            (chain_poset(2), [[1], [2]]),  # below, but mapped to incomparable sets
+            (chain_poset(2), [[1, 2], [1]]),  # below, but mapped to a superset
+            (antichain_poset(2), [[1], [1, 2]]),  # incomparable, but mapped to a subset
+            (antichain_poset(2), [[1, 2], [2]]),  # incomparable, but mapped to a superset
+        ],
+        ids=["chain-incomparable", "chain-reversed", "antichain-subset", "antichain-superset"],
+    )
+    def test_wrong_relation(self, q, sets):
+        assert not witness(q, 2, *sets).verify()
+
+    @given(name=st.sampled_from(sorted(CROSS_CHECK_POSETS)), n=st.integers(1, 3), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_tuple_oracle(self, name, n, data):
+        q = CROSS_CHECK_POSETS[name]
+        subsets = st.integers(0, (1 << n) - 1)
+        tuples = st.lists(subsets, min_size=q.size - 1, max_size=q.size + 1).map(tuple)
+        copies = _copies(name, n)
+        if copies:  # real copies too, so both verdicts come up often
+            tuples = tuples | st.sampled_from(copies)
+        tup = data.draw(tuples)
+        members = data.draw(st.none() | st.sets(subsets))
+        g = GroundSet(n)
+        w = EmbeddingWitness(q, tuple(SubsetMask(b, g) for b in tup))
+        fam = None if members is None else SetFamily.from_masks(g, members)
+        expected = (
+            len(tup) == q.size
+            and len(set(tup)) == q.size
+            and tuple_matches(tup, q)
+            and (members is None or set(tup) <= members)
+        )
+        assert w.verify(fam) == expected
+

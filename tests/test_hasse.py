@@ -1,6 +1,9 @@
+from hypothesis import given, settings, strategies as st
+
 from posetsat import GroundSet, SetFamily, cover_edges, emit_hasse
 
 from conftest import family
+from oracles import naive_cover_edges
 
 
 def test_chain_covers():
@@ -33,3 +36,17 @@ def test_dot_is_deterministic():
     fam = family(3, [2], [1, 2], [2, 3])
     assert emit_hasse(fam) == emit_hasse(fam)
     assert emit_hasse(fam).startswith("digraph hasse {")
+
+
+def test_covers_match_oracle_on_every_family_over_3():
+    for fam_mask in range(256):
+        fam = SetFamily.from_masks(GroundSet(3), [s for s in range(8) if fam_mask >> s & 1])
+        assert cover_edges(fam) == naive_cover_edges(fam.bit_list), fam_mask
+
+
+@given(n=st.sampled_from([4, 5]), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_covers_match_oracle_on_random_families(n, data):
+    masks = data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=1 << n))
+    fam = SetFamily.from_masks(GroundSet(n), masks)
+    assert cover_edges(fam) == naive_cover_edges(fam.bit_list)

@@ -103,6 +103,13 @@ class TestGreedySaturate:
         with pytest.raises(UsageError):
             greedy_saturate(family(4), butterfly, order=[1, 2, 3])
 
+    @pytest.mark.parametrize("bad", [-1, 0.5, "x", 8, 99, True, None])
+    def test_candidate_outside_the_ground_set_rejected(self, butterfly, bad):
+        # the order covers every subset of [3], plus one entry that is not
+        # a subset mask
+        with pytest.raises(UsageError, match="is not a subset mask of 1..3"):
+            greedy_saturate(family(3), butterfly, order=[*range(8), bad])
+
 
 class TestConstructions:
     @pytest.mark.parametrize(

@@ -3,11 +3,14 @@ from itertools import combinations
 import pytest
 
 from posetsat import (
+    ContractViolationError,
     GroundSet,
     SetFamily,
     UsageError,
+    antichain_poset,
     butterfly_construction,
     butterfly_poset,
+    chain_poset,
     complete_bipartite_poset,
     enumerate_saturated_families,
     exact_sat_star,
@@ -20,6 +23,7 @@ from posetsat import (
     upper_bound_via_random_greedy,
     validate_poset,
 )
+from posetsat import solver
 from posetsat.solver import _named_seed
 
 from conftest import CROSS_CHECK_POSETS
@@ -142,6 +146,24 @@ class TestExactSatStar:
         # a NaN deadline never expires, so it would switch the limit off
         with pytest.raises(UsageError, match="budget"):
             exact_sat_star(3, butterfly, budget_s=budget)
+
+    @pytest.mark.parametrize(
+        "n, q, message",
+        [
+            (3, butterfly_poset(), "exact sat*(3, B) = 2 violates the n+1 lower bound"),
+            (5, n_poset(), "exact sat*(5, N) = 2 violates the sqrt(n) lower bound"),
+        ],
+        ids=["B", "N"],
+    )
+    def test_bound_discrepancy_halts(self, monkeypatch, n, q, message):
+        # no saturated family breaks the bounds, so the size search is
+        # replaced by one that claims a two-member family
+        small = SetFamily.from_masks(GroundSet(n), [0, 1])
+        monkeypatch.setattr(solver, "_saturated_walk", lambda *args: iter([small]))
+        with pytest.raises(ContractViolationError) as exc:
+            exact_sat_star(n, q)
+        assert str(exc.value) == message
+        assert exc.value.detail == {"certificate": [[], [1]]}
 
     def test_enumerate_method_rejected_for_large_n(self, butterfly):
         with pytest.raises(UsageError):
@@ -332,3 +354,94 @@ class TestSampling:
         a = sample_saturated_families(5, nposet, 3, rng_seed=9)
         b = sample_saturated_families(5, nposet, 3, rng_seed=9)
         assert [f.bit_list for f in a] == [f.bit_list for f in b]
+
+
+SAMPLER_POSETS = {
+    "chain3": chain_poset(3),
+    "K13": complete_bipartite_poset(3, 1),
+    "antichain3": antichain_poset(3),
+}
+
+# per (poset, n): the certificate of upper_bound_via_random_greedy(n, q, 20, 1)
+# and the families of sample_saturated_families(n, q, 5, 3), as member masks.
+# No construction is named for these posets, so the greedy bound is all
+# random closures besides the closure of the empty family
+SAMPLER_PINS = {
+    ("chain3", 5): (
+        [0, 4, 8, 16, 3],
+        [
+            [1, 2, 4, 8, 16, 5, 17, 24, 11, 14, 22],
+            [1, 2, 4, 8, 16, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24],
+            [1, 2, 4, 8, 16, 5, 6, 12, 17, 18, 20, 24, 11],
+            [5, 11, 13, 14, 19, 22, 25, 26, 28, 23, 27, 30],
+            [1, 2, 4, 3, 5, 6, 12, 20, 24, 25, 26],
+        ],
+    ),
+    ("chain3", 6): (
+        [0, 1, 2, 4, 8, 16, 32],
+        [
+            [16, 3, 5, 6, 9, 12, 18, 33, 36, 42, 44, 49, 52, 56, 15, 29, 39, 43],
+            [7, 11, 13, 14, 19, 21, 22, 25, 26, 35, 37, 38, 41, 42, 49, 50, 15, 23, 27, 29,
+             39, 43, 45, 51, 53, 57, 60, 62],
+            [2, 3, 5, 9, 12, 17, 20, 24, 33, 36, 40, 48, 13, 25, 28, 41, 46, 53, 54, 58],
+            [10, 24, 33, 34, 36, 40, 48, 7, 11, 13, 19, 21, 22, 26, 35, 50, 23, 29, 45, 46,
+             53, 57, 60],
+            [5, 6, 12, 20, 24, 36, 40, 11, 13, 25, 44, 30, 43, 51, 58, 55],
+        ],
+    ),
+    ("K13", 5): (
+        [0, 1, 2, 6, 17, 7, 21, 15, 23, 31],
+        [
+            [0, 1, 4, 8, 3, 5, 6, 9, 12, 18, 24, 11, 14, 19, 21, 22, 25, 26, 28],
+            [0, 1, 2, 8, 16, 5, 6, 9, 10, 17, 18, 24, 7, 13, 14, 21, 22, 28],
+            [0, 1, 4, 12, 17, 11, 14, 19, 21, 28, 15, 23, 27, 29, 30],
+            [0, 1, 4, 5, 6, 9, 24, 7, 11, 13, 14, 21, 25, 28, 23, 27, 30],
+            [0, 1, 2, 4, 3, 5, 6, 12, 18, 11, 14, 21, 22, 26, 28, 27, 29],
+        ],
+    ),
+    ("K13", 6): (
+        [0, 1, 2, 3, 9, 19, 41, 27, 57, 59, 61, 63],
+        [
+            [0, 16, 32, 5, 10, 18, 20, 36, 7, 11, 21, 22, 26, 28, 37, 42, 44, 49, 50, 52,
+             56, 15, 27, 29, 39, 43, 45, 46, 51, 57],
+            [0, 2, 16, 3, 20, 7, 11, 21, 28, 37, 50, 15, 23, 29, 39, 43, 45, 51, 53, 54, 60,
+             59, 62],
+            [0, 2, 8, 3, 18, 40, 48, 7, 22, 25, 28, 42, 49, 50, 56, 15, 23, 29, 30, 46, 53,
+             54, 47],
+            [0, 1, 12, 33, 48, 7, 13, 35, 37, 38, 52, 56, 23, 29, 45, 46, 51, 53, 54, 57,
+             31, 59],
+            [0, 8, 16, 32, 5, 6, 10, 17, 20, 24, 36, 40, 7, 11, 13, 14, 19, 22, 25, 26, 28,
+             37, 38, 41, 44, 50, 52, 43, 51],
+        ],
+    ),
+    ("antichain3", 5): (
+        [0, 1, 2, 3, 5, 7, 11, 15, 23, 31],
+        [
+            [0, 4, 8, 5, 9, 11, 21, 27, 29, 31],
+            [0, 1, 16, 5, 17, 7, 21, 15, 29, 31],
+            [0, 1, 4, 12, 17, 14, 21, 15, 29, 31],
+            [0, 1, 4, 5, 6, 14, 21, 23, 30, 31],
+            [0, 1, 4, 3, 12, 11, 14, 15, 27, 31],
+        ],
+    ),
+    ("antichain3", 6): (
+        [0, 1, 2, 3, 5, 7, 11, 15, 23, 31, 47, 63],
+        [
+            [0, 16, 32, 17, 36, 21, 44, 29, 46, 31, 62, 63],
+            [0, 2, 16, 10, 48, 11, 50, 43, 58, 59, 62, 63],
+            [0, 8, 16, 40, 48, 42, 50, 46, 54, 47, 62, 63],
+            [0, 4, 16, 12, 48, 13, 56, 29, 57, 31, 59, 63],
+            [0, 4, 8, 10, 36, 11, 38, 43, 54, 55, 59, 63],
+        ],
+    ),
+}
+
+
+class TestSamplerPinned:
+    @pytest.mark.parametrize("name, n", sorted(SAMPLER_PINS))
+    def test_greedy_certificate_and_samples(self, name, n):
+        certificate, samples = SAMPLER_PINS[name, n]
+        q = SAMPLER_POSETS[name]
+        got = upper_bound_via_random_greedy(n, q, 20, 1).certificate
+        assert list(got.bit_list) == certificate
+        assert [list(f.bit_list) for f in sample_saturated_families(n, q, 5, 3)] == samples

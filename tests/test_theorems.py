@@ -473,3 +473,36 @@ class TestInjectionFailures:
         monkeypatch.setattr(theorems, "theorem3_assignment", _empty_assignment)
         rep = theorems._theorem3(family(3, [1]), True)
         assert rep.counterexample == {"reason": "size below bound", "bound": 2}
+
+
+class TestProp4Failures:
+    """Each failure branch of proposition 4. An N-saturated family reaches
+    none of them, so the saturation verdict is replaced and, where the
+    difference-pair cover forces the bound, the cover too."""
+
+    @pytest.fixture(autouse=True)
+    def _saturated(self, monkeypatch):
+        verdict = saturation.SaturationReport(True, None, (), True)
+        monkeypatch.setattr(theorems, "saturation_report", lambda fam, q: verdict)
+
+    def test_uncovered_elements(self):
+        rep = verify_prop4(family(3, [], [1, 2, 3]))
+        assert rep.counterexample == {
+            "reason": "no member pair isolates element(s) [1, 2, 3]",
+            "uncovered": [1, 2, 3],
+        }
+        assert rep.hypotheses_hold and not rep.passed
+
+    def test_no_inner_difference_pair(self):
+        fam = family(3, [1], [1, 2], [2, 3])
+        assert verify_prop4(fam).passed
+        assert verify_prop4(fam, strong=True).counterexample == {
+            "member": [2, 3], "element": 2, "reason": "no inner difference pair",
+        }
+
+    def test_size_below_bound(self, monkeypatch):
+        # k members isolate at most k(k-1) elements, so the cover is replaced
+        monkeypatch.setattr(theorems, "difference_pair_cover", lambda fam: {})
+        rep = verify_prop4(family(5, [], [1]))
+        assert rep.counterexample == {"reason": "size below bound", "bound": 3}
+        assert rep.bound_value == 3 and not rep.passed
