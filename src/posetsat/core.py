@@ -398,6 +398,10 @@ def _parse_family_line(line: str, lineno: int) -> int | None:
             raise UsageError(f"line {lineno}: bad element {token!r}") from None
         if e < 1:
             raise UsageError(f"line {lineno}: elements are 1-indexed, got {e}")
+        if e > MAX_GROUND_SIZE:  # before the shift, whose cost grows with e
+            raise UsageError(
+                f"line {lineno}: element {e} is above the largest ground size {MAX_GROUND_SIZE}"
+            )
         bits |= 1 << (e - 1)
     return bits
 
@@ -405,20 +409,19 @@ def _parse_family_line(line: str, lineno: int) -> int | None:
 def parse_family(text: str, ground: GroundSet | None = None) -> SetFamily:
     """Parse the family file format; infer the ground set from the largest
     element when none is supplied."""
-    masks = []
+    masks = {}  # line number -> mask
     for lineno, line in enumerate(text.splitlines(), start=1):
         bits = _parse_family_line(line, lineno)
         if bits is not None:
-            masks.append(bits)
+            masks[lineno] = bits
     if ground is None:
-        top = max((b.bit_length() for b in masks), default=1)
+        top = max((b.bit_length() for b in masks.values()), default=1)
         ground = GroundSet(max(top, 1))
-    for b in masks:
+    for lineno, b in masks.items():
         if b >> ground.n:
-            raise UsageError(
-                f"set {b:#x} does not fit in ground set of size {ground.n}"
-            )
-    return SetFamily.from_masks(ground, masks)
+            raise UsageError(f"line {lineno}: element {b.bit_length()} does not fit "
+                             f"in ground set of size {ground.n}")
+    return SetFamily.from_masks(ground, masks.values())
 
 
 def format_family(family: SetFamily) -> str:

@@ -20,10 +20,14 @@ comes earlier in search order, so the first copy found already has its
 twins in ascending order. A forced search tries the forced member only at
 the least element of each twin class.
 
-The index can also keep, for one poset, the bitmap of the missing sets
-whose addition keeps the family free: each append pushes the next bitmap,
-found by completion walks through the new member, and each pop pops it. A
-family is saturated exactly when that bitmap is empty.
+The index can also track one poset: it keeps the bitmap of the missing sets
+whose addition keeps the family free, and a family is saturated exactly
+when that bitmap is empty. Tracking binds the completion walks once, and
+holds three region bitmaps per member, built when the member joins: the
+sets incomparable to it, inside it and containing it. Each append pushes
+the new member's regions and the next bitmap, found by completion walks
+through the new member, and each pop pops them. An untracked index, as a
+plain copy search uses, holds no regions.
 """
 
 from __future__ import annotations
@@ -93,22 +97,40 @@ def _search_plan(q: PosetSpec, forced: tuple[int, ...]):
     return order, checks, tuple(prev)
 
 
+def _regions(u: int, n: int) -> tuple[int, int, int]:
+    """Bitmaps over all 2^n subsets (bit s for subset s) of the sets
+    incomparable to ``u``, inside it and containing it. Indexed by relation
+    code (_NONE, _BELOW, _ABOVE), they hold the sets that fit at an element
+    p against an element with image ``u`` that p is incomparable to, below
+    or above. The first is negative: every bit from 2^n up is set."""
+    down, up = 1, 1 << u
+    for i in range(n):
+        if u >> i & 1:
+            down |= down << (1 << i)
+        else:
+            up |= up << (1 << i)
+    return ~(down | up), down, up
+
+
 class _FamilyIndex:
     """Mutable search index over a duplicate-free list of subset masks.
 
     Per member index i it keeps bitsets (ints over member indices) of the
     members strictly below, strictly above, and incomparable. Append and pop
-    change these lists in place, so the completion walks bound to them stay
-    valid, and are cached, for the lifetime of the index.
+    change these lists in place, so the walks bound to them stay valid for
+    the lifetime of the index.
 
-    After ``track(q)`` on a q-free family, ``open[-1]`` is the bitmap over
-    all 2^n subsets (bit s for subset s) of the missing sets whose addition
-    keeps the family q-free, so the family is q-saturated exactly when it is
-    0. Each append then pushes the next bitmap and each pop pops it; while
-    tracking, only sets in ``open[-1]`` may be appended.
+    ``track(q)`` on a q-free family binds the completion walks for q and
+    builds ``regions[i]``, the three ``_regions`` bitmaps of member i. Then
+    ``open[-1]`` is the bitmap over all 2^n subsets of the missing sets
+    whose addition keeps the family q-free, so the family is q-saturated
+    exactly when it is 0. Each append pushes the new member's regions and
+    the next bitmap, and each pop pops them; while tracking, only sets in
+    ``open[-1]`` may be appended. An untracked index builds no regions.
     """
 
-    __slots__ = ("n", "bits", "below", "above", "incomp", "open", "_q", "_plans")
+    __slots__ = ("n", "bits", "below", "above", "incomp", "regions", "open",
+                 "_q", "_bulk", "_through")
 
     def __init__(self, bits: Sequence[int], n: int):
         self.n = n
@@ -117,16 +139,31 @@ class _FamilyIndex:
         self.above: list[int] = []
         self.incomp: list[int] = []
         self._q: PosetSpec | None = None
-        self._plans: dict = {}
         for b in bits:
             self.append(b)
 
     def track(self, q: PosetSpec) -> None:
-        """Keep ``open`` for q from now on, starting from one completion pass
-        over every missing set."""
-        missing = (1 << (1 << self.n)) - 1 - sum(1 << b for b in self.bits)
-        self.open: list[int] = [missing ^ self.completing_sets(q, missing)]
+        """Keep ``open`` for q from now on. Binds the walks of
+        ``completing_sets``: per walk the fixed elements (a class head p, or
+        a pair (p, x) of ``_poset_tables``), the relation code of p to the
+        last of them, and the steps after them, each without its check
+        against p and with the relation code of p to its element. Then
+        builds every member's regions and runs one completion pass over
+        every missing set."""
+        rel, _, heads, pairs = _poset_tables(q)
+
+        def bind(fixed):
+            return fixed, rel[fixed[0]][fixed[-1]], [
+                (x, [(y, table) for y, table in checks if y != fixed[0]], prev, rel[fixed[0]][x])
+                for x, checks, prev in self._steps(q, fixed)[len(fixed):]
+            ]
+
+        self._bulk = [bind((p,)) for p in heads]
+        self._through = [bind(f) for f in pairs]
+        self.regions = [_regions(u, self.n) for u in self.bits]
         self._q = q
+        missing = (1 << (1 << self.n)) - 1 - sum(1 << b for b in self.bits)
+        self.open: list[int] = [missing ^ self.completing_sets(missing)]
 
     def append(self, new: int) -> None:
         idx = len(self.bits)
@@ -150,8 +187,9 @@ class _FamilyIndex:
         if self._q is not None:
             # a blocked set stays blocked, and a new copy in the family plus
             # new and t passes through both
+            self.regions.append(_regions(new, self.n))
             rest = self.open[-1] & ~(1 << new)
-            self.open.append(rest ^ self.completing_sets(self._q, rest, through=idx))
+            self.open.append(rest ^ self.completing_sets(rest, through=idx))
 
     def pop(self) -> None:
         idx = len(self.bits) - 1
@@ -162,6 +200,7 @@ class _FamilyIndex:
             for j in range(idx):
                 row[j] &= keep
         if self._q is not None:
+            self.regions.pop()
             self.open.pop()
 
     def _steps(self, q: PosetSpec, forced: tuple[int, ...] = ()):
@@ -175,24 +214,6 @@ class _FamilyIndex:
             (x, [(y, tables[r]) for y, r in checks[d]], prev[d])
             for d, x in enumerate(order)
         ]
-
-    def _walks(self, q: PosetSpec, through: bool):
-        """The walks of ``completing_sets``, cached: per walk the fixed
-        elements (p, then the new member's element when ``through``), the
-        relation code of p to the last of them, and the steps after them,
-        each without its check against p and with the relation code of p to
-        its element."""
-        walks = self._plans.get((q, through))
-        if walks is None:
-            rel, _, heads, pairs = _poset_tables(q)
-            walks = self._plans[q, through] = [
-                (f, rel[f[0]][f[-1]], [
-                    (x, [(y, table) for y, table in checks if y != f[0]], prev, rel[f[0]][x])
-                    for x, checks, prev in self._steps(q, f)[len(f):]
-                ])
-                for f in (pairs if through else [(p,) for p in heads])
-            ]
-        return walks
 
     def search(self, q: PosetSpec, forced_index: int | None = None) -> list[int] | None:
         """Assignment of poset elements to member indices, or None. When
@@ -232,9 +253,10 @@ class _FamilyIndex:
         del backtrack  # it refers to itself; unbound, it leaves no garbage cycle
         return list(assign) if found else None
 
-    def completing_sets(self, q: PosetSpec, targets: int, through: int | None = None) -> int:
-        """The sets among ``targets`` whose addition creates a copy of ``q``
-        through them, found in one pass over completion regions.
+    def completing_sets(self, targets: int, through: int | None = None) -> int:
+        """The sets among ``targets`` whose addition creates a copy of the
+        tracked poset q through them, found in one pass over completion
+        regions.
 
         Sets are bitmaps over all 2^n subsets (bit s for subset s), and
         ``targets`` must hold no member. For the least element p of each
@@ -254,25 +276,10 @@ class _FamilyIndex:
         class of q - p, follows the search forced at (p, x) after its first
         two steps, and starts from the region that x's relation to p leaves.
         """
-        n = self.n
-        bits = self.bits
-        members = (1 << len(bits)) - 1
-
-        def span(low: int, free: int) -> int:  # bit s set iff s is low plus part of free
-            r = 1 << low
-            for i in range(n):
-                if free >> i & 1:
-                    r |= r << (1 << i)
-            return r
-
-        # indexed by the relation code of p to the element: _NONE, _BELOW,
-        # _ABOVE; sets incomparable to u, inside u, containing u. Each side
-        # is cached per member index for this call
-        down, up = (lambda u: span(0, u)), (lambda u: span(u, ~u))
-        build = (lambda u: ~(down(u) | up(u)), down, up)
-        sides: tuple[dict[int, int], ...] = ({}, {}, {})
+        members = (1 << len(self.bits)) - 1
+        regions = self.regions
         unblocked = targets
-        assign = [-1] * q.size
+        assign = [-1] * self._q.size
 
         def walk(steps, depth: int, used: int, region: int) -> None:
             nonlocal unblocked
@@ -285,26 +292,22 @@ class _FamilyIndex:
                 cand &= table[assign[y]]
             if prev >= 0:  # only indices above the previous twin's
                 cand &= -(2 << assign[prev])
-            side = sides[code]
             while cand:
                 low = cand & -cand
                 cand ^= low
                 i = low.bit_length() - 1
-                fit = side.get(i)
-                if fit is None:
-                    fit = side[i] = build[code](bits[i])
-                fit &= region & unblocked
+                fit = regions[i][code] & region & unblocked
                 if fit:
                     assign[x] = i
                     walk(steps, depth + 1, used | low, fit)
 
-        for fixed, code, steps in self._walks(q, through is not None):
+        for fixed, code, steps in self._bulk if through is None else self._through:
             if not unblocked:
                 break
             region, used = unblocked, 0
             if through is not None:
                 assign[fixed[1]] = through
-                region &= build[code](bits[through])
+                region &= regions[through][code]
                 used = 1 << through
             if region:
                 walk(steps, 0, used, region)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,6 +185,60 @@ class TestEmbed:
             "--required", "{1,2}",
         )
         assert code == 2
+
+
+
+class TestElementsAboveTheGroundLimit:
+    """An element above ``MAX_GROUND_SIZE`` is rejected on its line before
+    its mask is built, so the error costs little memory whatever the
+    number; an element outside a given ground set is named by line."""
+
+    def invoke_traced(self, capsys, *argv):
+        tracemalloc.start()
+        try:
+            code = run(list(argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return code, captured.err, peak
+
+    @pytest.mark.parametrize("ground", [[], ["--n", "4"]], ids=["inferred", "given"])
+    def test_check_rejects_the_line(self, capsys, tmp_path, ground):
+        path = tmp_path / "fam.txt"
+        path.write_text("{1}\n30000000\n")
+        code, err, peak = self.invoke_traced(
+            capsys, "check", "--poset", "b", "--in", str(path), *ground
+        )
+        assert code == 2
+        assert err == "error: line 2: element 30000000 is above the largest ground size 24\n"
+        assert peak < 1 << 20  # the mask 1 << 29999999 alone is 3.75 MB
+
+    def test_embed_required_rejects_the_element(self, capsys, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text("{1}\n{2}\n")
+        code, err, peak = self.invoke_traced(
+            capsys, "embed", "--poset", "n", "--in", str(path), "--required", "30000000"
+        )
+        assert code == 2
+        assert err == "error: line 1: element 30000000 is above the largest ground size 24\n"
+        assert peak < 1 << 20
+
+    def test_does_not_fit_names_line_and_element(self, capsys, tmp_path):
+        path = tmp_path / "fam.txt"
+        path.write_text("{1}\n0x40\n")
+        code, err, _ = self.invoke_traced(
+            capsys, "check", "--poset", "b", "--in", str(path), "--n", "4"
+        )
+        assert code == 2
+        assert err == "error: line 2: element 7 does not fit in ground set of size 4\n"
+        path.write_text("{1}\n{2}\n")
+        code, err, _ = self.invoke_traced(
+            capsys, "embed", "--poset", "n", "--in", str(path), "--required", "{1,24}"
+        )
+        assert code == 2
+        assert err == "error: line 1: element 24 does not fit in ground set of size 2\n"
 
 
 class TestGreedy:

@@ -232,8 +232,12 @@ class TestFamilyFiles:
         assert fam.ground.n == 5
 
     def test_element_out_of_range(self):
-        with pytest.raises(UsageError):
-            parse_family("{9}\n", GroundSet(4))
+        with pytest.raises(UsageError, match="^line 2: element 9 does not fit"):
+            parse_family("{1}\n{9}\n", GroundSet(4))
+
+    def test_element_above_the_ground_limit(self):
+        with pytest.raises(UsageError, match="^line 2: element 25 is above the largest ground size 24$"):
+            parse_family("{1}\n{2,25}\n")
 
     def test_bad_tokens(self):
         with pytest.raises(UsageError):

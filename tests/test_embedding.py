@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 from itertools import permutations
 
@@ -11,6 +12,7 @@ from posetsat import (
     SubsetMask,
     UsageError,
     antichain_poset,
+    butterfly_construction,
     butterfly_poset,
     chain_poset,
     complete_bipartite_poset,
@@ -19,8 +21,10 @@ from posetsat import (
     poset_isomorphic,
     validate_poset,
 )
+from posetsat import embedding
 from posetsat.core import _transitive_closure
-from posetsat.embedding import _poset_tables
+from posetsat.embedding import _FamilyIndex, _poset_tables, _regions
+from posetsat.hasse import cover_edges
 from posetsat.saturation import saturation_report
 
 from conftest import CROSS_CHECK_POSETS, family
@@ -467,3 +471,59 @@ class TestWitnessVerify:
         )
         assert w.verify(fam) == expected
 
+
+
+class TestRegions:
+    """A tracked index builds each member's region bitmaps once, when the
+    member is there at ``track`` or joins; an untracked index builds none."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_regions_match_their_definition(self, n):
+        everything = (1 << (1 << n)) - 1
+        for u in range(1 << n):
+            incomp, inside, containing = _regions(u, n)
+            assert incomp & everything == sum(
+                1 << s for s in range(1 << n) if s & u not in (s, u)
+            )
+            assert inside == sum(1 << s for s in range(1 << n) if s & u == s)
+            assert containing == sum(1 << s for s in range(1 << n) if s & u == u)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = [0]
+
+        def counting_regions(u, n):
+            count[0] += 1
+            return _regions(u, n)
+
+        monkeypatch.setattr(embedding, "_regions", counting_regions)
+        return count
+
+    def test_one_build_per_member_and_append(self, builds, butterfly):
+        index = _FamilyIndex([0b000, 0b001, 0b010], 3)
+        assert builds[0] == 0
+        index.track(butterfly)
+        assert builds[0] == 3
+        appended = 0
+        for _ in range(2):
+            while index.open[-1]:
+                index.append((index.open[-1] & -index.open[-1]).bit_length() - 1)
+                appended += 1
+            for _ in range(2):
+                index.pop()
+            index.completing_sets(index.open[-1])
+            assert builds[0] == 3 + appended
+        assert len(index.regions) == len(index.bits)
+
+    def test_untracked_searches_hold_no_regions(self, builds, butterfly):
+        fam = butterfly_construction(18)
+        for run in (lambda: find_induced_copy(fam, butterfly), lambda: cover_edges(fam)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the regions of all 188 members would take about 14 MB
+            assert peak < 2 << 20
+        assert builds[0] == 0
