@@ -214,9 +214,17 @@ def _transitive_closure(matrix: list[list[bool]]) -> list[list[bool]]:
     return closed
 
 
+def _clip(text: str, limit: int = 40) -> str:
+    """``text`` for an error message: whole up to ``limit`` characters, else
+    cut there and followed by its length, so no long input is echoed whole."""
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
 def _check_poset_size(size: int) -> None:
     if size > MAX_POSET_SIZE:
-        raise UsageError(f"poset size {size} exceeds the limit of {MAX_POSET_SIZE} elements")
+        raise UsageError(
+            f"poset size {_clip(str(size))} exceeds the limit of {MAX_POSET_SIZE} elements"
+        )
 
 
 def validate_poset(raw: Sequence[Sequence[bool]], labels: Sequence[str] = ()) -> PosetSpec:
@@ -254,7 +262,7 @@ def _build_poset(strict_pairs: Iterable[tuple[int, int]], size: int,
     matrix = [[False] * size for _ in range(size)]
     for a, b in strict_pairs:
         if not (0 <= a < size and 0 <= b < size):
-            raise UsageError(f"relation ({a},{b}) outside 0..{size - 1}")
+            raise UsageError(f"relation {_clip(f'({a},{b})')} outside 0..{size - 1}")
         matrix[a][b] = True
     return validate_poset(_transitive_closure(matrix), labels)
 
@@ -385,23 +393,22 @@ def _parse_family_line(line: str, lineno: int) -> int | None:
         try:
             return int(text, 16)
         except ValueError:
-            raise UsageError(f"line {lineno}: bad hex mask {text!r}") from None
+            raise UsageError(f"line {lineno}: bad hex mask {_clip(repr(text))}") from None
     if text.startswith("{"):
         if not text.endswith("}"):
-            raise UsageError(f"line {lineno}: unterminated braces in {text!r}")
+            raise UsageError(f"line {lineno}: unterminated braces in {_clip(repr(text))}")
         text = text[1:-1]
     bits = 0
     for token in text.replace(",", " ").split():
         try:
             e = int(token)
         except ValueError:
-            raise UsageError(f"line {lineno}: bad element {token!r}") from None
+            raise UsageError(f"line {lineno}: bad element {_clip(repr(token))}") from None
         if e < 1:
-            raise UsageError(f"line {lineno}: elements are 1-indexed, got {e}")
+            raise UsageError(f"line {lineno}: elements are 1-indexed, got {_clip(str(e))}")
         if e > MAX_GROUND_SIZE:  # before the shift, whose cost grows with e
-            raise UsageError(
-                f"line {lineno}: element {e} is above the largest ground size {MAX_GROUND_SIZE}"
-            )
+            raise UsageError(f"line {lineno}: element {_clip(str(e))} is above the "
+                             f"largest ground size {MAX_GROUND_SIZE}")
         bits |= 1 << (e - 1)
     return bits
 
@@ -451,7 +458,7 @@ def save_family(family: SetFamily, path) -> None:
 def parse_poset_json(text: str) -> PosetSpec:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer above Python's digit limit
         raise UsageError(f"bad poset JSON: {exc}") from None
     if not isinstance(obj, dict) or "size" not in obj or "less" not in obj:
         raise UsageError('poset JSON must be {"size": m, "less": [[a,b], ...]}')
@@ -459,17 +466,17 @@ def parse_poset_json(text: str) -> PosetSpec:
     # subclass of int, is not read as 0 or 1
     size = obj["size"]
     if type(size) is not int or size < 1:
-        raise UsageError(f"poset size must be a positive integer, got {size!r}")
+        raise UsageError(f"poset size must be a positive integer, got {_clip(repr(size))}")
     if not isinstance(obj["less"], list):
-        raise UsageError(f"poset \"less\" must be a list of pairs, got {obj['less']!r}")
+        raise UsageError(f"poset \"less\" must be a list of pairs, got {_clip(repr(obj['less']))}")
     pairs = []
     for item in obj["less"]:
         if not (isinstance(item, list) and len(item) == 2 and all(type(e) is int for e in item)):
-            raise UsageError(f"bad strict pair {item!r}")
+            raise UsageError(f"bad strict pair {_clip(repr(item))}")
         pairs.append(tuple(item))
     labels = obj.get("labels", [])
     if not (isinstance(labels, list) and all(isinstance(e, str) for e in labels)):
-        raise UsageError(f"poset labels must be a list of strings, got {labels!r}")
+        raise UsageError(f"poset labels must be a list of strings, got {_clip(repr(labels))}")
     return _build_poset(pairs, size, tuple(labels))
 
 

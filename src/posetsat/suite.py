@@ -5,7 +5,8 @@ The table rows are keyed to the claim identifiers used by the verify
 subcommand (lemma1, theorem2, theorem3, prop4, prop5, prop6) plus rows for
 the explicit constructions, the exact small-n oracle, and the embedding
 cross-check. Output is byte-stable for a fixed seed: nothing timed is
-printed.
+printed. Lemma 1 and theorems 2 and 3 run back to back on each
+butterfly-saturated instance, so the three share one saturation verdict.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .solver import (
     enumerate_saturated_families,
     sample_saturated_families,
 )
-from .theorems import _butterfly_saturated, _lemma1, _theorem2, _theorem3, verify_prop4
+from .theorems import lemma1_check, verify_prop4, verify_theorem2, verify_theorem3
 
 B_GREEDY_COUNTS = {5: 17, 6: 14, 7: 11, 8: 8}
 N_GREEDY_COUNTS = {5: 15, 6: 12, 7: 9, 8: 6, 9: 4, 10: 4}
@@ -195,20 +196,24 @@ def run_paper_suite(seed: int = 1, out=None, err=None) -> bool:
     progress("generating butterfly-saturated instances")
     b_instances = _instances(butterfly_poset(), exhaustive4, B_GREEDY_COUNTS, seed * 1000)
     progress("running singleton and pair analyses")
-    # one butterfly verdict per family serves all three claim checks
-    verdicts = [(fam, _butterfly_saturated(fam)) for fam in b_instances]
-    with_singletons = [v for v in verdicts if any(m.cardinality == 1 for m in v[0])]
-    skipped = len(verdicts) - len(with_singletons)
-    for key, check, pool, claim in (
-        ("lemma1", _lemma1, verdicts, "pair closure on {} saturated families"),
-        ("theorem2", _theorem2, verdicts, "singleton map injective with |F|>=n+1 on {} families"),
+    # back to back on one family, the three verifiers share one butterfly verdict
+    l1, t2, t3 = [], [], []
+    for fam in b_instances:
+        l1.append(lemma1_check(fam))
+        t2.append(verify_theorem2(fam))
+        if any(m.cardinality == 1 for m in fam):
+            t3.append(verify_theorem3(fam))
+    skipped = len(b_instances) - len(t3)
+    for key, reports, claim in (
+        ("lemma1", l1, "pair closure on {} saturated families"),
+        ("theorem2", t2, "singleton map injective with |F|>=n+1 on {} families"),
         (
-            "theorem3", _theorem3, with_singletons,
+            "theorem3", t3,
             "pair map injective with the binomial bound on {} families "
             f"({skipped} without singletons skipped)",
         ),
     ):
-        rows.append(_row_verifier(key, [check(*v) for v in pool], claim))
+        rows.append(_row_verifier(key, reports, claim))
     progress("generating N-saturated instances")
     n_small = [f for n in (2, 3, 4) for f in enumerate_saturated_families(n, n_poset())]
     n_instances = _instances(n_poset(), n_small, N_GREEDY_COUNTS, seed * 2000)

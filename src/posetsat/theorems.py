@@ -4,8 +4,8 @@ Each verifier re-derives its hypothesis (saturation of the input family)
 before checking the structural claims, and reports counterexamples instead of
 aborting: a failure here means either an implementation bug or a genuine
 discrepancy, and both need to be inspectable. The butterfly verifiers (lemma
-1, theorems 2 and 3) take one saturation verdict, which the claim battery
-computes once per family for all three.
+1, theorems 2 and 3) share one saturation verdict: the last one is cached,
+so the three run back to back on one family make one saturation report.
 
 The chevron machinery mirrors the injection arguments: a missing singleton
 {i} (or a missing pair with exactly one singleton present) must complete a
@@ -21,6 +21,7 @@ same way, with the members that map to themselves added to the images.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, isqrt
 
 from .core import SetFamily, SubsetMask, butterfly_poset, n_poset
@@ -125,7 +126,11 @@ def _refused(
     return _report(theorem, family, bound, {"reason": reason}, k, hold=False)
 
 
+@lru_cache(maxsize=1)
 def _butterfly_saturated(family: SetFamily) -> bool:
+    """Whether ``family`` is butterfly-saturated. A family is immutable and
+    hashable, so the last verdict serves every verifier called next on an
+    equal family."""
     return saturation_report(family, butterfly_poset()).saturated
 
 
@@ -252,24 +257,9 @@ def lemma1_check(family: SetFamily) -> TheoremReport:
     """Pair closure on singletons: if {i} and {j} are members of a
     butterfly-saturated family, so is {i,j}. The closure scan runs even when
     the saturation hypothesis fails, so the report carries both facts."""
-    return _lemma1(family, _butterfly_saturated(family))
-
-
-def verify_theorem2(family: SetFamily) -> TheoremReport:
-    """Size bound |F| >= n+1 for butterfly-saturated families, via the
-    injective singleton/chevron map and the membership of the empty set."""
-    return _theorem2(family, _butterfly_saturated(family))
-
-
-def verify_theorem3(family: SetFamily) -> TheoremReport:
-    """Size bound |F| >= C(k,2) + k(n-k) for butterfly-saturated families with
-    k >= 1 singletons, via the injective pair/chevron map."""
-    return _theorem3(family, _butterfly_saturated(family))
-
-
-def _lemma1(family: SetFamily, saturated: bool) -> TheoremReport:
     if family.ground.n < 2:
         return _refused("L1", family, _SMALL_GROUND)
+    saturated = _butterfly_saturated(family)
     singles = _singleton_bits(family)
     missing = _missing_singleton_pair(family, singles)
     counterexample = None if missing is None else {"missing_pair": missing}
@@ -292,12 +282,14 @@ def _injection_failure(family: SetFamily, assign, fixed: list[int]) -> dict | No
     return None
 
 
-def _theorem2(family: SetFamily, saturated: bool) -> TheoremReport:
+def verify_theorem2(family: SetFamily) -> TheoremReport:
+    """Size bound |F| >= n+1 for butterfly-saturated families, via the
+    injective singleton/chevron map and the membership of the empty set."""
     n = family.ground.n
     if n < 2:
         return _refused("T2", family, _SMALL_GROUND)
     bound = n + 1
-    if not saturated:
+    if not _butterfly_saturated(family):
         return _refused("T2", family, "family is not butterfly-saturated", bound)
     # present singletons map to themselves
     counterexample = _injection_failure(family, theorem2_assignment, _singleton_bits(family))
@@ -308,14 +300,16 @@ def _theorem2(family: SetFamily, saturated: bool) -> TheoremReport:
     return _report("T2", family, bound, counterexample)
 
 
-def _theorem3(family: SetFamily, saturated: bool) -> TheoremReport:
+def verify_theorem3(family: SetFamily) -> TheoremReport:
+    """Size bound |F| >= C(k,2) + k(n-k) for butterfly-saturated families with
+    k >= 1 singletons, via the injective pair/chevron map."""
     n = family.ground.n
     if n < 2:
         return _refused("T3", family, _SMALL_GROUND)
     singles = _singleton_bits(family)
     k = len(singles)
     bound = comb(k, 2) + k * (n - k)
-    if not saturated:
+    if not _butterfly_saturated(family):
         return _refused("T3", family, "family is not butterfly-saturated", bound, k)
     if k == 0:
         return _refused("T3", family, "no singletons present; the bound is vacuous", bound, k)
@@ -335,20 +329,22 @@ def _theorem3(family: SetFamily, saturated: bool) -> TheoremReport:
     return _report("T3", family, bound, counterexample, k)
 
 
+def _difference_pairs(bits) -> list[tuple[int, int, int]]:
+    """Every ordered member pair (F, G) whose difference F minus G is one
+    element, as (F, G, F minus G), in the order of ``bits`` for F, then G."""
+    return [(f, g, d) for f in bits for g in bits if (d := f & ~g).bit_count() == 1]
+
+
 def difference_pair_cover(family: SetFamily) -> dict:
     """For every ground element i, an ordered member pair (F, G) with
     F minus G = {i}. Assumes N-saturation; an uncovered element breaks the
     guarantee and raises."""
     ground = family.ground
-    bits = family.bit_list
     cover: dict = {}
-    for f in bits:
-        for g in bits:
-            d = f & ~g
-            if d and d & (d - 1) == 0:
-                i = d.bit_length()
-                if i not in cover:
-                    cover[i] = (SubsetMask(f, ground), SubsetMask(g, ground))
+    for f, g, d in _difference_pairs(family.bit_list):
+        i = d.bit_length()
+        if i not in cover:
+            cover[i] = (SubsetMask(f, ground), SubsetMask(g, ground))
     uncovered = [i for i in range(1, ground.n + 1) if i not in cover]
     if uncovered:
         raise ContractViolationError(
@@ -360,30 +356,24 @@ def difference_pair_cover(family: SetFamily) -> dict:
 
 def _strong_difference_check(family: SetFamily) -> dict | None:
     """Per-member claim: for each member F and each i in F there are members
-    A, B with A inside F and A minus B = {i}. Returns a counterexample or None."""
+    A, B with A inside F and A minus B = {i}. Returns a counterexample (the
+    first member in order, and its least uncovered element) or None."""
     bits = family.bit_list
+    isolated = dict.fromkeys(bits, 0)  # member A -> the elements A minus B isolates
+    for a, _, d in _difference_pairs(bits):
+        isolated[a] |= d
     for f in bits:
-        rest = f
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            found = False
-            for a in bits:
-                if a & f != a or not a & low:
-                    continue
-                for b in bits:
-                    if a & ~b == low:
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
-                ground = family.ground
-                return {
-                    "member": list(SubsetMask(f, ground).elements()),
-                    "element": low.bit_length(),
-                    "reason": "no inner difference pair",
-                }
+        covered = 0
+        for a, d in isolated.items():
+            if a & f == a:
+                covered |= d
+        uncovered = f & ~covered
+        if uncovered:
+            return {
+                "member": list(SubsetMask(f, family.ground).elements()),
+                "element": (uncovered & -uncovered).bit_length(),
+                "reason": "no inner difference pair",
+            }
     return None
 
 

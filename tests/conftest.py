@@ -10,6 +10,14 @@ from posetsat import (
     n_poset,
     validate_poset,
 )
+from posetsat.theorems import _butterfly_saturated
+
+
+@pytest.fixture(autouse=True)
+def _no_cached_butterfly_verdict():
+    """The butterfly verifiers cache their last saturation verdict; each test
+    starts without one, so no result depends on the order tests run in."""
+    _butterfly_saturated.cache_clear()
 
 
 @pytest.fixture(scope="session")

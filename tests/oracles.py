@@ -76,3 +76,17 @@ def naive_cover_edges(bits):
         for j, b in enumerate(bits)
         if proper(a, b) and not any(proper(a, c) and proper(c, b) for c in bits)
     ]
+
+
+def naive_strong_difference(bits, n):
+    """The first member F (in the order of ``bits``) and least element i of
+    F with no members A, B such that A lies inside F and A minus B = {i}, as
+    ``(F, i)``; None when there is none."""
+    for f in bits:
+        for i in range(1, n + 1):
+            single = 1 << (i - 1)
+            if f & single and not any(
+                a & f == a and a & ~b == single for a in bits for b in bits
+            ):
+                return f, i
+    return None

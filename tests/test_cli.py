@@ -241,6 +241,50 @@ class TestElementsAboveTheGroundLimit:
         assert err == "error: line 1: element 24 does not fit in ground set of size 2\n"
 
 
+class TestLongInputsInErrors:
+    """A bad value in a family or poset file is echoed cut short: the error
+    is one line under 200 bytes however long the value."""
+
+    FAMILY_LINES = {
+        "token": "x" * 100_000,
+        "element": "9" * 4_000,
+        "below-one": "-" + "9" * 4_000,
+        "over-digit-limit": "9" * 5_000,
+        "hex-mask": "0x" + "g" * 50_000,
+        "braces": "{" + "1," * 50_000,
+    }
+    POSETS = {
+        "less": json.dumps({"size": 4, "less": "x" * 100_000}),
+        "pair": json.dumps({"size": 4, "less": [[0, 1], list(range(50_000))]}),
+        "labels": json.dumps({"size": 2, "less": [], "labels": ["x" * 100_000, 3]}),
+        "size-type": json.dumps({"size": "x" * 100_000, "less": []}),
+        "size-value": json.dumps({"size": 10 ** 4_000, "less": []}),
+        "relation": json.dumps({"size": 3, "less": [[10 ** 4_000, 1]]}),
+        # above Python's int digit limit, which json.loads raises ValueError for
+        "over-digit-limit": '{"size": ' + "9" * 5_000 + ', "less": []}',
+    }
+
+    def assert_short_error(self, capsys, *argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_LINES))
+    def test_family_line(self, capsys, tmp_path, name):
+        path = tmp_path / "fam.txt"
+        path.write_text("{1}\n" + self.FAMILY_LINES[name] + "\n")
+        self.assert_short_error(capsys, "check", "--poset", "b", "--in", str(path))
+
+    @pytest.mark.parametrize("name", sorted(POSETS))
+    def test_poset_json(self, capsys, tmp_path, name):
+        poset = tmp_path / "q.json"
+        poset.write_text(self.POSETS[name])
+        fam = tmp_path / "fam.txt"
+        fam.write_text("{1}\n")
+        self.assert_short_error(capsys, "check", "--poset", str(poset), "--in", str(fam))
+
+
 class TestGreedy:
     def test_empty_seed_closes_power_set(self, capsys):
         code, out, _ = invoke(capsys, "greedy", "--poset", "butterfly", "--n", "3")

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -140,6 +141,14 @@ class TestExactSatStar:
         assert not res.exact
         assert saturation_report(res.certificate, butterfly).saturated
         assert res.value <= len(butterfly_construction(6))
+
+    def test_budget_is_checked_at_every_walk_node(self, butterfly):
+        # one walk node at n = 13 scans about 8k positions against 157
+        # lattice maps, so a deadline read every 256 nodes overran by seconds
+        t0 = time.perf_counter()
+        res = exact_sat_star(13, butterfly, budget_s=0.2)
+        assert not res.exact
+        assert time.perf_counter() - t0 < 1.2
 
     @pytest.mark.parametrize("budget", [float("nan"), -1.0])
     def test_budget_must_be_a_non_negative_number(self, butterfly, budget):

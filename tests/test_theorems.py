@@ -3,6 +3,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from posetsat import (
     Chevron,
@@ -29,6 +30,7 @@ from posetsat import (
 from posetsat import saturation, suite, theorems
 
 from conftest import family
+from oracles import naive_strong_difference
 
 
 @pytest.fixture(scope="module")
@@ -378,6 +380,58 @@ def test_battery_makes_one_butterfly_verdict_per_family(monkeypatch):
     assert len(calls) == 267
 
 
+def test_verifiers_share_one_verdict_per_family(monkeypatch):
+    calls = []
+
+    def counted(fam, q):
+        calls.append(fam)
+        return saturation.saturation_report(fam, q)
+
+    monkeypatch.setattr(theorems, "saturation_report", counted)
+    first, second = butterfly_construction(5), butterfly_construction(6)
+    for fam in (first, second):
+        for verify in (lemma1_check, verify_theorem2, verify_theorem3):
+            assert verify(fam).passed
+    assert calls == [first, second]
+
+
+class TestStrongDifferenceOracle:
+    """``_strong_difference_check`` agrees with the definition, on passing
+    families and, through the counterexample's member and element, on
+    failing ones."""
+
+    @staticmethod
+    def assert_agrees(fam):
+        got = theorems._strong_difference_check(fam)
+        want = naive_strong_difference(fam.bit_list, fam.ground.n)
+        if want is None:
+            assert got is None
+        else:
+            member, element = want
+            assert got == {
+                "member": list(SubsetMask(member, fam.ground).elements()),
+                "element": element,
+                "reason": "no inner difference pair",
+            }
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_n_saturated_family(self, nposet, n):
+        for fam in enumerate_saturated_families(n, nposet):
+            self.assert_agrees(fam)
+
+    @given(
+        st.sampled_from([4, 5]).flatmap(
+            lambda n: st.builds(
+                SetFamily.from_masks,
+                st.just(GroundSet(n)),
+                st.sets(st.integers(0, (1 << n) - 1), max_size=10),
+            )
+        )
+    )
+    def test_any_family(self, fam):
+        self.assert_agrees(fam)
+
+
 NO_CHEVRON = "no butterfly through the missing {} {}; the family cannot be butterfly-saturated"
 NOT_MEMBER = "chevron image {} for {} {} is not a family member"
 
@@ -399,13 +453,17 @@ def _empty_assignment(family):
 
 
 class TestInjectionFailures:
-    """Each failure branch of theorems 2 and 3, reached with the saturation
-    verdict passed in as the battery does. No saturated family reaches
-    them, so the families are built by hand and, where the paper's argument
-    rules a branch out, the chevron search or the map is replaced."""
+    """Each failure branch of theorems 2 and 3. No saturated family reaches
+    them, so the saturation verdict is replaced, the families are built by
+    hand and, where the paper's argument rules a branch out, the chevron
+    search or the map is replaced."""
+
+    @pytest.fixture(autouse=True)
+    def _saturated(self, monkeypatch):
+        monkeypatch.setattr(theorems, "_butterfly_saturated", lambda fam: True)
 
     def test_t2_no_chevron(self):
-        rep = theorems._theorem2(family(3, [], [1, 2, 3]), True)
+        rep = verify_theorem2(family(3, [], [1, 2, 3]))
         assert rep.counterexample == {
             "singleton": [1], "reason": NO_CHEVRON.format("singleton", "{1}"),
         }
@@ -413,7 +471,7 @@ class TestInjectionFailures:
 
     def test_t2_image_not_a_member(self):
         fam = family(4, [], [2], [1, 2, 3], [1, 2, 4])
-        assert theorems._theorem2(fam, True).counterexample == {
+        assert verify_theorem2(fam).counterexample == {
             "singleton": [1], "reason": NOT_MEMBER.format("{1,2}", "singleton", "{1}"),
         }
         with pytest.raises(ContractViolationError) as exc:
@@ -426,37 +484,37 @@ class TestInjectionFailures:
             (1,): ((1, 2), (2, 3), (2,)),
             (2,): ((1, 2), (1, 3), (1,)),
         })
-        rep = theorems._theorem2(family(3, [], [3], [1, 2]), True)
+        rep = verify_theorem2(family(3, [], [3], [1, 2]))
         assert rep.counterexample == {"reason": "map is not injective"}
 
     def test_t2_empty_set_missing(self):
-        rep = theorems._theorem2(family(2, [1], [2], [1, 2]), True)
+        rep = verify_theorem2(family(2, [1], [2], [1, 2]))
         assert rep.counterexample == {"reason": "empty set missing from the family"}
 
     def test_t2_size_below_bound(self, monkeypatch):
         # an injective map into the family forces the bound, so the map is
         # replaced by one that assigns nothing
         monkeypatch.setattr(theorems, "theorem2_assignment", _empty_assignment)
-        rep = theorems._theorem2(family(3, [], [1, 2, 3]), True)
+        rep = verify_theorem2(family(3, [], [1, 2, 3]))
         assert rep.counterexample == {"reason": "size below bound", "bound": 4}
 
     def test_t3_lemma1_pair_comes_first(self):
         # {1,2} has no chevron, but the missing pair of lemma 1 is reported
-        rep = theorems._theorem3(family(3, [], [2], [3], [1, 2, 3]), True)
+        rep = verify_theorem3(family(3, [], [2], [3], [1, 2, 3]))
         assert rep.counterexample == {
             "pair": [2, 3], "reason": "both singletons present but the pair is missing",
         }
         assert rep.k == 2 and rep.hypotheses_hold and not rep.passed
 
     def test_t3_no_chevron(self):
-        rep = theorems._theorem3(family(3, [], [1], [1, 2, 3]), True)
+        rep = verify_theorem3(family(3, [], [1], [1, 2, 3]))
         assert rep.counterexample == {
             "pair": [1, 2], "reason": NO_CHEVRON.format("pair", "{1,2}"),
         }
 
     def test_t3_image_not_a_member(self):
         fam = family(6, [], [1], [3, 4], [1, 2, 3, 4, 5], [1, 2, 3, 4, 6])
-        assert theorems._theorem3(fam, True).counterexample == {
+        assert verify_theorem3(fam).counterexample == {
             "pair": [1, 2], "reason": NOT_MEMBER.format("{1,2,3,4}", "pair", "{1,2}"),
         }
 
@@ -466,12 +524,12 @@ class TestInjectionFailures:
             (1, 2): ((1, 3), (2, 3), (3,)),
             (1, 3): ((1, 2), (2, 3), (2,)),
         })
-        rep = theorems._theorem3(family(3, [], [1], [1, 2, 3]), True)
+        rep = verify_theorem3(family(3, [], [1], [1, 2, 3]))
         assert rep.counterexample == {"reason": "map is not injective"}
 
     def test_t3_size_below_bound(self, monkeypatch):
         monkeypatch.setattr(theorems, "theorem3_assignment", _empty_assignment)
-        rep = theorems._theorem3(family(3, [1]), True)
+        rep = verify_theorem3(family(3, [1]))
         assert rep.counterexample == {"reason": "size below bound", "bound": 2}
 
 
