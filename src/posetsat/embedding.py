@@ -4,21 +4,26 @@ poset and produce a checkable witness.
 An induced copy is an injective assignment of poset elements to family
 members that reproduces the strict order exactly: x below y iff the image of
 x is a proper subset of the image of y, and incomparable elements map to
-incomparable sets. The search backtracks over poset elements in descending
-constraint order; candidate sets are pruned by intersecting precomputed
-relation bitsets over member indices, so the hot loops run on machine-word
-operations.
+incomparable sets. The search backtracks over poset elements in
+comparability-first order: after the forced elements, each step places the
+element comparable to the most elements already placed, since a subset or
+superset bitset cuts the candidates far more than an incomparability one.
+Candidate sets are bitsets over member indices, cut by intersecting
+precomputed relation bitsets, so the hot loops run on machine-word
+operations. The search checks forward: each node carries, for every later
+step, the members that fit against all elements placed so far, and a branch
+ends as soon as one of those domains is empty.
 
 Each poset and tuple of forced elements has a cached plan: the search
-order, forced elements first, and per depth the earlier elements whose
-relation bitsets constrain the candidate, so a node touches only assigned
-elements. Twins, elements with identical relation rows (such as the bottoms
-or the tops of ``K_{s,t}``), must take ascending member indices in search
-order; forced elements are left out of their twin chains. The ordering
-changes no witness: swapping two out-of-order twins gives another copy that
-comes earlier in search order, so the first copy found already has its
-twins in ascending order. A forced search tries the forced member only at
-the least element of each twin class.
+order and per depth the earlier elements whose relation bitsets constrain
+the candidate; the completion walks follow the same order. Twins, elements
+with identical relation rows (such as the bottoms or the tops of
+``K_{s,t}``), must take ascending member indices in search order; forced
+elements are left out of their twin chains. The ordering changes no
+witness: swapping two out-of-order twins gives another copy that comes
+earlier in search order, so the first copy found already has its twins in
+ascending order. A forced search tries the forced member only at the least
+element of each twin class.
 
 The index can also track one poset: it keeps the bitmap of the missing sets
 whose addition keeps the family free, and a family is saturated exactly
@@ -34,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import and_
 from typing import Optional, Sequence
 
 from .core import GroundSet, PosetSpec, SetFamily, SubsetMask
@@ -44,9 +50,9 @@ _BELOW, _ABOVE, _NONE = 1, 2, 0
 
 @lru_cache(maxsize=None)
 def _poset_tables(q: PosetSpec):
-    """Relation codes, search order, the least element of each twin class
-    for a poset, and the pairs (p, x) of such a class head p and the least
-    element x of a twin class of q - p.
+    """Relation codes, the least element of each twin class for a poset,
+    and the pairs (p, x) of such a class head p and the least element x of
+    a twin class of q - p.
 
     A forced search and ``completing_sets`` place the forced member or the
     new set only at these class heads, and a completion walk through a new
@@ -56,22 +62,18 @@ def _poset_tables(q: PosetSpec):
     copy with that set at the other."""
     m = q.size
     rel = [[_NONE] * m for _ in range(m)]
-    degree = [0] * m
     for a in range(m):
         for b in range(m):
             if q.less[a][b]:
                 rel[a][b] = _BELOW
                 rel[b][a] = _ABOVE
-                degree[a] += 1
-                degree[b] += 1
-    order = tuple(sorted(range(m), key=lambda x: (-degree[x], x)))
     rel = tuple(tuple(row) for row in rel)
     heads = tuple(x for x, row in enumerate(rel) if rel.index(row) == x)
     pairs = tuple(
         (p, x) for p in heads for x in range(m)
         if x != p and x == next(y for y in range(m) if y != p and rel[y] == rel[x])
     )
-    return rel, order, heads, pairs
+    return rel, heads, pairs
 
 
 @lru_cache(maxsize=None)
@@ -79,13 +81,36 @@ def _search_plan(q: PosetSpec, forced: tuple[int, ...]):
     """Search order, per-depth relation checks and twin chains for one search
     of ``q`` with the ``forced`` elements placed first, in the given order.
 
-    ``checks[d]`` lists (earlier element, relation code) pairs that the
-    candidate at depth d must satisfy; ``prev[d]`` is the previous element
-    of its twin class in search order, or -1. Forced elements are left out
-    of their twin chains: swapping one with a twin would move its member.
+    After them, each step takes the unplaced element comparable to the most
+    placed ones; ties go to the element comparable to the most elements of
+    q, then to the smaller label. So the bottoms and tops of ``K_{3,3}``
+    alternate, 0, 3, 1, 4, 2, 5, and each step after the first must fit at
+    least one subset or superset relation. ``checks[d]`` lists (earlier
+    element, relation code) pairs that the candidate at depth d must
+    satisfy; ``prev[d]`` is the previous element of its twin class in
+    search order, or -1. Forced elements are left out of their twin chains:
+    swapping one with a twin would move its member.
     """
-    rel, order = _poset_tables(q)[:2]
-    order = forced + tuple(x for x in order if x not in forced)
+    rel = _poset_tables(q)[0]
+    rest = sorted(
+        (x for x in range(q.size) if x not in forced),
+        key=lambda x: (-sum(r != _NONE for r in rel[x]), x),
+    )
+    order = []
+    placed = [0] * q.size  # per element, the placed elements comparable to it
+
+    def place(x: int) -> None:
+        order.append(x)
+        for y, r in enumerate(rel[x]):
+            placed[y] += r != _NONE
+
+    for x in forced:
+        place(x)
+    while rest:  # max keeps the first of equals, so ties go by rest's order
+        x = max(rest, key=placed.__getitem__)
+        rest.remove(x)
+        place(x)
+    order = tuple(order)
     checks = tuple(
         tuple((y, rel[x][y]) for y in order[:d]) for d, x in enumerate(order)
     )
@@ -150,7 +175,7 @@ class _FamilyIndex:
         against p and with the relation code of p to its element. Then
         builds every member's regions and runs one completion pass over
         every missing set."""
-        rel, _, heads, pairs = _poset_tables(q)
+        rel, heads, pairs = _poset_tables(q)
 
         def bind(fixed):
             return fixed, rel[fixed[0]][fixed[-1]], [
@@ -215,41 +240,69 @@ class _FamilyIndex:
             for d, x in enumerate(order)
         ]
 
+    def _ahead(self, q: PosetSpec, forced: tuple[int, ...]):
+        """``_steps(q, forced)`` turned forward for ``search``: per step its
+        element; per member i the relation bitsets of i that the checks of
+        the later steps against this element read, in step order; and the
+        offset among the later steps of the next element of its twin chain,
+        or -1."""
+        steps = self._steps(q, forced)
+        ahead = []
+        for d, (x, _, _) in enumerate(steps):
+            later = steps[d + 1:]
+            tables = [checks[d][1] for _, checks, _ in later]
+            # the last step cuts no domain
+            rows = list(zip(*tables)) if tables else [()] * len(self.bits)
+            twin = next((k for k, (_, _, prev) in enumerate(later) if prev == x), -1)
+            ahead.append((x, rows, twin))
+        return ahead
+
     def search(self, q: PosetSpec, forced_index: int | None = None) -> list[int] | None:
         """Assignment of poset elements to member indices, or None. When
-        ``forced_index`` is given, that member appears in the image."""
+        ``forced_index`` is given, that member appears in the image.
+
+        A node at depth d holds the domains of steps d onward: the members
+        that fit against every element placed so far. Placing member i at
+        step d cuts each later domain by the relation bitset of i that the
+        later element's relation to this one picks, and the next twin's to
+        indices above i. A relation bitset of i never holds i, so no domain
+        holds a used member, and the branch ends when a domain is empty.
+        That drops only members that lead to no copy, so the search still
+        returns the first copy in search order."""
         m = q.size
         if m > len(self.bits):
             return None
         members = (1 << len(self.bits)) - 1
         assign = [-1] * m
 
-        def backtrack(steps, depth: int, used: int) -> bool:
+        def backtrack(ahead, depth: int, domains: list[int]) -> bool:
             if depth == m:
                 return True
-            x, checks, prev = steps[depth]
-            cand = members & ~used
-            for y, table in checks:
-                cand &= table[assign[y]]
-            if prev >= 0:  # only indices above the previous twin's
-                cand &= -(2 << assign[prev])
+            x, rows, twin = ahead[depth]
+            cand, rest = domains[0], domains[1:]
             while cand:
                 low = cand & -cand
                 cand ^= low
-                assign[x] = low.bit_length() - 1
-                if backtrack(steps, depth + 1, used | low):
-                    return True
+                i = low.bit_length() - 1
+                later = list(map(and_, rest, rows[i]))
+                if twin >= 0:  # only indices above this twin's
+                    later[twin] &= -(2 << i)
+                if all(later):
+                    assign[x] = i
+                    if backtrack(ahead, depth + 1, later):
+                        return True
             return False
 
-        if forced_index is None:
-            found = backtrack(self._steps(q), 0, 0)
-        else:  # the forced element takes the forced member; the walk starts after it
-            found = False
-            for p in _poset_tables(q)[2]:
-                assign[p] = forced_index
-                found = backtrack(self._steps(q, (p,)), 1, 1 << forced_index)
-                if found:
-                    break
+        found = False
+        # a forced search tries the forced member at each class head in turn
+        for p in (None,) if forced_index is None else _poset_tables(q)[1]:
+            forced = () if p is None else (p,)
+            domains = [members] * m
+            if forced:
+                domains[0] = 1 << forced_index
+            found = backtrack(self._ahead(q, forced), 0, domains)
+            if found:
+                break
         del backtrack  # it refers to itself; unbound, it leaves no garbage cycle
         return list(assign) if found else None
 

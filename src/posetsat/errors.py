@@ -22,11 +22,18 @@ class PosetValidationError(UsageError):
 
     ``violations`` lists every offending cell as ``(axiom, a, b)`` tuples with
     axiom one of ``"reflexivity"``, ``"antisymmetry"``, ``"transitivity"``.
+    The message names the first ``SHOWN`` of them and counts the rest, so it
+    stays one short line however many cells are wrong.
     """
+
+    SHOWN = 3
 
     def __init__(self, violations):
         self.violations = tuple(violations)
-        detail = "; ".join(f"{axiom} at ({a},{b})" for axiom, a, b in self.violations)
+        shown = self.violations[:self.SHOWN]
+        detail = "; ".join(f"{axiom} at ({a},{b})" for axiom, a, b in shown)
+        if len(self.violations) > len(shown):
+            detail += f"; and {len(self.violations) - len(shown)} more"
         super().__init__(f"not a strict partial order: {detail}")
 
 

@@ -262,6 +262,10 @@ class TestLongInputsInErrors:
         "relation": json.dumps({"size": 3, "less": [[10 ** 4_000, 1]]}),
         # above Python's int digit limit, which json.loads raises ValueError for
         "over-digit-limit": '{"size": ' + "9" * 5_000 + ', "less": []}',
+        # every ordered pair of 64 elements: thousands of violated cells
+        "all-pairs": json.dumps(
+            {"size": 64, "less": [[a, b] for a in range(64) for b in range(64)]}
+        ),
     }
 
     def assert_short_error(self, capsys, *argv):

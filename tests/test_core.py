@@ -157,6 +157,27 @@ class TestValidatePoset:
             validate_poset(raw)
         assert ("antisymmetry", 0, 1) in exc.value.violations
 
+    def test_message_names_a_few_cells_and_counts_the_rest(self):
+        with pytest.raises(PosetValidationError) as exc:
+            validate_poset([[True] * 64 for _ in range(64)])
+        violations = exc.value.violations
+        assert {("reflexivity", a, a) for a in range(64)} <= set(violations)
+        pairs = {("antisymmetry", a, b) for a in range(64) for b in range(a + 1, 64)}
+        assert pairs <= set(violations)
+        shown = PosetValidationError.SHOWN
+        message = str(exc.value)
+        assert message.count(" at (") == shown
+        assert message.endswith(f"; and {len(violations) - shown} more")
+        assert len(message) < 200
+
+    def test_few_violations_are_all_named(self):
+        with pytest.raises(PosetValidationError) as exc:
+            validate_poset([[False, True], [True, False]])
+        assert str(exc.value) == (
+            "not a strict partial order: antisymmetry at (0,1); "
+            "transitivity at (0,0); transitivity at (1,1)"
+        )
+
     def test_non_square(self):
         with pytest.raises(UsageError):
             validate_poset([[False, True]])

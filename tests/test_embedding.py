@@ -23,7 +23,7 @@ from posetsat import (
 )
 from posetsat import embedding
 from posetsat.core import _transitive_closure
-from posetsat.embedding import _FamilyIndex, _poset_tables, _regions
+from posetsat.embedding import _FamilyIndex, _poset_tables, _regions, _search_plan
 from posetsat.hasse import cover_edges
 from posetsat.saturation import saturation_report
 
@@ -185,7 +185,7 @@ class TestTwinClassHeads:
     @pytest.mark.parametrize("name", list(TWIN_HEADS))
     def test_representatives(self, name):
         q, reps = TWIN_HEADS[name]
-        assert _poset_tables(q)[2] == reps
+        assert _poset_tables(q)[1] == reps
 
     @given(name=st.sampled_from(list(TWIN_HEADS)), data=st.data())
     def test_relabelling_is_isomorphic(self, name, data):
@@ -197,11 +197,11 @@ class TestTwinClassHeads:
         relabelled = validate_poset(less)
         assert poset_isomorphic(q, relabelled)
         assert poset_isomorphic(relabelled, q)
-        assert len(_poset_tables(relabelled)[2]) == len(reps)
+        assert len(_poset_tables(relabelled)[1]) == len(reps)
 
     def test_twin_classes_collapse(self):
         # 2 * (8!)^2 automorphisms; one bottom and one top represent them all
-        assert _poset_tables(complete_bipartite_poset(8, 8))[2] == (0, 8)
+        assert _poset_tables(complete_bipartite_poset(8, 8))[1] == (0, 8)
 
     @given(
         size=st.integers(1, 6),
@@ -215,7 +215,7 @@ class TestTwinClassHeads:
         # each automorphism orbit is a union of twin classes, so the least
         # element of an orbit heads its own twin class
         q = relabelled_poset(size, pairs, perm)
-        heads = _poset_tables(q)[2]
+        heads = _poset_tables(q)[1]
         assert heads == twin_heads(q)
         assert set(naive_orbit_representatives(q)) <= set(heads)
 
@@ -236,17 +236,33 @@ class TestPosetIsomorphic:
         assert poset_isomorphic(p, q) == expected
 
 
+def comparability_first(q, forced=()):
+    """The search order, restated from its rule: the ``forced`` elements,
+    then at each step the unplaced element comparable to the most placed
+    ones, ties going to the element comparable to the most elements, then
+    to the smaller label."""
+
+    def comparable(x, ys):
+        return sum(q.less[x][y] or q.less[y][x] for y in ys)
+
+    order = list(forced)
+    while len(order) < q.size:
+        order.append(min(
+            (x for x in range(q.size) if x not in order),
+            key=lambda x: (-comparable(x, order), -comparable(x, range(q.size)), x),
+        ))
+    return tuple(order)
+
+
 def twin_chains(q, forced=None):
     """Twin classes (elements with identical relation rows) with at least two
-    members, each in the search order of ``_poset_tables``, the forced
-    element placed first and left out."""
-    rel, order = _poset_tables(q)[:2]
-    if forced is not None:
-        order = (forced,) + tuple(x for x in order if x != forced)
+    members, each in comparability-first search order, the forced element
+    placed first and left out."""
+    rows = [(q.less[x], tuple(row[x] for row in q.less)) for x in range(q.size)]
     classes = {}
-    for x in order:
+    for x in comparability_first(q, () if forced is None else (forced,)):
         if x != forced:
-            classes.setdefault(rel[x], []).append(x)
+            classes.setdefault(rows[x], []).append(x)
     return tuple(tuple(c) for c in classes.values() if len(c) > 1)
 
 
@@ -255,7 +271,7 @@ def twin_chains(q, forced=None):
 TWIN_CHAINS = {
     "B": {None: ((0, 1), (2, 3)), 0: ((2, 3),), 2: ((0, 1),)},
     "N": {None: (), 0: (), 1: (), 2: (), 3: ()},
-    "K33": {None: ((0, 1, 2), (3, 4, 5)), 0: ((1, 2), (3, 4, 5)), 3: ((0, 1, 2), (4, 5))},
+    "K33": {None: ((0, 1, 2), (3, 4, 5)), 0: ((3, 4, 5), (1, 2)), 3: ((0, 1, 2), (4, 5))},
     "bipartite(2,3)": {None: ((0, 1), (2, 3, 4)), 0: ((2, 3, 4),), 2: ((0, 1), (3, 4))},
     "chain-3": {None: (), 0: (), 1: (), 2: ()},
     "antichain-3": {None: ((0, 1, 2),), 0: ((1, 2),)},
@@ -270,42 +286,80 @@ TWIN_POSETS = {
 }
 
 
+# poset -> search order of the unforced search, then of the search forced at
+# each twin class head; the bottoms and tops of K_{s,t} alternate
+SEARCH_ORDERS = {
+    "B": {None: (0, 2, 1, 3), 0: (0, 2, 1, 3), 2: (2, 0, 1, 3)},
+    "N": {None: (1, 2, 0, 3), 0: (0, 1, 2, 3), 1: (1, 2, 0, 3), 2: (2, 1, 0, 3), 3: (3, 2, 1, 0)},
+    "K33": {None: (0, 3, 1, 4, 2, 5), 0: (0, 3, 1, 4, 2, 5), 3: (3, 0, 1, 4, 2, 5)},
+    "bipartite(2,3)": {None: (0, 2, 1, 3, 4), 0: (0, 2, 1, 3, 4), 2: (2, 0, 1, 3, 4)},
+    "chain-3": {None: (0, 1, 2), 0: (0, 1, 2), 1: (1, 0, 2), 2: (2, 0, 1)},
+}
+
+
+@st.composite
+def planted_k33_families(draw):
+    """A family over [6] with the sets of a relabelled copy of K_{3,3}
+    (three singletons below three 4-sets), but for at most one, and up to
+    three others; at most nine members, so the naive oracle stays fast."""
+    perm = draw(st.permutations(range(6)))
+    low = sum(1 << perm[i] for i in range(3))
+    planted = {1 << perm[i] for i in range(3)} | {low | 1 << perm[i] for i in range(3, 6)}
+    dropped = draw(st.sets(st.sampled_from(sorted(planted)), max_size=1))
+    extra = draw(st.sets(st.integers(0, 63), max_size=3))
+    return SetFamily.from_masks(GroundSet(6), planted - dropped | extra)
+
+
 class TestTwinOrdering:
     @pytest.mark.parametrize("name", list(TWIN_CHAINS))
     def test_twin_chains_pinned(self, name):
         q = TWIN_POSETS[name]
         expected = TWIN_CHAINS[name]
-        assert set(expected) == {None, *_poset_tables(q)[2]}
+        assert set(expected) == {None, *_poset_tables(q)[1]}
         for forced, chains in expected.items():
             assert twin_chains(q, forced) == chains
 
     @pytest.mark.parametrize("name", list(TWIN_CHAINS))
     def test_search_plan_follows_twin_chains(self, name):
-        from posetsat.embedding import _search_plan
-
         q = TWIN_POSETS[name]
         for forced, chains in TWIN_CHAINS[name].items():
             order, _, prev = _search_plan(q, () if forced is None else (forced,))
             links = {(p, x) for p, x in zip(prev, order) if p >= 0}
             assert links == {pair for chain in chains for pair in zip(chain, chain[1:])}
 
-    @given(fam=small_family)
-    @settings(max_examples=80, deadline=None)
-    def test_witness_is_first_in_search_order(self, fam, butterfly, nposet):
-        for q in (butterfly, nposet):
-            order = _poset_tables(q)[1]
-            keyed = [
-                tuple(fam.bit_list.index(tup[x]) for x in order)
-                for tup in naive_witnesses(fam.bit_list, q)
-            ]
-            w = find_induced_copy(fam, q)
-            if not keyed:
-                assert w is None
-                continue
-            first = min(keyed)
-            assert [fam.bit_list.index(s.bits) for s in w.assignment] == [
-                first[order.index(x)] for x in range(q.size)
-            ]
+    @pytest.mark.parametrize("name", list(SEARCH_ORDERS))
+    def test_search_orders_pinned(self, name):
+        q = TWIN_POSETS[name]
+        expected = SEARCH_ORDERS[name]
+        assert set(expected) == {None, *_poset_tables(q)[1]}
+        for forced, order in expected.items():
+            forced = () if forced is None else (forced,)
+            assert comparability_first(q, forced) == order
+            assert _search_plan(q, forced)[0] == order
+
+    @given(name=st.sampled_from([*CROSS_CHECK_POSETS, "K33"]), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_witness_is_first_in_search_order(self, name, data):
+        """The unforced search returns the first copy among all copies in
+        comparability-first order: forward checking drops none of them."""
+        if name == "K33":
+            q, fam = TWIN_POSETS[name], data.draw(planted_k33_families())
+        else:
+            q, fam = CROSS_CHECK_POSETS[name], data.draw(small_family)
+        order = comparability_first(q)
+        keyed = [
+            tuple(fam.bit_list.index(tup[x]) for x in order)
+            for tup in naive_witnesses(fam.bit_list, q)
+        ]
+        w = find_induced_copy(fam, q)
+        if not keyed:
+            assert w is None
+            return
+        assert w.verify(fam)
+        first = min(keyed)
+        assert [fam.bit_list.index(s.bits) for s in w.assignment] == [
+            first[order.index(x)] for x in range(q.size)
+        ]
 
     @given(fam=small_family)
     @settings(max_examples=200, deadline=None)
@@ -316,7 +370,7 @@ class TestTwinOrdering:
         for q in (butterfly, nposet, complete_bipartite_poset(2, 3)):
             witnesses = list(naive_witnesses(fam.bit_list, q))
             for required in fam.members:
-                expected = first_forced_copy(fam, q, witnesses, required.bits, _poset_tables(q)[2])
+                expected = first_forced_copy(fam, q, witnesses, required.bits, _poset_tables(q)[1])
                 assert forced_copy_indices(fam, q, required) == expected
 
     @given(case=posets_with_families())
@@ -345,9 +399,8 @@ def first_forced_copy(fam, q, witnesses, required, reps):
     should return: the first p in ``reps`` with a copy among ``witnesses``
     that has ``required`` at p, and its first such copy in the search order
     forced at p; None when no p has one."""
-    order = _poset_tables(q)[1]
     for p in reps:
-        forced_order = (p,) + tuple(x for x in order if x != p)
+        forced_order = comparability_first(q, (p,))
         keyed = [
             tuple(fam.bit_list.index(tup[x]) for x in forced_order)
             for tup in witnesses

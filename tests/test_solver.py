@@ -150,6 +150,23 @@ class TestExactSatStar:
         assert not res.exact
         assert time.perf_counter() - t0 < 1.2
 
+    def test_budget_bounds_the_lattice_maps(self, butterfly):
+        # the 211 lattice-map tables at n = 15 take about 0.9 s, and were
+        # built before the first deadline check
+        t0 = time.perf_counter()
+        res = exact_sat_star(15, butterfly, budget_s=0.2)
+        assert not res.exact
+        assert time.perf_counter() - t0 < 0.6
+
+    def test_lattice_maps_stop_at_a_passed_deadline(self, butterfly, monkeypatch):
+        built = []
+        swap = solver._swap_bits
+        monkeypatch.setattr(solver, "_swap_bits", lambda *args: built.append(1) or swap(*args))
+        with pytest.raises(solver._BudgetExpired):
+            solver._lattice_maps(6, butterfly, deadline=time.perf_counter() - 1)
+        assert built == []
+        assert len(solver._lattice_maps(6, butterfly, deadline=time.perf_counter() + 60)) == 31
+
     @pytest.mark.parametrize("budget", [float("nan"), -1.0])
     def test_budget_must_be_a_non_negative_number(self, butterfly, budget):
         # a NaN deadline never expires, so it would switch the limit off
