@@ -27,12 +27,18 @@ element of each twin class.
 
 The index can also track one poset: it keeps the bitmap of the missing sets
 whose addition keeps the family free, and a family is saturated exactly
-when that bitmap is empty. Tracking binds the completion walks once, and
-holds three region bitmaps per member, built when the member joins: the
-sets incomparable to it, inside it and containing it. Each append pushes
-the new member's regions and the next bitmap, found by completion walks
-through the new member, and each pop pops them. An untracked index, as a
-plain copy search uses, holds no regions.
+when that bitmap is empty. Tracking holds three region bitmaps per member,
+built when the member joins: the sets incomparable to it, inside it and
+containing it. It binds the completion walks once, when the family plus one
+set first has room for a copy. Each append pushes the new member's regions
+and the next bitmap, found by completion walks through the new member, and
+each pop pops them. An untracked index, as a plain copy search uses, holds
+no regions.
+
+One completion walk, ``_completing_sets``, serves every caller. It runs
+over a member bitset and walks bound to relation tables and regions: the
+index binds it to member indices, and the solver's walk for small n to sets
+indexed by mask, where one table of the Boolean lattice serves as both.
 """
 
 from __future__ import annotations
@@ -145,8 +151,9 @@ class _FamilyIndex:
     change these lists in place, so the walks bound to them stay valid for
     the lifetime of the index.
 
-    ``track(q)`` on a q-free family binds the completion walks for q and
-    builds ``regions[i]``, the three ``_regions`` bitmaps of member i. Then
+    ``track(q)`` on a q-free family builds ``regions[i]``, the three
+    ``_regions`` bitmaps of member i, and binds the completion walks for q
+    once a copy of q through a new set is possible. Then
     ``open[-1]`` is the bitmap over all 2^n subsets of the missing sets
     whose addition keeps the family q-free, so the family is q-saturated
     exactly when it is 0. Each append pushes the new member's regions and
@@ -155,7 +162,7 @@ class _FamilyIndex:
     """
 
     __slots__ = ("n", "bits", "below", "above", "incomp", "regions", "open",
-                 "_q", "_bulk", "_through")
+                 "_q", "_walks")
 
     def __init__(self, bits: Sequence[int], n: int):
         self.n = n
@@ -168,25 +175,14 @@ class _FamilyIndex:
             self.append(b)
 
     def track(self, q: PosetSpec) -> None:
-        """Keep ``open`` for q from now on. Binds the walks of
-        ``completing_sets``: per walk the fixed elements (a class head p, or
-        a pair (p, x) of ``_poset_tables``), the relation code of p to the
-        last of them, and the steps after them, each without its check
-        against p and with the relation code of p to its element. Then
-        builds every member's regions and runs one completion pass over
-        every missing set."""
-        rel, heads, pairs = _poset_tables(q)
-
-        def bind(fixed):
-            return fixed, rel[fixed[0]][fixed[-1]], [
-                (x, [(y, table) for y, table in checks if y != fixed[0]], prev, rel[fixed[0]][x])
-                for x, checks, prev in self._steps(q, fixed)[len(fixed):]
-            ]
-
-        self._bulk = [bind((p,)) for p in heads]
-        self._through = [bind(f) for f in pairs]
+        """Keep ``open`` for q from now on. Builds every member's regions and
+        runs one completion pass over every missing set. The completion
+        walks are bound on the first pass that a copy of q can reach: while
+        the family plus one set has fewer than |q| members, no set is
+        blocked and no walk is bound."""
         self.regions = [_regions(u, self.n) for u in self.bits]
         self._q = q
+        self._walks = None
         missing = (1 << (1 << self.n)) - 1 - sum(1 << b for b in self.bits)
         self.open: list[int] = [missing ^ self.completing_sets(missing)]
 
@@ -228,25 +224,14 @@ class _FamilyIndex:
             self.regions.pop()
             self.open.pop()
 
-    def _steps(self, q: PosetSpec, forced: tuple[int, ...] = ()):
-        """``_search_plan(q, forced)`` bound to this index: per step the
-        element, its (earlier element, relation bitsets) checks, and the
-        previous element of its twin chain or -1."""
-        order, checks, prev = _search_plan(q, forced)
-        # indexed by relation code: _NONE, _BELOW, _ABOVE
-        tables = (self.incomp, self.below, self.above)
-        return [
-            (x, [(y, tables[r]) for y, r in checks[d]], prev[d])
-            for d, x in enumerate(order)
-        ]
-
     def _ahead(self, q: PosetSpec, forced: tuple[int, ...]):
-        """``_steps(q, forced)`` turned forward for ``search``: per step its
+        """``_bind_steps(q, forced)`` over this index's relation bitsets,
+        turned forward for ``search``: per step its
         element; per member i the relation bitsets of i that the checks of
         the later steps against this element read, in step order; and the
         offset among the later steps of the next element of its twin chain,
         or -1."""
-        steps = self._steps(q, forced)
+        steps = _bind_steps(q, forced, (self.incomp, self.below, self.above))
         ahead = []
         for d, (x, _, _) in enumerate(steps):
             later = steps[d + 1:]
@@ -307,65 +292,112 @@ class _FamilyIndex:
         return list(assign) if found else None
 
     def completing_sets(self, targets: int, through: int | None = None) -> int:
-        """The sets among ``targets`` whose addition creates a copy of the
-        tracked poset q through them, found in one pass over completion
-        regions.
-
-        Sets are bitmaps over all 2^n subsets (bit s for subset s), and
-        ``targets`` must hold no member. For the least element p of each
-        twin class of q, one walk lists the copies of q - p among the
-        members, with the steps of the search forced at p minus its first
-        step. It carries the region of sets that fit at p against the
-        images assigned so far: subsets of the image of an element above p,
-        supersets of the image of one below p, and sets incomparable to the
-        image of the rest. A full copy blocks its region, and a branch ends
-        once its region holds no target left unblocked. No member lies in
-        the region, so a set in it differs from every image and relates to
-        each strictly. Twins relate to p alike, so the twin ordering loses
-        no region.
-
-        With ``through``, a member index, only copies through that member
-        count. Each walk then also fixes it at the least element x of a twin
-        class of q - p, follows the search forced at (p, x) after its first
-        two steps, and starts from the region that x's relation to p leaves.
-        """
+        """The sets among ``targets`` (which must hold no member) whose
+        addition creates a copy of the tracked poset q through them; with
+        ``through``, a member index, only copies through that member count.
+        ``_completing_sets`` over the member indices, with each member's
+        relation bitsets and regions."""
+        q = self._q
+        if len(self.bits) + 1 < q.size:
+            return 0
+        if self._walks is None:
+            self._walks = _completion_walks(q, (self.incomp, self.below, self.above))
         members = (1 << len(self.bits)) - 1
-        regions = self.regions
-        unblocked = targets
-        assign = [-1] * self._q.size
+        return _completing_sets(self._walks, q.size, members, self.regions, targets, through)
 
-        def walk(steps, depth: int, used: int, region: int) -> None:
-            nonlocal unblocked
-            if depth == len(steps):
-                unblocked &= ~region
-                return
-            x, checks, prev, code = steps[depth]
-            cand = members & ~used
-            for y, table in checks:
-                cand &= table[assign[y]]
-            if prev >= 0:  # only indices above the previous twin's
-                cand &= -(2 << assign[prev])
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                i = low.bit_length() - 1
-                fit = regions[i][code] & region & unblocked
-                if fit:
-                    assign[x] = i
-                    walk(steps, depth + 1, used | low, fit)
 
-        for fixed, code, steps in self._bulk if through is None else self._through:
-            if not unblocked:
-                break
-            region, used = unblocked, 0
-            if through is not None:
-                assign[fixed[1]] = through
-                region &= regions[through][code]
-                used = 1 << through
-            if region:
-                walk(steps, 0, used, region)
-        del walk  # it refers to itself; unbound, it leaves no garbage cycle
-        return targets & ~unblocked
+def _bind_steps(q: PosetSpec, forced: tuple[int, ...], tables):
+    """``_search_plan(q, forced)`` bound to ``tables``, three lists indexed by
+    relation code (_NONE, _BELOW, _ABOVE) that map an image to the bitset of
+    the images that relation allows: per step the element, its (earlier
+    element, table) checks, and the previous element of its twin chain or
+    -1."""
+    order, checks, prev = _search_plan(q, forced)
+    return [
+        (x, [(y, tables[r]) for y, r in checks[d]], prev[d])
+        for d, x in enumerate(order)
+    ]
+
+
+def _completion_walks(q: PosetSpec, tables):
+    """The walks of ``_completing_sets`` for q bound to ``tables`` (as in
+    ``_bind_steps``): the walks over every missing set and the walks through
+    one member. Per walk the fixed elements (a class head p, or a pair
+    (p, x) of ``_poset_tables``), the relation code of p to the last of
+    them, and the steps after them, each without its check against p and
+    with the relation code of p to its element."""
+    rel, heads, pairs = _poset_tables(q)
+
+    def bind(fixed):
+        return fixed, rel[fixed[0]][fixed[-1]], [
+            (x, [(y, table) for y, table in checks if y != fixed[0]], prev, rel[fixed[0]][x])
+            for x, checks, prev in _bind_steps(q, fixed, tables)[len(fixed):]
+        ]
+
+    return [bind((p,)) for p in heads], [bind(f) for f in pairs]
+
+
+def _completing_sets(walks, size: int, members: int, regions, targets: int,
+                     through: int | None = None) -> int:
+    """The sets among ``targets`` whose addition to the family ``members``
+    creates a copy of a poset q of ``size`` elements through them, found in
+    one pass over completion regions.
+
+    Members are the bits of ``members``; ``walks`` comes from
+    ``_completion_walks`` over tables indexed by member, and ``regions[i]``
+    holds the three ``_regions`` bitmaps of member i. Sets are bitmaps over
+    all 2^n subsets (bit s for subset s), and ``targets`` must hold no
+    member. For the least element p of each twin class of q, one walk lists
+    the copies of q - p among the members, with the steps of the search
+    forced at p minus its first step. It carries the region of sets that fit
+    at p against the images assigned so far: subsets of the image of an
+    element above p, supersets of the image of one below p, and sets
+    incomparable to the image of the rest. A full copy blocks its region,
+    and a branch ends once its region holds no target left unblocked. No
+    member lies in the region, so a set in it differs from every image and
+    relates to each strictly. Twins relate to p alike, so the twin ordering
+    loses no region.
+
+    With ``through``, a member, only copies through that member count. Each
+    walk then also fixes it at the least element x of a twin class of
+    q - p, follows the search forced at (p, x) after its first two steps,
+    and starts from the region that x's relation to p leaves.
+    """
+    unblocked = targets
+    assign = [-1] * size
+
+    def walk(steps, depth: int, used: int, region: int) -> None:
+        nonlocal unblocked
+        if depth == len(steps):
+            unblocked &= ~region
+            return
+        x, checks, prev, code = steps[depth]
+        cand = members & ~used
+        for y, table in checks:
+            cand &= table[assign[y]]
+        if prev >= 0:  # only members above the previous twin's
+            cand &= -(2 << assign[prev])
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            fit = regions[i][code] & region & unblocked
+            if fit:
+                assign[x] = i
+                walk(steps, depth + 1, used | low, fit)
+
+    for fixed, code, steps in walks[0] if through is None else walks[1]:
+        if not unblocked:
+            break
+        region, used = unblocked, 0
+        if through is not None:
+            assign[fixed[1]] = through
+            region &= regions[through][code]
+            used = 1 << through
+        if region:
+            walk(steps, 0, used, region)
+    del walk  # it refers to itself; unbound, it leaves no garbage cycle
+    return targets & ~unblocked
 
 
 @dataclass(frozen=True)

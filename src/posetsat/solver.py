@@ -1,27 +1,33 @@
 """Exact saturation numbers at desk scale and enumeration of saturated
 families.
 
-The exhaustive enumerator (n <= 4) iterates every subfamily of the power set
-against a precomputed table of forbidden member subsets: a family contains an
-induced copy of q exactly when some |q|-subset of its members is order-
-isomorphic to q, and the isomorphism test here is a deliberately naive
-permutation check so the enumerator stays independent of the backtracking
-embedder it cross-checks.
+The exhaustive enumerator (n <= 4) treats every subfamily of the power set
+as one bit of a 2^(2^n)-bit int. A family contains an induced copy of q
+exactly when some |q|-subset of its members is order-isomorphic to q, so
+the free families are those outside the up-sets of the forbidden copies,
+and a free family is saturated when it holds each set s or all but s of
+some copy. Each up-set closure is one shift-OR per set of the power set.
+The forbidden copies come from a deliberately naive relabelling test, so
+the enumerator shares no code with the backtracking embedder it
+cross-checks.
 
 One depth-first walk over families in canonical order serves both other
-paths. It holds one incremental search index, which keeps as a bitmap the
-missing sets whose addition keeps the family free, so each candidate costs
-one bit test and a family is saturated when the bitmap is empty. It yields
-saturated families in lexicographic order of their members' canonical
-positions. Larger n enumerate the first families of that walk, up to a
-cap. The exact solver (``method="auto"``) closes greedy upper bounds first,
-then takes the first family of each smaller size from the walk, which also
-prunes a partial family when a symmetry of the Boolean lattice (a
-transposition of [n], or complementation when q is self-dual) sends its
-members to an earlier family. The pruning keeps the certificate that the
-search without it would return. Randomised greedy closure gives upper
-bounds beyond that: each sampled family grows a small random free seed and
-then closes it under a shuffled order, both on one search index.
+paths. It tracks the missing sets whose addition keeps the family free as
+a bitmap, so each candidate costs one bit test and a family is saturated
+when the bitmap is empty. For n <= 6 it indexes sets by mask, reads every
+relation and region from fixed tables of the Boolean lattice, and ends a
+branch once some set it skipped can no longer be blocked by any family
+below it. It yields saturated families in lexicographic order of their
+members' canonical positions. Larger n enumerate the first families of
+that walk, up to a cap. The exact solver (``method="auto"``) closes greedy
+upper bounds first, then takes the first family of each smaller size from
+the walk, which also prunes a partial family when a symmetry of the
+Boolean lattice (a transposition of [n], or complementation when q is
+self-dual) sends its members to an earlier family. The pruning keeps the
+certificate that the search without it would return. Randomised greedy
+closure gives upper bounds beyond that: each sampled family grows a small
+random free seed and then closes it under a shuffled order, both on one
+search index.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, islice, permutations
 from typing import Iterator, Sequence
 
@@ -41,7 +48,7 @@ from .core import (
     poset_isomorphic,
     poset_name,
 )
-from .embedding import _FamilyIndex
+from .embedding import _FamilyIndex, _completing_sets, _completion_walks, _regions
 from .errors import ContractViolationError, UsageError
 from .saturation import (
     _bit_positions,
@@ -53,6 +60,8 @@ from .saturation import (
 )
 
 _EXHAUSTIVE_LIMIT = 4
+# the walk indexes sets by mask up to here, where a region is one machine word
+_LATTICE_LIMIT = 6
 
 
 @dataclass(frozen=True)
@@ -93,78 +102,67 @@ def _result(n: int, q: PosetSpec, best: SetFamily, exact: bool, t0: float,
     )
 
 
-def _naive_has_copy(bits: tuple[int, ...], q: PosetSpec) -> bool:
-    """All-tuples oracle: some ordered |q|-tuple of ``bits`` reproduces the
-    strict order of q exactly. Shares no code with the backtracking search."""
-    m = q.size
-    for tup in permutations(bits, m):
-        ok = True
-        for a in range(m):
-            for b in range(m):
-                if a == b:
-                    continue
-                below = tup[a] != tup[b] and tup[a] & tup[b] == tup[a]
-                if q.less[a][b] != below:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
-
-
 def _forbidden_tables(n: int, q: PosetSpec):
     """All member subsets of size |q| isomorphic to q, as subfamily masks,
-    plus per-set lists of the remaining members of each such subset."""
+    plus per-set lists of the remaining members of each such subset.
+
+    A deliberately naive permutation test that shares no code with the
+    backtracking search: a |q|-subset is a copy when its strict-subset
+    relation, read in ascending order of its members, equals the order of
+    q under one of the |q|! relabellings of q."""
     nsets = 1 << n
+    m = q.size
     copies = []
-    for combo in combinations(range(nsets), q.size):
-        if _naive_has_copy(combo, q):
-            copies.append(sum(1 << s for s in combo))
+    if m <= nsets:
+        below = [[a != b and a & b == a for b in range(nsets)] for a in range(nsets)]
+        shapes = {tuple(q.less[a][b] for a in p for b in p) for p in permutations(range(m))}
+        for combo in combinations(range(nsets), m):
+            if tuple(below[a][b] for a in combo for b in combo) in shapes:
+                copies.append(sum(1 << s for s in combo))
     rest: list[list[int]] = [[] for _ in range(nsets)]
     for cmask in copies:
-        probe = cmask
-        while probe:
-            low = probe & -probe
-            probe ^= low
-            rest[low.bit_length() - 1].append(cmask ^ low)
+        for s in _bit_positions(cmask):
+            rest[s].append(cmask ^ 1 << s)
     return copies, rest
 
 
-def _free_bitmap(nsets: int, copies: list[int]) -> bytearray:
-    free = bytearray([1]) * (1 << nsets)
-    full = (1 << nsets) - 1
-    for cmask in copies:
-        sup = cmask
-        while True:
-            free[sup] = 0
-            if sup == full:
-                break
-            sup = (sup + 1) | cmask
-    return free
+@lru_cache(maxsize=None)
+def _without_masks(nsets: int) -> tuple[int, ...]:
+    """Per set s of a ground of ``nsets`` sets, the bitmap over the
+    2^nsets subfamilies (bit f for subfamily mask f) of those without s:
+    runs of 2^s ones every 2^(s+1) bits."""
+    width = 1 << nsets
+    masks = []
+    for s in range(nsets):
+        step = 1 << s
+        mask, span = (1 << step) - 1, 2 * step
+        while span < width:
+            mask |= mask << span
+            span *= 2
+        masks.append(mask)
+    return tuple(masks)
 
 
-def _saturated_masks(nsets: int, free: bytearray, rest: list[list[int]]) -> Iterator[int]:
-    """Every free subfamily mask that blocks each missing set, ascending."""
-    for fam in range(1 << nsets):
-        if not free[fam]:
-            continue
-        ok = True
-        for s in range(nsets):
-            if fam >> s & 1:
-                continue
-            blockers = rest[s]
-            hit = False
-            for r in blockers:
-                if r & fam == r:
-                    hit = True
-                    break
-            if not hit:
-                ok = False
-                break
-        if ok:
-            yield fam
+def _up_closure(fams: int, nsets: int) -> int:
+    """The subfamilies that contain one of ``fams``, both as bitmaps over
+    the 2^nsets subfamilies. One shift-OR per set: the subfamilies without
+    set s move up by 2^s, which adds s."""
+    for s, without in enumerate(_without_masks(nsets)):
+        fams |= (fams & without) << (1 << s)
+    return fams
+
+
+def _saturated_bitmap(n: int, q: PosetSpec) -> int:
+    """The q-saturated subfamilies of the power set of [n], every subfamily
+    as one bit of a 2^(2^n)-bit int (bit f for subfamily mask f): the free
+    ones, which contain no forbidden copy, that hold each set s or all but s
+    of some copy."""
+    nsets = 1 << n
+    copies, rest = _forbidden_tables(n, q)
+    found = ~_up_closure(sum(1 << c for c in copies), nsets)
+    for s in range(nsets):
+        found &= _up_closure(1 << (1 << s) | sum(1 << r for r in rest[s]), nsets)
+    return found & (1 << (1 << nsets)) - 1
 
 
 def enumerate_saturated_families(
@@ -185,10 +183,8 @@ def enumerate_saturated_families(
                 "pass a cap for larger ground sets"
             )
         return list(islice(_saturated_walk(ground, q), cap))
-    nsets = 1 << n
-    copies, rest = _forbidden_tables(n, q)
-    found = _saturated_masks(nsets, _free_bitmap(nsets, copies), rest)
-    return [SetFamily.from_masks(ground, _bit_positions(fam)) for fam in islice(found, cap)]
+    found = _bit_positions(_saturated_bitmap(n, q))[:cap]
+    return [SetFamily.from_masks(ground, _bit_positions(fam)) for fam in found]
 
 
 class _BudgetExpired(Exception):
@@ -236,6 +232,56 @@ def _lattice_maps(n: int, q: PosetSpec, deadline: float | None = None) -> list[t
     return maps
 
 
+@lru_cache(maxsize=64)
+def _lattice_walks(n: int, q: PosetSpec):
+    """The three ``_regions`` bitmaps of every subset of [n], by mask, and
+    the completion walks for q bound to the same bitmaps as relation
+    tables: one table serves the candidate test and the region test."""
+    regions = [_regions(s, n) for s in range(1 << n)]
+    return regions, _completion_walks(q, tuple(zip(*regions)))
+
+
+class _LatticeFamily:
+    """A family over [n] that tracks q, with each set indexed by its mask:
+    the members are the bits of ``members``, and the relation tables and
+    regions are fixed tables of the Boolean lattice, cached per n and q. Its
+    ``open`` stack is that of a tracked ``_FamilyIndex``; append and pop
+    flip one bit and push or pop ``open``. Since the regions of non-members
+    are at hand too, a completion pass can run over any superset of the
+    family (``hopeless``). Every table is one machine word for
+    n <= ``_LATTICE_LIMIT``."""
+
+    __slots__ = ("bits", "members", "open", "_size", "_regions", "_walks")
+
+    def __init__(self, n: int, q: PosetSpec):
+        self._regions, self._walks = _lattice_walks(n, q)
+        self._size = q.size
+        self.bits: list[int] = []
+        self.members = 0
+        missing = (1 << (1 << n)) - 1
+        self.open = [missing ^ self._completing(0, missing)]
+
+    def _completing(self, members: int, targets: int, through: int | None = None) -> int:
+        return _completing_sets(self._walks, self._size, members, self._regions, targets, through)
+
+    def append(self, new: int) -> None:
+        self.bits.append(new)
+        self.members |= 1 << new
+        rest = self.open[-1] & ~(1 << new)
+        self.open.append(rest ^ self._completing(self.members, rest, through=new))
+
+    def pop(self) -> None:
+        self.members ^= 1 << self.bits.pop()
+        self.open.pop()
+
+    def hopeless(self, pending: int, later: int) -> bool:
+        """True when some set in ``pending`` stays unblocked by every
+        family between this one and this one plus ``later``: no copy of q
+        through it lies in their union. The pending sets must be open and
+        outside ``later``."""
+        return self._completing(self.members | later, pending) != pending
+
+
 def _saturated_walk(
     ground: GroundSet,
     q: PosetSpec,
@@ -249,10 +295,21 @@ def _saturated_walk(
 
     The depth-first search adds one member per level, at a canonical
     position after the last member, so it recurses as deep as the family is
-    large. One index follows the search: append on the way down, pop on the
-    way back. It keeps ``open``, the missing sets whose addition keeps the
-    family free, so a child is a set in ``open``, and a family is saturated
-    exactly when ``open`` is empty.
+    large. One tracked family follows the search: append on the way down,
+    pop on the way back. It keeps ``open``, the missing sets whose addition
+    keeps the family free, so a child is a set in ``open``, and a family is
+    saturated exactly when ``open`` is empty.
+
+    For n <= ``_LATTICE_LIMIT`` the family is a ``_LatticeFamily``, and a
+    node ends its branch when it is hopeless. Its pending sets, the open
+    sets at positions before the next child's, join no family below it, so
+    each must be blocked by a copy of q in the family it ends at. That
+    family lies between this one and this one plus the open sets at later
+    positions (a set once closed stays closed), so a pending set that no
+    copy in that union blocks ends the branch, and so does any pending set
+    once the family has ``size`` members. Only saturation is used. Above
+    that n the family is a tracked ``_FamilyIndex``, which holds regions
+    for members only, and no branch ends early.
 
     A child is pruned when some map in ``maps``
     sends its chosen positions to a sorted list that is lexicographically
@@ -265,14 +322,26 @@ def _saturated_walk(
     """
     order = ground.all_masks()
     total = len(order)
-    index = _FamilyIndex([], ground.n)
-    index.track(q)
-    chosen: list[int] = []  # canonical positions of index.bits
+    if ground.n <= _LATTICE_LIMIT:
+        family = _LatticeFamily(ground.n, q)
+        after = [0] * (total + 1)  # the sets at canonical positions i onward
+        for i in range(total - 1, -1, -1):
+            after[i] = after[i + 1] | 1 << order[i]
+    else:
+        family = _FamilyIndex([], ground.n)
+        family.track(q)
+        after = None
+    chosen: list[int] = []  # canonical positions of family.bits
 
     def walk(start: int) -> Iterator[SetFamily]:
         # checked at every node: at n = 15 one node scans ~32k positions
         if deadline is not None and time.perf_counter() > deadline:
             raise _BudgetExpired
+        if after is not None:
+            pending = family.open[-1] & ~after[start]
+            if pending and (len(chosen) == size
+                            or family.hopeless(pending, family.open[-1] & after[start])):
+                return
         if size is None:
             stop = total
         elif len(chosen) < size:
@@ -280,17 +349,17 @@ def _saturated_walk(
         else:
             stop = start
         for idx in range(start, stop):
-            if not index.open[-1] >> order[idx] & 1:
+            if not family.open[-1] >> order[idx] & 1:
                 continue
             chosen.append(idx)
             # pruned when some map sends the chosen positions lower
             if all(sorted([g[p] for p in chosen]) >= chosen for g in maps):
-                index.append(order[idx])
+                family.append(order[idx])
                 yield from walk(idx + 1)
-                index.pop()
+                family.pop()
             chosen.pop()
-        if (size is None or len(chosen) == size) and not index.open[-1]:
-            yield SetFamily.from_masks(ground, index.bits)
+        if (size is None or len(chosen) == size) and not family.open[-1]:
+            yield SetFamily.from_masks(ground, family.bits)
 
     try:
         yield from walk(0)

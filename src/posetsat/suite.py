@@ -34,7 +34,7 @@ from .saturation import (
     saturation_report,
 )
 from .solver import (
-    _naive_has_copy,
+    _forbidden_tables,
     enumerate_saturated_families,
     sample_saturated_families,
 )
@@ -149,15 +149,16 @@ def _row_embedding_oracle() -> SuiteRow:
         chain_poset(2),
         antichain_poset(2),
     ]
+    copies = [_forbidden_tables(3, q)[0] for q in patterns]
     mismatches = 0
     checked = 0
     for fam_mask in range(1 << 8):
         bits = tuple(s for s in range(8) if fam_mask >> s & 1)
         family = SetFamily.from_masks(ground, bits)
-        for q in patterns:
+        for q, forbidden in zip(patterns, copies):
             checked += 1
             fast = find_induced_copy(family, q) is not None
-            slow = _naive_has_copy(bits, q)
+            slow = any(c & fam_mask == c for c in forbidden)
             if fast != slow:
                 mismatches += 1
     return SuiteRow(

@@ -580,3 +580,46 @@ class TestRegions:
             # the regions of all 188 members would take about 14 MB
             assert peak < 2 << 20
         assert builds[0] == 0
+
+
+class TestLazyWalkBinding:
+    """A tracked index binds its completion walks, one search plan per class
+    head and per (head, twin-class head) pair, only once the family plus one
+    set can hold a copy of the poset."""
+
+    @pytest.fixture
+    def plans(self, monkeypatch):
+        calls = []
+
+        def counting_plan(q, forced):
+            calls.append(forced)
+            return _search_plan(q, forced)
+
+        monkeypatch.setattr(embedding, "_search_plan", counting_plan)
+        return calls
+
+    def test_small_family_binds_no_walk(self, plans):
+        # 26 sets and a 64-element chain: no copy of it fits in the family
+        # plus one set, so the report needs no plan at all
+        fam = butterfly_construction(6)
+        report = saturation_report(fam, chain_poset(64))
+        assert report.free and not report.saturated
+        assert len(report.unsaturated_sets) == 64 - len(fam) == 38
+        assert plans == []
+
+    def test_walks_bind_once_a_copy_through_a_new_set_is_possible(self, plans):
+        q = chain_poset(3)
+        heads, pairs = _poset_tables(q)[1:]
+        index = _FamilyIndex([0b000], 3)
+        index.track(q)
+        assert plans == []
+        assert index.open[-1] == 0b11111110
+        index.append(0b001)
+        assert sorted(plans) == sorted([(p,) for p in heads] + list(pairs))
+        assert index.open[-1] == 0b01010100  # {2}, {3} and {2, 3}
+        bound = len(plans)
+        index.append(0b110)
+        index.pop()
+        index.pop()
+        index.completing_sets(index.open[-1])
+        assert len(plans) == bound

@@ -2,6 +2,7 @@ import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posetsat import (
     ContractViolationError,
@@ -24,10 +25,11 @@ from posetsat import (
     upper_bound_via_random_greedy,
     validate_poset,
 )
-from posetsat import solver
-from posetsat.solver import _named_seed
+from posetsat import embedding, solver
+from posetsat.solver import _forbidden_tables, _named_seed, _saturated_walk
 
 from conftest import CROSS_CHECK_POSETS
+from oracles import naive_has_copy, naive_is_saturated
 
 
 class TestEnumerate:
@@ -105,6 +107,85 @@ class TestEnumerate:
     def test_capped_walk_pinned(self, n, q, expected):
         fams = enumerate_saturated_families(n, q, cap=len(expected))
         assert [list(f.bit_list) for f in fams] == expected
+
+
+def oracle_copies(n, q):
+    """Every |q|-subset of the power set of [n] that holds a copy of q, as a
+    subfamily mask, by the all-tuples oracle."""
+    return [
+        sum(1 << s for s in combo)
+        for combo in combinations(range(1 << n), q.size)
+        if naive_has_copy(combo, q)
+    ]
+
+
+class TestForbiddenTables:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(CROSS_CHECK_POSETS))
+    def test_copies_match_the_tuple_oracle(self, name, n):
+        q = CROSS_CHECK_POSETS[name]
+        copies, rest = _forbidden_tables(n, q)
+        assert copies == oracle_copies(n, q)
+        for s in range(1 << n):
+            assert rest[s] == [c ^ 1 << s for c in copies if c >> s & 1]
+
+    @pytest.mark.parametrize("q", [butterfly_poset(), n_poset()], ids=["B", "N"])
+    def test_copies_at_n4_match_the_tuple_oracle(self, q):
+        assert _forbidden_tables(4, q)[0] == oracle_copies(4, q)
+
+    def test_enumerator_runs_without_the_search(self, monkeypatch, butterfly, nposet):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the enumerator must not use the copy search")
+
+        monkeypatch.setattr(solver, "_FamilyIndex", refuse)
+        monkeypatch.setattr(embedding, "_search_plan", refuse)
+        counts = [len(enumerate_saturated_families(n, q)) for n in (1, 2, 3, 4) for q in (butterfly, nposet)]
+        assert counts == [1, 1, 1, 1, 1, 9, 12, 118]
+
+
+@st.composite
+def ordered_posets(draw):
+    """Strict orders on at most four elements, with a below b only for labels
+    a < b, closed under transitivity."""
+    m = draw(st.integers(1, 4))
+    pairs = list(combinations(range(m), 2))
+    picked = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    less = [[False] * m for _ in range(m)]
+    for (a, b), keep in zip(pairs, picked):
+        less[a][b] = keep
+    for k in range(m):
+        for a in range(m):
+            for b in range(m):
+                less[a][b] = less[a][b] or less[a][k] and less[k][b]
+    return validate_poset(less)
+
+
+def family_masks(families):
+    return [sum(1 << b for b in f.bit_list) for f in families]
+
+
+class TestWalkAgainstDefinition:
+    @settings(max_examples=80, deadline=None)
+    @given(q=ordered_posets(), n=st.integers(1, 3))
+    def test_walk_enumerator_and_definition_agree(self, q, n):
+        defined = [
+            fam for fam in range(1 << (1 << n))
+            if naive_is_saturated([s for s in range(1 << n) if fam >> s & 1], n, q)
+        ]
+        assert family_masks(enumerate_saturated_families(n, q)) == defined
+        walked = family_masks(_saturated_walk(GroundSet(n), q))
+        assert len(walked) == len(set(walked))
+        assert sorted(walked) == defined
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(CROSS_CHECK_POSETS))
+    def test_member_index_walk_lists_the_same_families(self, monkeypatch, name, n):
+        # above the lattice limit the walk runs on a tracked member index
+        # and ends no branch early; both must list the same families
+        q = CROSS_CHECK_POSETS[name]
+        lattice = [f.bit_list for f in _saturated_walk(GroundSet(n), q)]
+        monkeypatch.setattr(solver, "_LATTICE_LIMIT", 0)
+        assert [f.bit_list for f in _saturated_walk(GroundSet(n), q)] == lattice
 
 
 class TestExactSatStar:
