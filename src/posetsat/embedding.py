@@ -16,29 +16,42 @@ ends as soon as one of those domains is empty.
 
 Each poset and tuple of forced elements has a cached plan: the search
 order and per depth the earlier elements whose relation bitsets constrain
-the candidate; the completion walks follow the same order. Twins, elements
-with identical relation rows (such as the bottoms or the tops of
-``K_{s,t}``), must take ascending member indices in search order; forced
-elements are left out of their twin chains. The ordering changes no
-witness: swapping two out-of-order twins gives another copy that comes
-earlier in search order, so the first copy found already has its twins in
-ascending order. A forced search tries the forced member only at the least
-element of each twin class.
+the candidate. Twins, elements with identical relation rows (such as the
+bottoms or the tops of ``K_{s,t}``), must take ascending member indices in
+search order; forced elements are left out of their twin chains. The
+ordering changes no witness: swapping two out-of-order twins gives another
+copy that comes earlier in search order, so the first copy found already
+has its twins in ascending order. A forced search tries the forced member
+only at the least element of each twin class.
+
+Each index keeps, per member, bitsets of the members strictly below it,
+strictly above it and incomparable to it, and per element of the ground set
+the column of members that hold it. A new member's rows below and above are
+ANDs of columns, and only the members comparable to it change rows: the
+incomparable row of member i is stored as the complement of the other two
+and of i itself, so it is negative and already holds every index from the
+number of members up. Every reader ANDs a row with a bitset of members.
 
 The index can also track one poset: it keeps the bitmap of the missing sets
 whose addition keeps the family free, and a family is saturated exactly
 when that bitmap is empty. Tracking holds three region bitmaps per member,
 built when the member joins: the sets incomparable to it, inside it and
-containing it. It binds the completion walks once, when the family plus one
-set first has room for a copy. Each append pushes the new member's regions
-and the next bitmap, found by completion walks through the new member, and
-each pop pops them. An untracked index, as a plain copy search uses, holds
-no regions.
+containing it. Each append pushes the new member's regions and the next
+bitmap, found by completion walks through the new member, and each pop pops
+them. An untracked index, as a plain copy search uses, holds no regions.
 
-One completion walk, ``_completing_sets``, serves every caller. It runs
-over a member bitset and walks bound to relation tables and regions: the
-index binds it to member indices, and the solver's walk for small n to sets
-indexed by mask, where one table of the Boolean lattice serves as both.
+One completion walk, ``_completing_sets``, serves every caller. Its walks
+are planned around the hole: the new set p is not a member, so it cuts the
+region and never the candidates. After the fixed elements each step places
+the element comparable to the most placed ones other than p, then one
+comparable to p, then one comparable to the fewest elements of the poset.
+A pass over no more missing sets than members walks in search order
+instead, counting p as placed, since a region that soon holds none of few
+sets ends most branches. The walks hold relation codes, not bitsets, so they are built once per
+poset and cached, on the first pass that a copy of it can reach, and run
+over the relation tables and regions of any family: the index passes its
+member rows, and the solver's walk for small n the regions of the Boolean
+lattice indexed by mask, which also serve as its relation tables.
 """
 
 from __future__ import annotations
@@ -147,26 +160,28 @@ class _FamilyIndex:
     """Mutable search index over a duplicate-free list of subset masks.
 
     Per member index i it keeps bitsets (ints over member indices) of the
-    members strictly below, strictly above, and incomparable. Append and pop
-    change these lists in place, so the walks bound to them stay valid for
-    the lifetime of the index.
+    members strictly below, strictly above, and incomparable; ``incomp[i]``
+    is ``~(below[i] | above[i] | 1 << i)``, negative, and holds every index
+    that no member has yet. Per element e of [n], ``has[e]`` is the bitset
+    of the members that hold e. Append reads the new member's rows below
+    and above off those columns and updates the rows of the members
+    comparable to it; pop undoes the same. The lists change in place.
 
     ``track(q)`` on a q-free family builds ``regions[i]``, the three
-    ``_regions`` bitmaps of member i, and binds the completion walks for q
-    once a copy of q through a new set is possible. Then
-    ``open[-1]`` is the bitmap over all 2^n subsets of the missing sets
-    whose addition keeps the family q-free, so the family is q-saturated
-    exactly when it is 0. Each append pushes the new member's regions and
-    the next bitmap, and each pop pops them; while tracking, only sets in
-    ``open[-1]`` may be appended. An untracked index builds no regions.
+    ``_regions`` bitmaps of member i. Then ``open[-1]`` is the bitmap over
+    all 2^n subsets of the missing sets whose addition keeps the family
+    q-free, so the family is q-saturated exactly when it is 0. Each append
+    pushes the new member's regions and the next bitmap, and each pop pops
+    them; while tracking, only sets in ``open[-1]`` may be appended. An
+    untracked index builds no regions.
     """
 
-    __slots__ = ("n", "bits", "below", "above", "incomp", "regions", "open",
-                 "_q", "_walks")
+    __slots__ = ("n", "bits", "has", "below", "above", "incomp", "regions", "open", "_q")
 
     def __init__(self, bits: Sequence[int], n: int):
         self.n = n
         self.bits: list[int] = []
+        self.has = [0] * n
         self.below: list[int] = []
         self.above: list[int] = []
         self.incomp: list[int] = []
@@ -176,35 +191,28 @@ class _FamilyIndex:
 
     def track(self, q: PosetSpec) -> None:
         """Keep ``open`` for q from now on. Builds every member's regions and
-        runs one completion pass over every missing set. The completion
-        walks are bound on the first pass that a copy of q can reach: while
-        the family plus one set has fewer than |q| members, no set is
-        blocked and no walk is bound."""
+        runs one completion pass over every missing set."""
         self.regions = [_regions(u, self.n) for u in self.bits]
         self._q = q
-        self._walks = None
         missing = (1 << (1 << self.n)) - 1 - sum(1 << b for b in self.bits)
         self.open: list[int] = [missing ^ self.completing_sets(missing)]
 
     def append(self, new: int) -> None:
         idx = len(self.bits)
         bit = 1 << idx
-        bl = ab = inc = 0
-        for j, old in enumerate(self.bits):
-            jbit = 1 << j
-            if old & new == old:
-                bl |= jbit
-                self.above[j] |= bit
-            elif new & old == new:
-                ab |= jbit
-                self.below[j] |= bit
+        sup, outside = bit - 1, 0
+        for e, col in enumerate(self.has):
+            if new >> e & 1:
+                sup &= col
+                self.has[e] = col | bit
             else:
-                inc |= jbit
-                self.incomp[j] |= bit
+                outside |= col
+        sub = (bit - 1) & ~outside
+        self._link(sub, sup, bit)
         self.bits.append(new)
-        self.below.append(bl)
-        self.above.append(ab)
-        self.incomp.append(inc)
+        self.below.append(sub)
+        self.above.append(sup)
+        self.incomp.append(~(sub | sup | bit))
         if self._q is not None:
             # a blocked set stays blocked, and a new copy in the family plus
             # new and t passes through both
@@ -213,32 +221,45 @@ class _FamilyIndex:
             self.open.append(rest ^ self.completing_sets(rest, through=idx))
 
     def pop(self) -> None:
-        idx = len(self.bits) - 1
-        keep = (1 << idx) - 1
-        self.bits.pop()
-        for row in (self.below, self.above, self.incomp):
-            row.pop()
-            for j in range(idx):
-                row[j] &= keep
+        bit = 1 << (len(self.bits) - 1)
+        last = self.bits.pop()
+        self.incomp.pop()
+        self._link(self.below.pop(), self.above.pop(), bit)
+        for e in range(self.n):
+            if last >> e & 1:
+                self.has[e] ^= bit
         if self._q is not None:
             self.regions.pop()
             self.open.pop()
 
+    def _link(self, sub: int, sup: int, bit: int) -> None:
+        """Flip ``bit``, the last member's, in the rows of the members
+        ``sub`` below it and ``sup`` above it: in their rows above or below
+        and in their incomparable rows."""
+        incomp = self.incomp
+        for row, members in ((self.above, sub), (self.below, sup)):
+            while members:
+                low = members & -members
+                members ^= low
+                j = low.bit_length() - 1
+                row[j] ^= bit
+                incomp[j] ^= bit
+
     def _ahead(self, q: PosetSpec, forced: tuple[int, ...]):
-        """``_bind_steps(q, forced)`` over this index's relation bitsets,
-        turned forward for ``search``: per step its
-        element; per member i the relation bitsets of i that the checks of
-        the later steps against this element read, in step order; and the
-        offset among the later steps of the next element of its twin chain,
-        or -1."""
-        steps = _bind_steps(q, forced, (self.incomp, self.below, self.above))
+        """``_search_plan(q, forced)`` over this index's relation bitsets,
+        turned forward for ``search``: per step its element; per member i
+        the relation bitsets of i that the checks of the later steps
+        against this element read, in step order; and the offset among the
+        later steps of the next element of its twin chain, or -1."""
+        order, checks, prev = _search_plan(q, forced)
+        tables = (self.incomp, self.below, self.above)
         ahead = []
-        for d, (x, _, _) in enumerate(steps):
-            later = steps[d + 1:]
-            tables = [checks[d][1] for _, checks, _ in later]
+        for d, x in enumerate(order):
+            later = range(d + 1, len(order))
             # the last step cuts no domain
-            rows = list(zip(*tables)) if tables else [()] * len(self.bits)
-            twin = next((k for k, (_, _, prev) in enumerate(later) if prev == x), -1)
+            cuts = [tables[checks[k][d][1]] for k in later]
+            rows = list(zip(*cuts)) if cuts else [()] * len(self.bits)
+            twin = next((k - d - 1 for k in later if prev[k] == x), -1)
             ahead.append((x, rows, twin))
         return ahead
 
@@ -296,85 +317,126 @@ class _FamilyIndex:
         addition creates a copy of the tracked poset q through them; with
         ``through``, a member index, only copies through that member count.
         ``_completing_sets`` over the member indices, with each member's
-        relation bitsets and regions."""
+        relation bitsets and regions. While the family plus one set has
+        fewer than |q| members no set is blocked, and the walks of q are
+        not built."""
         q = self._q
         if len(self.bits) + 1 < q.size:
             return 0
-        if self._walks is None:
-            self._walks = _completion_walks(q, (self.incomp, self.below, self.above))
-        members = (1 << len(self.bits)) - 1
-        return _completing_sets(self._walks, q.size, members, self.regions, targets, through)
+        return _completing_sets(_completion_walks(q), q.size, (1 << len(self.bits)) - 1,
+                                (self.incomp, self.below, self.above), self.regions,
+                                targets, through)
 
 
-def _bind_steps(q: PosetSpec, forced: tuple[int, ...], tables):
-    """``_search_plan(q, forced)`` bound to ``tables``, three lists indexed by
-    relation code (_NONE, _BELOW, _ABOVE) that map an image to the bitset of
-    the images that relation allows: per step the element, its (earlier
-    element, table) checks, and the previous element of its twin chain or
-    -1."""
-    order, checks, prev = _search_plan(q, forced)
-    return [
-        (x, [(y, tables[r]) for y, r in checks[d]], prev[d])
-        for d, x in enumerate(order)
-    ]
+def _completion_plan(q: PosetSpec, fixed: tuple[int, ...]):
+    """The steps of one completion walk for q after the ``fixed`` elements:
+    the hole p = ``fixed[0]``, whose image is the set under test, and for a
+    walk through one member the element ``fixed[1]`` at that member.
+
+    Each step takes the unplaced element comparable to the most placed
+    elements other than p, since only those cut its candidates; ties go to
+    an element comparable to p, which cuts the region, then to the element
+    comparable to the fewest elements of q, then to the smaller label."""
+    rel = _poset_tables(q)[0]
+    p = fixed[0]
+    rest = sorted(
+        (x for x in range(q.size) if x not in fixed),
+        key=lambda x: (sum(r != _NONE for r in rel[x]), x),
+    )
+    order = list(fixed)
+    placed = [0] * q.size  # per element, the placed members comparable to it
+    for y in fixed[1:]:
+        for z, r in enumerate(rel[y]):
+            placed[z] += r != _NONE
+    while rest:  # max keeps the first of equals, so ties go by rest's order
+        x = max(rest, key=lambda y: (placed[y], rel[p][y] != _NONE))
+        rest.remove(x)
+        order.append(x)
+        for z, r in enumerate(rel[x]):
+            placed[z] += r != _NONE
+    return _walk_steps(q, order, len(fixed))
 
 
-def _completion_walks(q: PosetSpec, tables):
-    """The walks of ``_completing_sets`` for q bound to ``tables`` (as in
-    ``_bind_steps``): the walks over every missing set and the walks through
-    one member. Per walk the fixed elements (a class head p, or a pair
-    (p, x) of ``_poset_tables``), the relation code of p to the last of
-    them, and the steps after them, each without its check against p and
-    with the relation code of p to its element."""
+def _walk_steps(q: PosetSpec, order: Sequence[int], fixed: int):
+    """The steps of a completion walk for q that places ``order`` after its
+    first ``fixed`` elements, the hole ``order[0]`` among them. Per step:
+    the element; its (placed element other than the hole, relation code)
+    checks; the previous element of its twin class in step order, or -1,
+    the fixed elements left out; and the relation code of the hole to it.
+    Each step checks against every placed element but the hole, and a
+    relation bitset never holds its own member, so the images stay
+    distinct."""
+    rel = _poset_tables(q)[0]
+    p = order[0]
+    last: dict[tuple[int, ...], int] = {}
+    steps = []
+    for d in range(fixed, len(order)):
+        x = order[d]
+        checks = tuple((y, rel[x][y]) for y in order[1:d])
+        steps.append((x, checks, last.get(rel[x], -1), rel[p][x]))
+        last[rel[x]] = x
+    return tuple(steps)
+
+
+@lru_cache(maxsize=None)
+def _completion_walks(q: PosetSpec):
+    """The walks of ``_completing_sets`` for q: over every missing set, one
+    per class head p, once with the ``_completion_plan`` steps and once in
+    the order of the search forced at p; and through one member, one per
+    pair (p, x) of ``_poset_tables``. Per walk the last fixed element, the
+    relation code of p to it, and the steps."""
     rel, heads, pairs = _poset_tables(q)
-
-    def bind(fixed):
-        return fixed, rel[fixed[0]][fixed[-1]], [
-            (x, [(y, table) for y, table in checks if y != fixed[0]], prev, rel[fixed[0]][x])
-            for x, checks, prev in _bind_steps(q, fixed, tables)[len(fixed):]
-        ]
-
-    return [bind((p,)) for p in heads], [bind(f) for f in pairs]
+    return (
+        tuple((p, _NONE, _completion_plan(q, (p,))) for p in heads),
+        tuple((p, _NONE, _walk_steps(q, _search_plan(q, (p,))[0], 1)) for p in heads),
+        tuple((x, rel[p][x], _completion_plan(q, (p, x))) for p, x in pairs),
+    )
 
 
-def _completing_sets(walks, size: int, members: int, regions, targets: int,
+def _completing_sets(walks, size: int, members: int, tables, regions, targets: int,
                      through: int | None = None) -> int:
     """The sets among ``targets`` whose addition to the family ``members``
     creates a copy of a poset q of ``size`` elements through them, found in
     one pass over completion regions.
 
     Members are the bits of ``members``; ``walks`` comes from
-    ``_completion_walks`` over tables indexed by member, and ``regions[i]``
-    holds the three ``_regions`` bitmaps of member i. Sets are bitmaps over
-    all 2^n subsets (bit s for subset s), and ``targets`` must hold no
-    member. For the least element p of each twin class of q, one walk lists
-    the copies of q - p among the members, with the steps of the search
-    forced at p minus its first step. It carries the region of sets that fit
-    at p against the images assigned so far: subsets of the image of an
-    element above p, supersets of the image of one below p, and sets
-    incomparable to the image of the rest. A full copy blocks its region,
-    and a branch ends once its region holds no target left unblocked. No
-    member lies in the region, so a set in it differs from every image and
-    relates to each strictly. Twins relate to p alike, so the twin ordering
-    loses no region.
+    ``_completion_walks(q)``. ``tables`` holds three lists indexed by
+    relation code (_NONE, _BELOW, _ABOVE) that map a member to the bitset of
+    the members that relation allows, never the member itself, and
+    ``regions[i]`` holds the three ``_regions`` bitmaps of member i. Sets
+    are bitmaps over all 2^n subsets (bit s for subset s), and ``targets``
+    must hold no member. For the least element p of each twin class of q,
+    one walk lists the copies of q - p among the members. It carries the
+    region of sets that fit at p against the images assigned so far:
+    subsets of the image of an element above p, supersets of the image of
+    one below p, and sets incomparable to the image of the rest. A full
+    copy blocks its region, and a branch ends once its region holds no
+    target left unblocked. No member lies in the region, so a set in it
+    differs from every image and relates to each strictly. Twins relate to
+    p alike, so the twin ordering loses no region. The result does not
+    depend on the order of the steps, so each walk takes the order that
+    costs least: with many targets the region seldom empties and the
+    ``_completion_plan`` order, which cuts the candidates first, wins;
+    with no more targets than members the search order forced at p, which
+    counts p as placed and so cuts the region first, ends most branches
+    after a step or two.
 
     With ``through``, a member, only copies through that member count. Each
     walk then also fixes it at the least element x of a twin class of
-    q - p, follows the search forced at (p, x) after its first two steps,
-    and starts from the region that x's relation to p leaves.
+    q - p and starts from the region that x's relation to p leaves.
     """
     unblocked = targets
     assign = [-1] * size
 
-    def walk(steps, depth: int, used: int, region: int) -> None:
+    def walk(steps, depth: int, region: int) -> None:
         nonlocal unblocked
         if depth == len(steps):
             unblocked &= ~region
             return
         x, checks, prev, code = steps[depth]
-        cand = members & ~used
-        for y, table in checks:
-            cand &= table[assign[y]]
+        cand = members
+        for y, r in checks:
+            cand &= tables[r][assign[y]]
         if prev >= 0:  # only members above the previous twin's
             cand &= -(2 << assign[prev])
         while cand:
@@ -384,18 +446,21 @@ def _completing_sets(walks, size: int, members: int, regions, targets: int,
             fit = regions[i][code] & region & unblocked
             if fit:
                 assign[x] = i
-                walk(steps, depth + 1, used | low, fit)
+                walk(steps, depth + 1, fit)
 
-    for fixed, code, steps in walks[0] if through is None else walks[1]:
+    if through is not None:
+        walks = walks[2]
+    else:  # few targets: cut the region first, and it soon holds none
+        walks = walks[1] if targets.bit_count() <= members.bit_count() else walks[0]
+    for x, code, steps in walks:
         if not unblocked:
             break
-        region, used = unblocked, 0
+        region = unblocked
         if through is not None:
-            assign[fixed[1]] = through
+            assign[x] = through
             region &= regions[through][code]
-            used = 1 << through
         if region:
-            walk(steps, 0, used, region)
+            walk(steps, 0, region)
     del walk  # it refers to itself; unbound, it leaves no garbage cycle
     return targets & ~unblocked
 

@@ -36,7 +36,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice
 from typing import Iterator, Sequence
 
 from .core import (
@@ -106,16 +106,16 @@ def _forbidden_tables(n: int, q: PosetSpec):
     """All member subsets of size |q| isomorphic to q, as subfamily masks,
     plus per-set lists of the remaining members of each such subset.
 
-    A deliberately naive permutation test that shares no code with the
+    A deliberately naive relabelling test that shares no code with the
     backtracking search: a |q|-subset is a copy when its strict-subset
     relation, read in ascending order of its members, equals the order of
-    q under one of the |q|! relabellings of q."""
+    q under some relabelling of q (``_copy_shapes``)."""
     nsets = 1 << n
     m = q.size
     copies = []
     if m <= nsets:
         below = [[a != b and a & b == a for b in range(nsets)] for a in range(nsets)]
-        shapes = {tuple(q.less[a][b] for a in p for b in p) for p in permutations(range(m))}
+        shapes = _copy_shapes(q)
         for combo in combinations(range(nsets), m):
             if tuple(below[a][b] for a in combo for b in combo) in shapes:
                 copies.append(sum(1 << s for s in combo))
@@ -124,6 +124,34 @@ def _forbidden_tables(n: int, q: PosetSpec):
         for s in _bit_positions(cmask):
             rest[s].append(cmask ^ 1 << s)
     return copies, rest
+
+
+def _copy_shapes(q: PosetSpec) -> set[tuple[bool, ...]]:
+    """The strict orders of q under the relabellings that a |q|-subset read
+    in ascending mask order can match, each flattened row by row.
+
+    A subset of a set has the smaller mask, so such a reading lists every
+    subset before its supersets: only the linear extensions of q can match.
+    Swapping two twins, elements below and above the same elements, gives
+    the same order, so the twins of each class are taken in ascending
+    label order. A chain has one such relabelling and an antichain one,
+    where all |q|! relabellings would be built otherwise."""
+    m = q.size
+    less = q.less
+    kind = [(tuple(less[a]), tuple(less[b][a] for b in range(m))) for a in range(m)]
+    shapes = set()
+
+    def extend(order: list[int], left: list[int]) -> None:
+        if not left:
+            shapes.add(tuple(less[a][b] for a in order for b in order))
+        for x in left:
+            # every element below x placed, and every earlier twin of x
+            if not any(less[y][x] or kind[y] == kind[x] and y < x for y in left):
+                extend(order + [x], [y for y in left if y != x])
+
+    extend([], list(range(m)))
+    del extend  # it refers to itself; unbound, it leaves no garbage cycle
+    return shapes
 
 
 @lru_cache(maxsize=None)
@@ -232,37 +260,41 @@ def _lattice_maps(n: int, q: PosetSpec, deadline: float | None = None) -> list[t
     return maps
 
 
-@lru_cache(maxsize=64)
-def _lattice_walks(n: int, q: PosetSpec):
+@lru_cache(maxsize=None)  # n <= _LATTICE_LIMIT only
+def _lattice_tables(n: int):
     """The three ``_regions`` bitmaps of every subset of [n], by mask, and
-    the completion walks for q bound to the same bitmaps as relation
-    tables: one table serves the candidate test and the region test."""
+    the relation tables of ``_completing_sets`` over sets indexed by mask:
+    per relation code, the same bitmaps without the set itself. The walks of
+    a poset, cached apart, run over these tables for every n."""
     regions = [_regions(s, n) for s in range(1 << n)]
-    return regions, _completion_walks(q, tuple(zip(*regions)))
+    strict = [(inc, down ^ 1 << s, up ^ 1 << s) for s, (inc, down, up) in enumerate(regions)]
+    return regions, tuple(zip(*strict))
 
 
 class _LatticeFamily:
     """A family over [n] that tracks q, with each set indexed by its mask:
     the members are the bits of ``members``, and the relation tables and
-    regions are fixed tables of the Boolean lattice, cached per n and q. Its
+    regions are fixed tables of the Boolean lattice, cached per n. Its
     ``open`` stack is that of a tracked ``_FamilyIndex``; append and pop
     flip one bit and push or pop ``open``. Since the regions of non-members
     are at hand too, a completion pass can run over any superset of the
     family (``hopeless``). Every table is one machine word for
     n <= ``_LATTICE_LIMIT``."""
 
-    __slots__ = ("bits", "members", "open", "_size", "_regions", "_walks")
+    __slots__ = ("bits", "members", "open", "_q", "_regions", "_tables")
 
     def __init__(self, n: int, q: PosetSpec):
-        self._regions, self._walks = _lattice_walks(n, q)
-        self._size = q.size
+        self._regions, self._tables = _lattice_tables(n)
+        self._q = q
         self.bits: list[int] = []
         self.members = 0
         missing = (1 << (1 << n)) - 1
         self.open = [missing ^ self._completing(0, missing)]
 
     def _completing(self, members: int, targets: int, through: int | None = None) -> int:
-        return _completing_sets(self._walks, self._size, members, self._regions, targets, through)
+        q = self._q
+        return _completing_sets(_completion_walks(q), q.size, members, self._tables,
+                                self._regions, targets, through)
 
     def append(self, new: int) -> None:
         self.bits.append(new)

@@ -23,7 +23,14 @@ from posetsat import (
 )
 from posetsat import embedding
 from posetsat.core import _transitive_closure
-from posetsat.embedding import _FamilyIndex, _poset_tables, _regions, _search_plan
+from posetsat.embedding import (
+    _FamilyIndex,
+    _completion_plan,
+    _completion_walks,
+    _poset_tables,
+    _regions,
+    _search_plan,
+)
 from posetsat.hasse import cover_edges
 from posetsat.saturation import saturation_report
 
@@ -583,20 +590,22 @@ class TestRegions:
 
 
 class TestLazyWalkBinding:
-    """A tracked index binds its completion walks, one search plan per class
-    head and per (head, twin-class head) pair, only once the family plus one
-    set can hold a copy of the poset."""
+    """A tracked index runs its completion walks, one plan per class head and
+    per (head, twin-class head) pair, built once per poset, only once the
+    family plus one set can hold a copy of the poset."""
 
     @pytest.fixture
     def plans(self, monkeypatch):
         calls = []
 
-        def counting_plan(q, forced):
-            calls.append(forced)
-            return _search_plan(q, forced)
+        def counting_plan(q, fixed):
+            calls.append(fixed)
+            return _completion_plan(q, fixed)
 
-        monkeypatch.setattr(embedding, "_search_plan", counting_plan)
-        return calls
+        _completion_walks.cache_clear()
+        monkeypatch.setattr(embedding, "_completion_plan", counting_plan)
+        yield calls
+        _completion_walks.cache_clear()
 
     def test_small_family_binds_no_walk(self, plans):
         # 26 sets and a 64-element chain: no copy of it fits in the family
@@ -622,4 +631,101 @@ class TestLazyWalkBinding:
         index.pop()
         index.pop()
         index.completing_sets(index.open[-1])
+        # another index over the same poset reuses the walks
+        again = _FamilyIndex([0b000, 0b001], 3)
+        again.track(q)
+        assert again.open[-1] == 0b01010100
         assert len(plans) == bound
+
+
+def completion_order(q, fixed):
+    """The order of a completion walk, restated from its rule: the fixed
+    elements, then at each step the free element comparable to the most
+    placed ones other than the hole ``fixed[0]``, ties going to one
+    comparable to the hole, then to the element comparable to the fewest
+    elements, then to the smaller label."""
+
+    def comparable(x, ys):
+        return sum(q.less[x][y] or q.less[y][x] for y in ys)
+
+    hole = fixed[0]
+    order = list(fixed)
+    while len(order) < q.size:
+        order.append(min(
+            (x for x in range(q.size) if x not in order),
+            key=lambda x: (-comparable(x, order[1:]), -comparable(x, [hole]),
+                           comparable(x, range(q.size)), x),
+        ))
+    return tuple(order)
+
+
+class TestCompletionPlans:
+    @pytest.mark.parametrize("name", ["B", "N", "K33"])
+    def test_walks_follow_their_rule_and_twin_chains(self, name):
+        """Every completion walk places the free elements in the order its
+        rule gives, chains each twin class in that order, and checks each
+        step against every placed element but the hole. A walk through a
+        member x first places an element comparable to x when one is free.
+        The second plan of each hole follows the search forced at it."""
+        q = TWIN_POSETS[name]
+        rows = [(q.less[x], tuple(row[x] for row in q.less)) for x in range(q.size)]
+        rel, heads, pairs = _poset_tables(q)
+        every, search_first, through = _completion_walks(q)
+        walks = [((p,), every[k][2], completion_order(q, (p,))) for k, p in enumerate(heads)]
+        walks += [((p,), search_first[k][2], _search_plan(q, (p,))[0]) for k, p in enumerate(heads)]
+        walks += [(f, through[k][2], completion_order(q, f)) for k, f in enumerate(pairs)]
+        for fixed, steps, expected in walks:
+            order = fixed + tuple(x for x, *_ in steps)
+            assert order == expected
+            classes = {}
+            for x in order[len(fixed):]:
+                classes.setdefault(rows[x], []).append(x)
+            links = {(prev, x) for x, _, prev, _ in steps if prev >= 0}
+            assert links == {pair for c in classes.values() for pair in zip(c, c[1:])}
+            for d, (x, checks, _, code) in enumerate(steps):
+                # every placed element but the hole, with its relation code
+                assert checks == tuple((y, rel[x][y]) for y in order[1:len(fixed) + d])
+                assert code == rel[fixed[0]][x]
+            if len(fixed) == 2 and steps:
+                x = fixed[1]
+                if any(q.less[x][y] or q.less[y][x] for y in order[2:]):
+                    first = steps[0][0]
+                    assert q.less[x][first] or q.less[first][x]
+
+
+class TestRelationRows:
+    """Each member's rows below, above and incomparable, and each element's
+    column of members, through any sequence of appends and pops."""
+
+    @staticmethod
+    def check(index, n):
+        bits = index.bits
+        members = (1 << len(bits)) - 1
+        for i, u in enumerate(bits):
+            below = sum(1 << j for j, v in enumerate(bits) if v != u and v & u == v)
+            above = sum(1 << j for j, v in enumerate(bits) if v != u and v & u == u)
+            incomp = sum(1 << j for j, v in enumerate(bits) if v & u not in (u, v))
+            assert index.below[i] & members == below
+            assert index.above[i] & members == above
+            assert index.incomp[i] & members == incomp
+            assert not index.incomp[i] >> i & 1
+        assert index.has == [sum(1 << j for j, v in enumerate(bits) if v >> e & 1) for e in range(n)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 5), data=st.data())
+    def test_rows_match_a_pairwise_oracle(self, n, data):
+        index = _FamilyIndex([], n)
+        moves = data.draw(st.lists(st.one_of(st.just(-1), st.integers(0, (1 << n) - 1)), max_size=20))
+        for move in moves:
+            if move < 0:
+                if not index.bits:
+                    continue
+                index.pop()
+                fresh = _FamilyIndex(index.bits, n)
+                for row in ("bits", "has", "below", "above", "incomp"):
+                    assert getattr(index, row) == getattr(fresh, row)
+            elif move in index.bits:
+                continue
+            else:
+                index.append(move)
+            self.check(index, n)

@@ -26,7 +26,7 @@ from posetsat import (
     validate_poset,
 )
 from posetsat import embedding, solver
-from posetsat.solver import _forbidden_tables, _named_seed, _saturated_walk
+from posetsat.solver import _copy_shapes, _forbidden_tables, _named_seed, _saturated_walk
 
 from conftest import CROSS_CHECK_POSETS
 from oracles import naive_has_copy, naive_is_saturated
@@ -133,12 +133,29 @@ class TestForbiddenTables:
     def test_copies_at_n4_match_the_tuple_oracle(self, q):
         assert _forbidden_tables(4, q)[0] == oracle_copies(4, q)
 
+    @pytest.mark.parametrize("q", [chain_poset(9), antichain_poset(9)], ids=["chain-9", "antichain-9"])
+    def test_nine_element_chain_and_antichain_at_n4(self, q):
+        """No chain or antichain of nine sets fits in the power set of [4]
+        (the longest chain has five, the widest antichain six), so the only
+        saturated family is the power set; the saturated walk agrees."""
+        ground = GroundSet(4)
+        families = enumerate_saturated_families(4, q)
+        assert families == [SetFamily.from_masks(ground, range(16))]
+        assert families == list(_saturated_walk(ground, q))
+
+    def test_shapes_are_the_linear_extensions(self, butterfly, nposet):
+        # B has 4 linear extensions, all equal up to swapping twins; N has 5
+        assert len(_copy_shapes(chain_poset(9))) == len(_copy_shapes(antichain_poset(9))) == 1
+        assert len(_copy_shapes(butterfly)) == 1
+        assert len(_copy_shapes(nposet)) == 5
+
     def test_enumerator_runs_without_the_search(self, monkeypatch, butterfly, nposet):
         def refuse(*args, **kwargs):
             raise AssertionError("the enumerator must not use the copy search")
 
         monkeypatch.setattr(solver, "_FamilyIndex", refuse)
         monkeypatch.setattr(embedding, "_search_plan", refuse)
+        monkeypatch.setattr(embedding, "_completion_plan", refuse)
         counts = [len(enumerate_saturated_families(n, q)) for n in (1, 2, 3, 4) for q in (butterfly, nposet)]
         assert counts == [1, 1, 1, 1, 1, 9, 12, 118]
 
