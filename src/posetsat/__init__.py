@@ -8,7 +8,6 @@ size lower bounds on saturated families, and an exact small-n solver.
 from .core import (
     GroundSet,
     PosetSpec,
-    Relation,
     SetFamily,
     SubsetMask,
     antichain_poset,
@@ -23,8 +22,6 @@ from .core import (
     parse_poset_json,
     poset_isomorphic,
     poset_name,
-    save_family,
-    subset_relation,
     validate_poset,
 )
 from .embedding import EmbeddingWitness, find_induced_copy
@@ -34,7 +31,6 @@ from .saturation import (
     SaturationReport,
     butterfly_construction,
     greedy_saturate,
-    is_free,
     k2k_seed,
     kkk_seed,
     n_construction,
@@ -52,8 +48,6 @@ from .theorems import (
     Chevron,
     ChevronAssignment,
     TheoremReport,
-    assign_chevron_to_pair,
-    assign_chevron_to_singleton,
     difference_pair_cover,
     lemma1_check,
     theorem2_assignment,
@@ -67,9 +61,7 @@ __all__ = [
     "GroundSet",
     "SubsetMask",
     "SetFamily",
-    "Relation",
     "PosetSpec",
-    "subset_relation",
     "validate_poset",
     "complete_bipartite_poset",
     "butterfly_poset",
@@ -81,13 +73,11 @@ __all__ = [
     "parse_family",
     "format_family",
     "load_family",
-    "save_family",
     "load_poset",
     "parse_poset_json",
     "EmbeddingWitness",
     "find_induced_copy",
     "SaturationReport",
-    "is_free",
     "saturation_report",
     "greedy_saturate",
     "butterfly_construction",
@@ -101,8 +91,6 @@ __all__ = [
     "verify_theorem2",
     "verify_theorem3",
     "verify_prop4",
-    "assign_chevron_to_singleton",
-    "assign_chevron_to_pair",
     "theorem2_assignment",
     "theorem3_assignment",
     "difference_pair_cover",

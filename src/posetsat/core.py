@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -87,32 +86,6 @@ class SubsetMask:
         return "{" + ",".join(str(e) for e in self.elements()) + "}"
 
 
-class Relation(Enum):
-    """Containment relation between two subsets; exactly one holds per pair."""
-
-    PROPER_SUBSET = "proper-subset"
-    PROPER_SUPERSET = "proper-superset"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
-
-
-def subset_relation(a: SubsetMask, b: SubsetMask) -> Relation:
-    """Exact containment relation of ``a`` against ``b``."""
-    if a.ground != b.ground:
-        raise UsageError("cannot relate subsets over different ground sets")
-    return _relation_bits(a.bits, b.bits)
-
-
-def _relation_bits(a: int, b: int) -> Relation:
-    if a == b:
-        return Relation.EQUAL
-    if a & b == a:
-        return Relation.PROPER_SUBSET
-    if a & b == b:
-        return Relation.PROPER_SUPERSET
-    return Relation.INCOMPARABLE
-
-
 @dataclass(frozen=True)
 class SetFamily:
     """Duplicate-free collection of subsets over one ground set.
@@ -157,14 +130,6 @@ class SetFamily:
 
     def has_mask(self, bits: int) -> bool:
         return bits in self._bit_set
-
-    def with_member(self, member: SubsetMask | int) -> "SetFamily":
-        bits = member.bits if isinstance(member, SubsetMask) else member
-        return SetFamily.from_masks(self.ground, self.bit_list + (bits,))
-
-    def missing_masks(self) -> list[int]:
-        """All subset masks not in the family, in canonical order."""
-        return [b for b in self.ground.all_masks() if b not in self._bit_set]
 
 
 @dataclass(frozen=True)
@@ -448,11 +413,6 @@ def _read_text(path) -> str:
 
 def load_family(path, ground: GroundSet | None = None) -> SetFamily:
     return parse_family(_read_text(path), ground)
-
-
-def save_family(family: SetFamily, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_family(family))
 
 
 def parse_poset_json(text: str) -> PosetSpec:

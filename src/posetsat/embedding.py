@@ -96,6 +96,18 @@ def _poset_tables(q: PosetSpec):
 
 
 @lru_cache(maxsize=None)
+def _height(q: PosetSpec) -> int:
+    """The number of elements in a longest chain of q. The strict down-set
+    of an element grows along every chain, so ordering by its size lists
+    each element after every element below it."""
+    below = [[y for y in range(q.size) if q.less[y][x]] for x in range(q.size)]
+    height = [0] * q.size
+    for x in sorted(range(q.size), key=lambda x: len(below[x])):
+        height[x] = 1 + max((height[y] for y in below[x]), default=0)
+    return max(height)
+
+
+@lru_cache(maxsize=None)
 def _search_plan(q: PosetSpec, forced: tuple[int, ...]):
     """Search order, per-depth relation checks and twin chains for one search
     of ``q`` with the ``forced`` elements placed first, in the given order.
@@ -176,7 +188,8 @@ class _FamilyIndex:
     untracked index builds no regions.
     """
 
-    __slots__ = ("n", "bits", "has", "below", "above", "incomp", "regions", "open", "_q")
+    __slots__ = ("n", "bits", "has", "below", "above", "incomp", "regions", "open", "_q",
+                 "_fits")
 
     def __init__(self, bits: Sequence[int], n: int):
         self.n = n
@@ -194,6 +207,7 @@ class _FamilyIndex:
         runs one completion pass over every missing set."""
         self.regions = [_regions(u, self.n) for u in self.bits]
         self._q = q
+        self._fits = _height(q) <= self.n + 1
         missing = (1 << (1 << self.n)) - 1 - sum(1 << b for b in self.bits)
         self.open: list[int] = [missing ^ self.completing_sets(missing)]
 
@@ -318,10 +332,11 @@ class _FamilyIndex:
         ``through``, a member index, only copies through that member count.
         ``_completing_sets`` over the member indices, with each member's
         relation bitsets and regions. While the family plus one set has
-        fewer than |q| members no set is blocked, and the walks of q are
-        not built."""
+        fewer than |q| members, or when a chain of q is longer than the
+        n + 1 sets of a longest chain over [n], no set is blocked, and the
+        walks of q are not built."""
         q = self._q
-        if len(self.bits) + 1 < q.size:
+        if not self._fits or len(self.bits) + 1 < q.size:
             return 0
         return _completing_sets(_completion_walks(q), q.size, (1 << len(self.bits)) - 1,
                                 (self.incomp, self.below, self.above), self.regions,
@@ -424,6 +439,8 @@ def _completing_sets(walks, size: int, members: int, tables, regions, targets: i
     With ``through``, a member, only copies through that member count. Each
     walk then also fixes it at the least element x of a twin class of
     q - p and starts from the region that x's relation to p leaves.
+    Three empty tuples as ``walks``, for a q with no copy to find, block no
+    set.
     """
     unblocked = targets
     assign = [-1] * size
@@ -472,9 +489,6 @@ class EmbeddingWitness:
 
     poset: PosetSpec
     assignment: tuple[SubsetMask, ...]
-
-    def image_bits(self) -> frozenset:
-        return frozenset(s.bits for s in self.assignment)
 
     def verify(self, family: SetFamily | None = None) -> bool:
         """Independent relation-by-relation recheck of the witness."""

@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .core import GroundSet, PosetSpec, SetFamily, SubsetMask, mask_key
-from .embedding import EmbeddingWitness, _FamilyIndex, _search_witness, find_induced_copy
+from .embedding import EmbeddingWitness, _FamilyIndex, _search_witness
 from .errors import UsageError
 
 
@@ -61,11 +61,6 @@ def _bit_positions(x: int) -> list[int]:
         out.append(i)
         i = digits.find("1", i + 1)
     return out
-
-
-def is_free(family: SetFamily, q: PosetSpec) -> bool:
-    """True iff the family contains no induced copy of q."""
-    return find_induced_copy(family, q) is None
 
 
 def saturation_report(family: SetFamily, q: PosetSpec) -> SaturationReport:

@@ -48,7 +48,7 @@ from .core import (
     poset_isomorphic,
     poset_name,
 )
-from .embedding import _FamilyIndex, _completing_sets, _completion_walks, _regions
+from .embedding import _FamilyIndex, _completing_sets, _completion_walks, _height, _regions
 from .errors import ContractViolationError, UsageError
 from .saturation import (
     _bit_positions,
@@ -279,21 +279,23 @@ class _LatticeFamily:
     flip one bit and push or pop ``open``. Since the regions of non-members
     are at hand too, a completion pass can run over any superset of the
     family (``hopeless``). Every table is one machine word for
-    n <= ``_LATTICE_LIMIT``."""
+    n <= ``_LATTICE_LIMIT``. The walks of q are bound once: none when a
+    chain of q is longer than the n + 1 sets of a longest chain over [n],
+    since q then has no copy in the lattice and blocks no set."""
 
-    __slots__ = ("bits", "members", "open", "_q", "_regions", "_tables")
+    __slots__ = ("bits", "members", "open", "_size", "_walks", "_regions", "_tables")
 
     def __init__(self, n: int, q: PosetSpec):
         self._regions, self._tables = _lattice_tables(n)
-        self._q = q
+        self._size = q.size
+        self._walks = _completion_walks(q) if _height(q) <= n + 1 else ((), (), ())
         self.bits: list[int] = []
         self.members = 0
         missing = (1 << (1 << n)) - 1
         self.open = [missing ^ self._completing(0, missing)]
 
     def _completing(self, members: int, targets: int, through: int | None = None) -> int:
-        q = self._q
-        return _completing_sets(_completion_walks(q), q.size, members, self._tables,
+        return _completing_sets(self._walks, self._size, members, self._tables,
                                 self._regions, targets, through)
 
     def append(self, new: int) -> None:
@@ -440,6 +442,8 @@ def exact_sat_star(
     if method == "enumerate":
         if n > _EXHAUSTIVE_LIMIT:
             raise UsageError(f"method 'enumerate' requires n <= {_EXHAUSTIVE_LIMIT}")
+        if budget_s is not None:
+            raise UsageError("method 'enumerate' takes no budget")
         families = enumerate_saturated_families(n, q)
         best = min(families, key=lambda f: (len(f), f.bit_list))
         enumerated_count = len(families)

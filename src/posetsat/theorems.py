@@ -199,40 +199,6 @@ def _chevron_map(family: SetFamily, domain: list[int]) -> ChevronAssignment:
     return ChevronAssignment(tuple(SubsetMask(b, ground) for b in domain), chevrons, images)
 
 
-def assign_chevron_to_singleton(family: SetFamily, i: int) -> Chevron:
-    """Chevron assigned to the missing singleton {i} of a butterfly-saturated
-    family; also requires the image C u {i} to be a member, as the injection
-    argument guarantees. The family is assumed saturated; a missing chevron or
-    image is then a broken contract, not a usage error, and raises with
-    ``detail == {"singleton": [i]}``."""
-    n = family.ground.n
-    if not 1 <= i <= n:
-        raise UsageError(f"element {i} outside ground set 1..{n}")
-    s = 1 << (i - 1)
-    if family.has_mask(s):
-        raise UsageError(f"singleton {{{i}}} is already a family member")
-    return _chevron_map(family, [s]).chevrons[s]
-
-
-def assign_chevron_to_pair(family: SetFamily, pair: SubsetMask) -> Chevron:
-    """Chevron assigned to a missing pair {i,j} with exactly one of its
-    singletons in the family; also requires the image C u {i,j} to be a
-    member, as the injection argument guarantees. A broken guarantee raises
-    with ``detail == {"pair": [i, j]}``."""
-    if pair.ground != family.ground:
-        raise UsageError("pair over a different ground set")
-    if pair.cardinality != 2:
-        raise UsageError(f"expected a 2-element set, got {pair}")
-    if family.has_mask(pair.bits):
-        raise UsageError(f"pair {pair} is already a family member")
-    present = sum(1 for e in pair.elements() if family.has_mask(1 << (e - 1)))
-    if present != 1:
-        raise UsageError(
-            f"pair {pair} must have exactly one singleton in the family, found {present}"
-        )
-    return _chevron_map(family, [pair.bits]).chevrons[pair.bits]
-
-
 def theorem2_assignment(family: SetFamily) -> ChevronAssignment:
     """Chevron map over all missing singletons (assumes butterfly-saturation)."""
     missing = [1 << i for i in range(family.ground.n) if not family.has_mask(1 << i)]

@@ -106,7 +106,8 @@ class TestCheck:
         prefix = 0b11111
         fam = SetFamily.from_masks(fam.ground, [b for b in fam.bit_list if b != prefix])
         index = _FamilyIndex(fam.bit_list, 14)
-        for first in fam.missing_masks():  # one forced search per missing set
+        missing = [b for b in fam.ground.all_masks() if not fam.has_mask(b)]
+        for first in missing:  # one forced search per missing set
             index.append(first)
             addable = index.search(n_poset(), forced_index=len(fam)) is None
             index.pop()
@@ -623,14 +624,14 @@ class TestUsageErrors:
             run_module("solve", "--poset", "b", "--n", "2", *method, "--rng-seed", "99")
         )
 
+    @pytest.mark.parametrize("method", ["greedy", "enumerate"])
     @pytest.mark.parametrize("budget", ["5", "nan", "-1"])
-    def test_budget_rejected_with_greedy(self, budget):
-        self.assert_usage_error(
-            run_module(
-                "solve", "--poset", "b", "--n", "3", "--method", "greedy", "--trials", "1",
-                "--budget", budget,
-            )
-        )
+    def test_budget_rejected_with_greedy_or_enumerate(self, method, budget):
+        # neither method searches under a deadline, so a budget is refused
+        proc = run_module("solve", "--poset", "b", "--n", "3", "--method", method,
+                          "--budget", budget)
+        self.assert_usage_error(proc)
+        assert "budget" in proc.stderr
 
     def test_unwritable_out_path(self, tmp_path):
         out = str(tmp_path / "missing-dir" / "x")

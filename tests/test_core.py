@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from posetsat import (
     GroundSet,
     PosetValidationError,
-    Relation,
     SetFamily,
     SubsetMask,
     UsageError,
@@ -26,8 +25,6 @@ from posetsat import (
     parse_poset_json,
     poset_isomorphic,
     poset_name,
-    save_family,
-    subset_relation,
     validate_poset,
 )
 from posetsat.core import MAX_POSET_SIZE
@@ -70,34 +67,6 @@ class TestSubsetMask:
             SubsetMask(1 << 4, G4)
 
 
-class TestSubsetRelation:
-    def test_proper_subset(self):
-        assert subset_relation(mask(1), mask(1, 2)) == Relation.PROPER_SUBSET
-
-    def test_incomparable_disjoint(self):
-        assert subset_relation(mask(1), mask(2, 3)) == Relation.INCOMPARABLE
-
-    def test_equal(self):
-        assert subset_relation(mask(1, 2), mask(1, 2)) == Relation.EQUAL
-
-    def test_mismatched_grounds(self):
-        with pytest.raises(UsageError):
-            subset_relation(mask(1), SubsetMask.from_elements(GroundSet(5), [1]))
-
-    @given(a=st.integers(0, 31), b=st.integers(0, 31))
-    def test_duality_and_symmetry(self, a, b):
-        g = GroundSet(5)
-        ma, mb = SubsetMask(a, g), SubsetMask(b, g)
-        forward, backward = subset_relation(ma, mb), subset_relation(mb, ma)
-        flip = {
-            Relation.PROPER_SUBSET: Relation.PROPER_SUPERSET,
-            Relation.PROPER_SUPERSET: Relation.PROPER_SUBSET,
-            Relation.EQUAL: Relation.EQUAL,
-            Relation.INCOMPARABLE: Relation.INCOMPARABLE,
-        }
-        assert backward == flip[forward]
-
-
 class TestSetFamily:
     def test_deduplicates_and_sorts(self):
         fam = SetFamily.from_masks(G4, [0b1100, 0b1, 0b1100, 0b10])
@@ -121,7 +90,7 @@ class TestSetFamily:
         fam = SetFamily.from_sets(G4, [[1], [1, 2]])
         assert mask(1) in fam
         assert fam.has_mask(0b11)
-        bigger = fam.with_member(mask(3))
+        bigger = SetFamily.from_masks(G4, fam.bit_list + (mask(3).bits,))
         assert len(bigger) == 3 and len(fam) == 2
 
 
@@ -279,10 +248,9 @@ class TestFamilyFiles:
         [butterfly_construction(5), SetFamily.from_masks(GroundSet(5), [])],
         ids=["butterfly-5", "empty"],
     )
-    def test_save_family_round_trip(self, fam, tmp_path):
+    def test_file_round_trip(self, fam, tmp_path):
         path = tmp_path / "fam.txt"
-        save_family(fam, path)
-        assert path.read_text(encoding="utf-8") == format_family(fam)
+        path.write_text(format_family(fam), encoding="utf-8")
         assert load_family(path, fam.ground) == fam
 
 

@@ -1,6 +1,6 @@
 import tracemalloc
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +16,7 @@ from posetsat import (
     butterfly_poset,
     chain_poset,
     complete_bipartite_poset,
+    exact_sat_star,
     find_induced_copy,
     n_poset,
     poset_isomorphic,
@@ -27,6 +28,7 @@ from posetsat.embedding import (
     _FamilyIndex,
     _completion_plan,
     _completion_walks,
+    _height,
     _poset_tables,
     _regions,
     _search_plan,
@@ -55,7 +57,7 @@ class TestFindInducedCopy:
         w = find_induced_copy(fam, butterfly)
         assert w is not None
         assert w.verify(fam)
-        assert w.image_bits() == {0b0001, 0b0010, 0b0111, 0b1011}
+        assert {s.bits for s in w.assignment} == {0b0001, 0b0010, 0b0111, 0b1011}
         # bottoms land on the singletons, tops on the triples
         bottoms = {w.assignment[0].bits, w.assignment[1].bits}
         assert bottoms == {0b0001, 0b0010}
@@ -81,7 +83,7 @@ class TestFindInducedCopy:
         req = SubsetMask.from_elements(fam.ground, [2])
         w = find_induced_copy(fam, butterfly, required=req)
         assert w is not None
-        assert req.bits in w.image_bits()
+        assert req in w.assignment
 
     def test_no_copy_in_empty_or_tiny_families(self, butterfly):
         assert find_induced_copy(family(4), butterfly) is None
@@ -113,7 +115,7 @@ class TestAgainstNaiveOracle:
             expected = any(required in tup for tup in naive_witnesses(fam.bit_list, q))
             assert (got is not None) == expected
             if got is not None:
-                assert required in got.image_bits()
+                assert req in got.assignment
                 assert got.verify(fam)
 
     @given(fam=small_family, extra=st.integers(0, 15))
@@ -121,7 +123,8 @@ class TestAgainstNaiveOracle:
     def test_monotone_under_additions(self, fam, extra, butterfly, nposet):
         for q in (butterfly, nposet):
             if find_induced_copy(fam, q) is not None:
-                assert find_induced_copy(fam.with_member(extra), q) is not None
+                bigger = SetFamily.from_masks(fam.ground, fam.bit_list + (extra,))
+                assert find_induced_copy(bigger, q) is not None
 
 
 # poset -> the least element of each twin class
@@ -636,6 +639,48 @@ class TestLazyWalkBinding:
         again.track(q)
         assert again.open[-1] == 0b01010100
         assert len(plans) == bound
+
+
+def longest_chain(q):
+    """The most elements of q that pairwise compare, by brute force."""
+    return max(
+        k for k in range(1, q.size + 1) for xs in combinations(range(q.size), k)
+        if all(q.less[a][b] or q.less[b][a] for a, b in combinations(xs, 2))
+    )
+
+
+class TestHeightGuard:
+    """An induced copy maps a chain of q to a chain of sets, and a chain
+    over [n] has at most n + 1 sets, so a poset with a longer chain blocks
+    no set and its completion walks are never built."""
+
+    @given(
+        size=st.integers(1, 6),
+        pairs=st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5))),
+        perm=st.permutations(range(6)),
+    )
+    def test_height_is_the_longest_chain(self, size, pairs, perm):
+        q = relabelled_poset(size, pairs, perm)
+        assert _height(q) == longest_chain(q)
+
+    @pytest.fixture
+    def no_plans(self, monkeypatch):
+        def refuse(q, fixed):
+            raise AssertionError("a completion plan was built")
+
+        _completion_walks.cache_clear()
+        monkeypatch.setattr(embedding, "_completion_plan", refuse)
+        yield
+        _completion_walks.cache_clear()
+
+    def test_too_tall_a_poset_builds_no_walk(self, no_plans):
+        q = chain_poset(32)
+        fam = SetFamily.from_masks(GroundSet(5), range(1, 32))
+        report = saturation_report(fam, q)
+        assert report.free and not report.saturated
+        assert [s.bits for s in report.unsaturated_sets] == [0]
+        result = exact_sat_star(5, q, budget_s=30)
+        assert result.exact and result.value == 32
 
 
 def completion_order(q, fixed):

@@ -12,8 +12,6 @@ from posetsat import (
     SetFamily,
     SubsetMask,
     UsageError,
-    assign_chevron_to_pair,
-    assign_chevron_to_singleton,
     butterfly_construction,
     difference_pair_cover,
     enumerate_saturated_families,
@@ -36,6 +34,11 @@ from oracles import naive_strong_difference
 @pytest.fixture(scope="module")
 def saturated_n4(butterfly):
     return enumerate_saturated_families(4, butterfly)
+
+
+@pytest.fixture(scope="module")
+def sampled_n5(butterfly):
+    return sample_saturated_families(5, butterfly, 24, rng_seed=1005)
 
 
 def drop_one(fam):
@@ -80,17 +83,14 @@ class TestLemma1:
 
 
 class TestSingletonChevrons:
-    def test_present_singleton_rejected(self):
-        with pytest.raises(UsageError):
-            assign_chevron_to_singleton(butterfly_construction(4), 2)
-
     def test_chevron_properties_on_enumerated_families(self, saturated_n4):
         checked = 0
         for fam in saturated_n4:
+            chevrons = theorem2_assignment(fam).chevrons
             for i in range(1, 5):
                 if fam.has_mask(1 << (i - 1)):
                     continue
-                ch = assign_chevron_to_singleton(fam, i)
+                ch = chevrons[1 << (i - 1)]
                 checked += 1
                 # probe is below both tops, the bottom avoids i, image present
                 assert not (ch.c.bits >> (i - 1)) & 1
@@ -98,31 +98,6 @@ class TestSingletonChevrons:
                 assert fam.has_mask(ch.c.bits)
                 assert fam.has_mask(ch.c.bits | 1 << (i - 1))
         assert checked > 0
-
-    def test_maximality_of_bottom(self, saturated_n4):
-        # recompute the best chevron bottom by brute force
-        for fam in saturated_n4:
-            for i in range(1, 5):
-                probe = 1 << (i - 1)
-                if fam.has_mask(probe):
-                    continue
-                ch = assign_chevron_to_singleton(fam, i)
-                best = -1
-                for c in fam.bit_list:
-                    if c & probe == c or c & probe == probe:
-                        continue
-                    ups = [
-                        m
-                        for m in fam.bit_list
-                        if m & (c | probe) == (c | probe) and m != (c | probe)
-                    ]
-                    if any(
-                        a & b != a and b & a != b
-                        for x, a in enumerate(ups)
-                        for b in ups[x + 1:]
-                    ):
-                        best = max(best, c.bit_count())
-                assert ch.c.cardinality == best
 
 
 class TestTheorem2:
@@ -158,20 +133,9 @@ class TestTheorem2:
 
 
 class TestPairChevrons:
-    def test_usage_errors(self):
-        fam = butterfly_construction(4)
-        g = fam.ground
-        with pytest.raises(UsageError):
-            assign_chevron_to_pair(fam, SubsetMask.from_elements(g, [1, 2]))  # present
-        missing_both = family(4, [], [1], [1, 2], [1, 2, 3], [1, 2, 3, 4])
-        with pytest.raises(UsageError):
-            assign_chevron_to_pair(missing_both, SubsetMask.from_elements(g, [3, 4]))
-        with pytest.raises(UsageError):
-            assign_chevron_to_pair(fam, SubsetMask.from_elements(g, [1]))  # not a pair
-
     def test_valid_pair_on_greedy_instance(self, butterfly):
         fam = sample_saturated_families(5, butterfly, 1, rng_seed=1005)[0]
-        g = fam.ground
+        chevrons = theorem3_assignment(fam).chevrons
         done = False
         for i in range(1, 6):
             for j in range(i + 1, 6):
@@ -183,10 +147,57 @@ class TestPairChevrons:
                 )
                 if present != 1:
                     continue
-                ch = assign_chevron_to_pair(fam, SubsetMask(pair, g))
-                assert fam.has_mask(ch.c.bits | pair)
+                assert fam.has_mask(chevrons[pair].c.bits | pair)
                 done = True
         assert done
+
+
+def incomparable(a, b):
+    return a & b != a and a & b != b
+
+
+def best_bottom(fam, probe):
+    """The largest |C| over members C incomparable to ``probe`` with two
+    incomparable members strictly above C u probe, by brute force; -1 when
+    there is none."""
+    best = -1
+    for c in fam.bit_list:
+        need = c | probe
+        ups = [m for m in fam.bit_list if m & need == need and m != need]
+        if incomparable(c, probe) and any(
+            incomparable(a, b) for x, a in enumerate(ups) for b in ups[x + 1:]
+        ):
+            best = max(best, c.bit_count())
+    return best
+
+
+class TestMaximalChevrons:
+    """Theorems 2 and 3 map each item of their domain, a missing singleton or
+    a missing pair with one singleton present, to C u item for a chevron
+    (A, B, C) through it with |C| maximal."""
+
+    @pytest.mark.parametrize(
+        "assign", [theorem2_assignment, theorem3_assignment], ids=["singletons", "pairs"]
+    )
+    def test_maximality_of_bottom(self, assign, saturated_n4, sampled_n5):
+        # against a brute-force best bottom; no saturated family at n = 4
+        # has a pair in the domain of theorem 3
+        checked = 0
+        for fam in saturated_n4 + sampled_n5:
+            assignment = assign(fam)
+            for item in assignment.domain:
+                probe = item.bits
+                ch = assignment.chevrons[probe]
+                a, b, c = ch.a.bits, ch.b.bits, ch.c.bits
+                need = c | probe
+                assert incomparable(c, probe)
+                for top in (a, b):  # members strictly above C u item
+                    assert fam.has_mask(top) and top & need == need and top != need
+                assert incomparable(a, b)
+                assert assignment.images[probe].bits == need and fam.has_mask(need)
+                assert c.bit_count() == best_bottom(fam, probe)
+                checked += 1
+        assert checked > 0
 
 
 class TestTheorem3:
@@ -475,7 +486,7 @@ class TestInjectionFailures:
             "singleton": [1], "reason": NOT_MEMBER.format("{1,2}", "singleton", "{1}"),
         }
         with pytest.raises(ContractViolationError) as exc:
-            assign_chevron_to_singleton(fam, 1)
+            theorem2_assignment(fam)
         assert exc.value.detail == {"singleton": [1]}
 
     def test_t2_not_injective(self, monkeypatch):

@@ -1,17 +1,20 @@
-"""Unused module-level imports and private names in the package, found with
-``ast``.
+"""Unused module-level imports, private names and public names in the
+package, found with ``ast``.
 
 The package has no linter configured; these tests keep a deleted function
-from leaving its imports or private helpers behind. ``__init__.py``
+from leaving its imports or private helpers behind, and a public name from
+staying in the API when only its own tests read it. ``__init__.py``
 re-exports names and is left out of the import check.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "posetsat"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "posetsat"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -101,3 +104,87 @@ def test_no_unused_imports(module):
 def test_no_unread_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+def _exports(source: str) -> tuple[list[str], list[str]]:
+    """The names an ``__init__.py`` imports from its modules, and the names
+    its ``__all__`` lists."""
+    imported, listed = [], []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom):
+            imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            listed += [e.value for e in node.value.elts]
+    return imported, listed
+
+
+def _bound_names(node: ast.stmt) -> set[str]:
+    """The name a ``def`` or ``class`` statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    return set()
+
+
+def unread_public_names(init: str, modules: dict[str, str], others: dict[str, str]) -> list[str]:
+    """Each name of ``__all__`` in ``init`` that is not read from live code.
+    Every file of ``others`` is live: a Python file is read by ``ast``, any
+    other file as the words of its text. A module-level statement of
+    ``modules`` is live when it binds no public or private name, or binds
+    one that live code reads; what it reads is then read from live code.
+    So a public name that only a dead public or private name reads is
+    unread too, and a function that only calls itself reads nothing."""
+    public = _exports(init)[1]
+    statements = []
+    for source in modules.values():
+        for stmt in ast.parse(source).body:
+            bound = set(_private_names(stmt)) | _bound_names(stmt).intersection(public)
+            statements.append((bound, _names_read(stmt) - _bound_names(stmt)))
+    live = set()
+    for name, text in others.items():
+        python = name.endswith(".py")
+        live |= _names_read(ast.parse(text)) if python else set(re.findall(r"\w+", text))
+    grown = True
+    while grown:
+        before = len(live)
+        for bound, reads in statements:
+            if not bound or bound & live:
+                live |= reads
+        grown = len(live) > before
+    return [name for name in public if name not in live]
+
+
+def test_checker_flags_an_unread_public_name():
+    init = (
+        "from .a import run, spare, Shape\n"
+        "__all__ = ['run', 'spare', 'Shape']\n"
+    )
+    modules = {
+        "a.py": (
+            "class Shape:\n    pass\n"
+            "def spare(k) -> Shape:\n    return spare(k - 1)\n"
+            "def run():\n    return 1\n"
+        ),
+        "b.py": "def _unused():\n    return Shape()\n",
+    }
+    others = {"README.md": "call `run()` first", "bench/x.py": "api.pkg.running()\n"}
+    # Shape is read only by spare and _unused, which nothing live reads
+    assert unread_public_names(init, modules, others) == ["spare", "Shape"]
+    modules["c.py"] = "from .a import Shape\n"
+    assert unread_public_names(init, modules, others) == ["spare"]
+
+
+def test_all_lists_exactly_the_imported_names():
+    imported, listed = _exports((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert sorted(imported) == sorted(listed)
+    assert len(listed) == len(set(listed))
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    modules = {name: (PACKAGE / name).read_text(encoding="utf-8") for name in MODULES}
+    others = {"README.md": (ROOT / "README.md").read_text(encoding="utf-8")}
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        others[f"bench/{path.name}"] = path.read_text(encoding="utf-8")
+    init = (PACKAGE / "__init__.py").read_text(encoding="utf-8")
+    assert unread_public_names(init, modules, others) == []
