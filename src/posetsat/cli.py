@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 from .core import (
     GroundSet,
@@ -252,7 +253,10 @@ def _cmd_hasse(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; ``run`` picks each
+    subcommand's function by name."""
     parser = argparse.ArgumentParser(
         prog="posetsat",
         description="Induced poset saturation in the Boolean lattice",
@@ -267,28 +271,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("check", help="saturation report for a family")
     p.add_argument("--poset", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--fail-fast", action="store_true")
-    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("embed", help="find an induced copy of a poset")
     p.add_argument("--poset", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--required", help="set that must appear in the image, e.g. '{1,3}'")
-    p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("greedy", help="close a free seed to a saturated family")
     p.add_argument("--poset", required=True)
     p.add_argument("--in", dest="infile")
     p.add_argument("--n", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_greedy)
 
     p = sub.add_parser("verify", help="run a verifier or the full battery")
     p.add_argument("target", nargs="?", choices=sorted(_VERIFIERS))
@@ -298,7 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strong", action="store_true", help="p4: also check the per-member claim")
     p.add_argument("--format", choices=["json", "tsv", "text"], help="default json")
     p.add_argument("--rng-seed", type=int, help="--suite paper: battery seed (default 1)")
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("solve", help="exact or best-known saturation number")
     p.add_argument("--poset", required=True)
@@ -307,13 +306,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, help="time budget in seconds")
     p.add_argument("--trials", type=int, help="greedy method: closure count (default 20)")
     p.add_argument("--rng-seed", type=int, help="greedy method: seed (default 1)")
-    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("hasse", help="DOT digraph of a family's cover relations")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--n", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_hasse)
 
     return parser
 
@@ -325,7 +322,11 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        code = args.func(args)
+        # looked up per call, so the parser keeps no function of its own
+        commands = {"construct": _cmd_construct, "check": _cmd_check, "embed": _cmd_embed,
+                    "greedy": _cmd_greedy, "verify": _cmd_verify, "solve": _cmd_solve,
+                    "hasse": _cmd_hasse}
+        code = commands[args.subcommand](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -110,6 +110,11 @@ class SetFamily:
         object.__setattr__(self, "_bit_set", frozenset(bits))
         object.__setattr__(self, "members", tuple(first[b] for b in bits))
 
+    def __hash__(self) -> int:
+        # equal families have equal masks, and a tuple of ints hashes without
+        # a Python-level call per member
+        return hash((self.ground.n, self.bit_list))
+
     @classmethod
     def from_masks(cls, ground: GroundSet, masks: Iterable[int]) -> "SetFamily":
         return cls(ground, tuple(SubsetMask(b, ground) for b in masks))

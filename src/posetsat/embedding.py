@@ -52,13 +52,17 @@ poset and cached, on the first pass that a copy of it can reach, and run
 over the relation tables and regions of any family: the index passes its
 member rows, and the solver's walk for small n the regions of the Boolean
 lattice indexed by mask, which also serve as its relation tables.
+
+Every search plan and completion walk runs as a kernel: Python source
+generated from the plan, with one loop per step and the placed members in
+locals, compiled once per source text. Plans of one shape share a kernel,
+and a plan longer than CPython's limit on nested loops chains kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import and_
 from typing import Optional, Sequence
 
 from .core import GroundSet, PosetSpec, SetFamily, SubsetMask
@@ -153,6 +157,81 @@ def _search_plan(q: PosetSpec, forced: tuple[int, ...]):
     return order, checks, tuple(prev)
 
 
+# CPython 3.10 to 3.12 refuse more than 20 statically nested blocks in one
+# function, so a kernel with more loops chains functions of this many each
+_LOOPS = 20
+_KERNELS: dict[str, object] = {}  # source -> its first function
+
+
+def _compile(lines: list[str]):
+    """The function ``_k0`` that the source ``lines`` defines; later ones,
+    ``_k1`` and on, each continue the one before. Each source is compiled
+    once, on first use, so plans of one shape share a kernel. A source
+    holds names, operators and integers only, never a label or other
+    string from a poset."""
+    source = "\n".join(lines)
+    kernel = _KERNELS.get(source)
+    if kernel is None:
+        namespace: dict = {}
+        exec(source, namespace)
+        kernel = _KERNELS[source] = namespace["_k0"]
+    return kernel
+
+
+def _pull(pad: str, cand: str, image: str) -> list[str]:
+    """Source lines that loop over the bits of ``cand``, lowest first, with
+    the member index in ``image``."""
+    return [f"{pad}while {cand}:", f"{pad}    b = {cand} & -{cand}", f"{pad}    {cand} ^= b",
+            f"{pad}    {image} = b.bit_length() - 1"]
+
+
+@lru_cache(maxsize=None)
+def _search_kernel(q: PosetSpec, forced: tuple[int, ...]):
+    """The order of ``_search_plan(q, forced)`` and its search compiled into
+    nested loops: ``kernel(incomp, below, above, members, first)`` returns
+    the member index of each element in order, or None, where ``first`` is
+    the domain of the first step and ``members`` that of the others.
+
+    Loop d places the element at depth d, its index in ``i<d>``, and
+    ``v<d>_<k>`` holds the domain of step k at depth d. The last step takes
+    the least member of its domain, which is never empty there. A search of
+    more than ``_LOOPS`` + 1 steps chains kernels, each handing the next the
+    domains of the steps it leaves."""
+    order, checks, prev = _search_plan(q, forced)
+    m = len(order)
+    depth = {x: d for d, x in enumerate(order)}
+
+    def domain(d: int, k: int) -> str:
+        return "members" if d == 0 < k else f"v{d}_{k}"
+
+    def params(d: int) -> str:  # of the kernel that starts at depth d
+        domains = ["members", "v0_0"] if d == 0 else [domain(d, k) for k in range(d, m)]
+        return ", ".join(["t0, t1, t2"] + domains)
+
+    lines = []
+    for c, start in enumerate(range(0, max(m - 1, 1), _LOOPS)):
+        end = min(start + _LOOPS, m - 1)
+        lines.append(f"def _k{c}({params(start)}):")
+        pad = "    "
+        for d in range(start, end):
+            lines += _pull(pad, domain(d, d), f"i{d}")
+            cuts = []
+            for k in range(d + 1, m):
+                twin = f" & -(2 << i{d})" if prev[k] >= 0 and depth[prev[k]] == d else ""
+                cuts.append(f"(v{d + 1}_{k} := {domain(d, k)} & t{checks[k][d][1]}[i{d}]{twin})")
+            lines.append(f"{pad}    if {' and '.join(cuts)}:")
+            pad += "        "
+        images = "".join(f"i{d}, " for d in range(start, end))
+        if end == m - 1:
+            last = domain(end, end)
+            lines.append(f"{pad}return ({images}({last} & -{last}).bit_length() - 1,)")
+        else:
+            lines += [f"{pad}found = _k{c + 1}({params(end)})",
+                      f"{pad}if found is not None:", f"{pad}    return ({images}) + found"]
+        lines.append("    return None")
+    return order, _compile(lines)
+
+
 def _regions(u: int, n: int) -> tuple[int, int, int]:
     """Bitmaps over all 2^n subsets (bit s for subset s) of the sets
     incomparable to ``u``, inside it and containing it. Indexed by relation
@@ -175,8 +254,9 @@ class _FamilyIndex:
     members strictly below, strictly above, and incomparable; ``incomp[i]``
     is ``~(below[i] | above[i] | 1 << i)``, negative, and holds every index
     that no member has yet. Per element e of [n], ``has[e]`` is the bitset
-    of the members that hold e. Append reads the new member's rows below
-    and above off those columns and updates the rows of the members
+    of the members that hold e. The constructor fills those columns first
+    and reads every member's rows below and above off them. Append reads
+    the new member's rows the same way and updates the rows of the members
     comparable to it; pop undoes the same. The lists change in place.
 
     ``track(q)`` on a q-free family builds ``regions[i]``, the three
@@ -193,14 +273,27 @@ class _FamilyIndex:
 
     def __init__(self, bits: Sequence[int], n: int):
         self.n = n
-        self.bits: list[int] = []
-        self.has = [0] * n
-        self.below: list[int] = []
-        self.above: list[int] = []
-        self.incomp: list[int] = []
+        self.bits = list(bits)
+        self.has = has = [0] * n
+        for i, u in enumerate(self.bits):
+            for e in range(n):
+                if u >> e & 1:
+                    has[e] |= 1 << i
+        full = (1 << len(self.bits)) - 1
+        self.below, self.above, self.incomp = [], [], []
+        for i, u in enumerate(self.bits):
+            bit = 1 << i
+            sup, outside = full, 0
+            for e, col in enumerate(has):
+                if u >> e & 1:
+                    sup &= col
+                else:
+                    outside |= col
+            sub = full & ~outside
+            self.below.append(sub ^ bit)
+            self.above.append(sup ^ bit)
+            self.incomp.append(~(sub | sup))
         self._q: PosetSpec | None = None
-        for b in bits:
-            self.append(b)
 
     def track(self, q: PosetSpec) -> None:
         """Keep ``open`` for q from now on. Builds every member's regions and
@@ -259,72 +352,34 @@ class _FamilyIndex:
                 row[j] ^= bit
                 incomp[j] ^= bit
 
-    def _ahead(self, q: PosetSpec, forced: tuple[int, ...]):
-        """``_search_plan(q, forced)`` over this index's relation bitsets,
-        turned forward for ``search``: per step its element; per member i
-        the relation bitsets of i that the checks of the later steps
-        against this element read, in step order; and the offset among the
-        later steps of the next element of its twin chain, or -1."""
-        order, checks, prev = _search_plan(q, forced)
-        tables = (self.incomp, self.below, self.above)
-        ahead = []
-        for d, x in enumerate(order):
-            later = range(d + 1, len(order))
-            # the last step cuts no domain
-            cuts = [tables[checks[k][d][1]] for k in later]
-            rows = list(zip(*cuts)) if cuts else [()] * len(self.bits)
-            twin = next((k - d - 1 for k in later if prev[k] == x), -1)
-            ahead.append((x, rows, twin))
-        return ahead
-
     def search(self, q: PosetSpec, forced_index: int | None = None) -> list[int] | None:
         """Assignment of poset elements to member indices, or None. When
         ``forced_index`` is given, that member appears in the image.
 
-        A node at depth d holds the domains of steps d onward: the members
-        that fit against every element placed so far. Placing member i at
-        step d cuts each later domain by the relation bitset of i that the
-        later element's relation to this one picks, and the next twin's to
-        indices above i. A relation bitset of i never holds i, so no domain
-        holds a used member, and the branch ends when a domain is empty.
-        That drops only members that lead to no copy, so the search still
-        returns the first copy in search order."""
+        The search runs the kernel of ``_search_kernel``. A node at depth d
+        holds the domains of steps d onward: the members that fit against
+        every element placed so far. Placing member i at step d cuts each
+        later domain by the relation bitset of i that the later element's
+        relation to this one picks, and the next twin's to indices above i.
+        A relation bitset of i never holds i, so no domain holds a used
+        member, and the branch ends when a domain is empty. That drops only
+        members that lead to no copy, so the search still returns the first
+        copy in search order."""
         m = q.size
         if m > len(self.bits):
             return None
         members = (1 << len(self.bits)) - 1
-        assign = [-1] * m
-
-        def backtrack(ahead, depth: int, domains: list[int]) -> bool:
-            if depth == m:
-                return True
-            x, rows, twin = ahead[depth]
-            cand, rest = domains[0], domains[1:]
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                i = low.bit_length() - 1
-                later = list(map(and_, rest, rows[i]))
-                if twin >= 0:  # only indices above this twin's
-                    later[twin] &= -(2 << i)
-                if all(later):
-                    assign[x] = i
-                    if backtrack(ahead, depth + 1, later):
-                        return True
-            return False
-
-        found = False
         # a forced search tries the forced member at each class head in turn
         for p in (None,) if forced_index is None else _poset_tables(q)[1]:
-            forced = () if p is None else (p,)
-            domains = [members] * m
-            if forced:
-                domains[0] = 1 << forced_index
-            found = backtrack(self._ahead(q, forced), 0, domains)
-            if found:
-                break
-        del backtrack  # it refers to itself; unbound, it leaves no garbage cycle
-        return list(assign) if found else None
+            order, kernel = _search_kernel(q, () if p is None else (p,))
+            found = kernel(self.incomp, self.below, self.above, members,
+                           members if p is None else 1 << forced_index)
+            if found is not None:
+                assign = [-1] * m
+                for x, i in zip(order, found):
+                    assign[x] = i
+                return assign
+        return None
 
     def completing_sets(self, targets: int, through: int | None = None) -> int:
         """The sets among ``targets`` (which must hold no member) whose
@@ -338,7 +393,7 @@ class _FamilyIndex:
         q = self._q
         if not self._fits or len(self.bits) + 1 < q.size:
             return 0
-        return _completing_sets(_completion_walks(q), q.size, (1 << len(self.bits)) - 1,
+        return _completing_sets(_completion_walks(q), (1 << len(self.bits)) - 1,
                                 (self.incomp, self.below, self.above), self.regions,
                                 targets, through)
 
@@ -393,26 +448,74 @@ def _walk_steps(q: PosetSpec, order: Sequence[int], fixed: int):
     return tuple(steps)
 
 
+def _walk_kernel(fixed: tuple[int, ...], steps):
+    """The completion walk of ``steps`` compiled into nested loops:
+    ``kernel(members, t0, t1, t2, regions, unblocked, region, *images)``
+    returns ``unblocked`` less the sets that the walk blocks, where
+    ``t0, t1, t2`` are the relation tables and ``images`` the member indices
+    of the ``fixed`` elements other than the hole.
+
+    The placed elements keep their indices in ``i0``, ``i1``, ... in step
+    order, the fixed ones first; loop s iterates candidates ``c<s>`` with
+    region ``r<s>``, and the last loop blocks what its region keeps. A walk
+    of more than ``_LOOPS`` steps chains kernels, each handing the next its
+    region and images."""
+    at = {x: k for k, x in enumerate(fixed + tuple(x for x, *_ in steps))}
+    base = len(fixed)
+
+    def params(s: int) -> str:  # of the kernel that starts at step s
+        images = [f"i{k}" for k in range(base + s)]
+        return ", ".join(["members, t0, t1, t2, regions, unblocked", f"r{s}"] + images)
+
+    lines = []
+    for c, start in enumerate(range(0, max(len(steps), 1), _LOOPS)):
+        lines.append(f"def _k{c}({params(start)}):")
+        pad = "    "
+        if not steps:
+            lines.append(f"{pad}unblocked &= ~r0")
+        for s in range(start, min(start + _LOOPS, len(steps))):
+            _, checks, prev, code = steps[s]
+            cuts = [f"t{r}[i{at[y]}]" for y, r in checks]
+            if prev >= 0:  # only members above the previous twin's
+                cuts.append(f"-(2 << i{at[prev]})")
+            lines.append(f"{pad}c{s} = {' & '.join(['members'] + cuts)}")
+            lines += _pull(pad, f"c{s}", f"i{base + s}")
+            if s == len(steps) - 1:
+                lines.append(f"{pad}    unblocked &= ~(regions[i{base + s}][{code}] & r{s})")
+            else:
+                lines += [f"{pad}    r{s + 1} = regions[i{base + s}][{code}] & r{s} & unblocked",
+                          f"{pad}    if r{s + 1}:"]
+                pad += "        "
+        if start + _LOOPS < len(steps):
+            lines.append(f"{pad}unblocked = _k{c + 1}({params(start + _LOOPS)})")
+        lines.append("    return unblocked")
+    return _compile(lines)
+
+
 @lru_cache(maxsize=None)
 def _completion_walks(q: PosetSpec):
     """The walks of ``_completing_sets`` for q: over every missing set, one
     per class head p, once with the ``_completion_plan`` steps and once in
     the order of the search forced at p; and through one member, one per
     pair (p, x) of ``_poset_tables``. Per walk the last fixed element, the
-    relation code of p to it, and the steps."""
+    relation code of p to it, the steps and their ``_walk_kernel``."""
     rel, heads, pairs = _poset_tables(q)
+
+    def walk(x: int, code: int, steps, fixed: tuple[int, ...] = ()):
+        return x, code, steps, _walk_kernel(fixed, steps)
+
     return (
-        tuple((p, _NONE, _completion_plan(q, (p,))) for p in heads),
-        tuple((p, _NONE, _walk_steps(q, _search_plan(q, (p,))[0], 1)) for p in heads),
-        tuple((x, rel[p][x], _completion_plan(q, (p, x))) for p, x in pairs),
+        tuple(walk(p, _NONE, _completion_plan(q, (p,))) for p in heads),
+        tuple(walk(p, _NONE, _walk_steps(q, _search_plan(q, (p,))[0], 1)) for p in heads),
+        tuple(walk(x, rel[p][x], _completion_plan(q, (p, x)), (x,)) for p, x in pairs),
     )
 
 
-def _completing_sets(walks, size: int, members: int, tables, regions, targets: int,
+def _completing_sets(walks, members: int, tables, regions, targets: int,
                      through: int | None = None) -> int:
     """The sets among ``targets`` whose addition to the family ``members``
-    creates a copy of a poset q of ``size`` elements through them, found in
-    one pass over completion regions.
+    creates a copy of a poset q through them, found in one pass over
+    completion regions.
 
     Members are the bits of ``members``; ``walks`` comes from
     ``_completion_walks(q)``. ``tables`` holds three lists indexed by
@@ -434,7 +537,7 @@ def _completing_sets(walks, size: int, members: int, tables, regions, targets: i
     ``_completion_plan`` order, which cuts the candidates first, wins;
     with no more targets than members the search order forced at p, which
     counts p as placed and so cuts the region first, ends most branches
-    after a step or two.
+    after a step or two. Each walk runs as its compiled kernel.
 
     With ``through``, a member, only copies through that member count. Each
     walk then also fixes it at the least element x of a twin class of
@@ -442,43 +545,21 @@ def _completing_sets(walks, size: int, members: int, tables, regions, targets: i
     Three empty tuples as ``walks``, for a q with no copy to find, block no
     set.
     """
+    t0, t1, t2 = tables
     unblocked = targets
-    assign = [-1] * size
-
-    def walk(steps, depth: int, region: int) -> None:
-        nonlocal unblocked
-        if depth == len(steps):
-            unblocked &= ~region
-            return
-        x, checks, prev, code = steps[depth]
-        cand = members
-        for y, r in checks:
-            cand &= tables[r][assign[y]]
-        if prev >= 0:  # only members above the previous twin's
-            cand &= -(2 << assign[prev])
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            i = low.bit_length() - 1
-            fit = regions[i][code] & region & unblocked
-            if fit:
-                assign[x] = i
-                walk(steps, depth + 1, fit)
-
     if through is not None:
-        walks = walks[2]
+        fixed = regions[through]
+        for _, code, _, kernel in walks[2]:
+            if not unblocked:
+                break
+            region = unblocked & fixed[code]
+            if region:
+                unblocked = kernel(members, t0, t1, t2, regions, unblocked, region, through)
     else:  # few targets: cut the region first, and it soon holds none
-        walks = walks[1] if targets.bit_count() <= members.bit_count() else walks[0]
-    for x, code, steps in walks:
-        if not unblocked:
-            break
-        region = unblocked
-        if through is not None:
-            assign[x] = through
-            region &= regions[through][code]
-        if region:
-            walk(steps, 0, region)
-    del walk  # it refers to itself; unbound, it leaves no garbage cycle
+        for _, _, _, kernel in walks[1] if targets.bit_count() <= members.bit_count() else walks[0]:
+            if not unblocked:
+                break
+            unblocked = kernel(members, t0, t1, t2, regions, unblocked, unblocked)
     return targets & ~unblocked
 
 

@@ -283,11 +283,10 @@ class _LatticeFamily:
     chain of q is longer than the n + 1 sets of a longest chain over [n],
     since q then has no copy in the lattice and blocks no set."""
 
-    __slots__ = ("bits", "members", "open", "_size", "_walks", "_regions", "_tables")
+    __slots__ = ("bits", "members", "open", "_walks", "_regions", "_tables")
 
     def __init__(self, n: int, q: PosetSpec):
         self._regions, self._tables = _lattice_tables(n)
-        self._size = q.size
         self._walks = _completion_walks(q) if _height(q) <= n + 1 else ((), (), ())
         self.bits: list[int] = []
         self.members = 0
@@ -295,8 +294,8 @@ class _LatticeFamily:
         self.open = [missing ^ self._completing(0, missing)]
 
     def _completing(self, members: int, targets: int, through: int | None = None) -> int:
-        return _completing_sets(self._walks, self._size, members, self._tables,
-                                self._regions, targets, through)
+        return _completing_sets(self._walks, members, self._tables, self._regions, targets,
+                                through)
 
     def append(self, new: int) -> None:
         self.bits.append(new)

@@ -20,6 +20,7 @@ same way, with the members that map to themselves added to the images.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, isqrt
@@ -148,19 +149,46 @@ def _missing_singleton_pair(family: SetFamily, singles: list[int]) -> list[int] 
     return None
 
 
+@lru_cache(maxsize=1)
+def _chevron_tables(family: SetFamily) -> tuple[list[int], list[int]]:
+    """The members of ``family`` by falling size, then value, and per ground
+    element the bitset of the member indices that hold it."""
+    bits = family.bit_list
+    columns = [0] * family.ground.n
+    for i, b in enumerate(bits):
+        for e in range(family.ground.n):
+            if b >> e & 1:
+                columns[e] |= 1 << i
+    return sorted(bits, key=lambda b: (-b.bit_count(), b)), columns
+
+
 def _max_chevron_through(family: SetFamily, probe: int) -> Chevron | None:
     """Best chevron completing a butterfly with ``probe`` as a minimal
     element: bottom C incomparable to the probe with |C| maximal, tops two
     incomparable members containing both; canonical tie-break on (C, A, B)."""
     bits = family.bit_list
     ground = family.ground
-    for c in sorted(bits, key=lambda b: (-b.bit_count(), b)):
+    bottoms, columns = _chevron_tables(family)
+    everyone = (1 << len(bits)) - 1
+    for c in bottoms:
         # the other bottom must be incomparable to the probe (for a singleton
         # probe that means disjoint and nonempty; a pair may share an element)
         if c & probe == c or c & probe == probe:
             continue
         need = c | probe
-        ups = [m for m in bits if m & need == need and m != need]
+        holders = everyone
+        for e, column in enumerate(columns):
+            if need >> e & 1:
+                holders &= column
+        if holders & (holders - 1) == 0:  # no two members hold it
+            continue
+        ups = []
+        while holders:
+            low = holders & -holders
+            holders ^= low
+            m = bits[low.bit_length() - 1]
+            if m != need:
+                ups.append(m)
         for i, a in enumerate(ups):
             for b in ups[i + 1:]:
                 if a & b != a and b & a != b:
@@ -295,22 +323,25 @@ def verify_theorem3(family: SetFamily) -> TheoremReport:
     return _report("T3", family, bound, counterexample, k)
 
 
-def _difference_pairs(bits) -> list[tuple[int, int, int]]:
+def _difference_pairs(bits) -> Iterator[tuple[int, int, int]]:
     """Every ordered member pair (F, G) whose difference F minus G is one
-    element, as (F, G, F minus G), in the order of ``bits`` for F, then G."""
-    return [(f, g, d) for f in bits for g in bits if (d := f & ~g).bit_count() == 1]
+    element, as (F, G, F minus G), in the order of ``bits`` for F, then G,
+    made as they are read."""
+    return ((f, g, d) for f in bits for g in bits if (d := f & ~g).bit_count() == 1)
 
 
 def difference_pair_cover(family: SetFamily) -> dict:
     """For every ground element i, an ordered member pair (F, G) with
     F minus G = {i}. Assumes N-saturation; an uncovered element breaks the
-    guarantee and raises."""
+    guarantee and raises. The scan stops once every element is covered."""
     ground = family.ground
     cover: dict = {}
     for f, g, d in _difference_pairs(family.bit_list):
         i = d.bit_length()
         if i not in cover:
             cover[i] = (SubsetMask(f, ground), SubsetMask(g, ground))
+            if len(cover) == ground.n:
+                break
     uncovered = [i for i in range(1, ground.n + 1) if i not in cover]
     if uncovered:
         raise ContractViolationError(

@@ -4,7 +4,7 @@ Everything here works by exhaustive tuple enumeration straight from the
 definitions, sharing no search code with the package.
 """
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 
 def tuple_matches(tup, q) -> bool:
@@ -28,6 +28,35 @@ def naive_witnesses(bits, q):
 
 def naive_has_copy(bits, q) -> bool:
     return next(naive_witnesses(bits, q), None) is not None
+
+
+def naive_has_copy_up_to_twins(bits, q, required=()) -> bool:
+    """Whether some injective assignment of ``bits`` realises q with every
+    member of ``required`` in its image. Twins, elements with the same
+    strict relations to every element, relate to the rest alike and to each
+    other not at all, so reordering the images within a class of twins
+    keeps a copy a copy: per class this tries each set of images once, in
+    one order, and so stays fast for posets with large classes of twins."""
+    m = q.size
+    rows = [(q.less[x], tuple(row[x] for row in q.less)) for x in range(m)]
+    classes = {}
+    for x in range(m):
+        classes.setdefault(rows[x], []).append(x)
+    classes = list(classes.values())
+
+    def extend(k, used, tup):
+        if k == len(classes):
+            return tuple_matches(tup, q) and set(required) <= set(tup)
+        free = [b for b in bits if b not in used]
+        for images in combinations(free, len(classes[k])):
+            placed = list(tup)
+            for x, b in zip(classes[k], images):
+                placed[x] = b
+            if extend(k + 1, used | set(images), placed):
+                return True
+        return False
+
+    return extend(0, set(), [None] * m)
 
 
 def naive_is_saturated(bits, n, q) -> bool:

@@ -1,3 +1,6 @@
+import io
+import random
+import tokenize
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -26,11 +29,13 @@ from posetsat import embedding
 from posetsat.core import _transitive_closure
 from posetsat.embedding import (
     _FamilyIndex,
+    _completing_sets,
     _completion_plan,
     _completion_walks,
     _height,
     _poset_tables,
     _regions,
+    _search_kernel,
     _search_plan,
 )
 from posetsat.hasse import cover_edges
@@ -39,6 +44,7 @@ from posetsat.saturation import saturation_report
 from conftest import CROSS_CHECK_POSETS, family
 from oracles import (
     naive_has_copy,
+    naive_has_copy_up_to_twins,
     naive_orbit_representatives,
     naive_unsaturated_sets,
     naive_witnesses,
@@ -774,3 +780,134 @@ class TestRelationRows:
             else:
                 index.append(move)
             self.check(index, n)
+
+
+LAYER3 = [b for b in range(1 << 7) if b.bit_count() == 3]  # the 35 3-sets of [7]
+TALL_TWINS = {
+    "A23": antichain_poset(23),
+    "K1,21": complete_bipartite_poset(1, 21),
+    "K21,1": complete_bipartite_poset(21, 1),
+}
+
+
+def tall_families(name):
+    """Families over [7] with and without a copy of ``TALL_TWINS[name]``.
+    Each search that finds no copy stays cheap: its members hold no wide
+    antichain, or no member lies below 21 others (for K21,1, above)."""
+    rng = random.Random(f"tall:{name}")
+    if name == "A23":
+        with_copy = [0] + rng.sample(LAYER3, 23)
+        # the 3-sets through element 1, and sets comparable to most of them
+        without = [b for b in LAYER3 if b & 1] + [0, 1, 127] + rng.sample([127 ^ 1 << e for e in range(1, 7)], 5)
+    else:
+        with_copy = [0] + rng.sample(LAYER3, 22)
+        without = rng.sample(LAYER3, 21) + rng.sample([b for b in range(1 << 7) if b.bit_count() == 2], 3)
+    for masks in (with_copy, without):
+        if name == "K21,1":
+            masks = [127 ^ b for b in masks]
+        yield SetFamily.from_masks(GroundSet(7), masks)
+
+
+class TestKernels:
+    """Every search and completion walk runs as a kernel compiled from its
+    plan. Posets of 22 and 23 elements take more nested loops than CPython
+    3.10 to 3.12 allow in one function, so their kernels chain functions;
+    they must still agree with a brute-force oracle."""
+
+    @pytest.mark.parametrize("name", list(TALL_TWINS))
+    def test_search_past_the_nesting_limit(self, name):
+        q = TALL_TWINS[name]
+        found = []
+        for fam in tall_families(name):
+            witness = find_induced_copy(fam, q)
+            assert (witness is not None) == naive_has_copy_up_to_twins(fam.bit_list, q)
+            assert witness is None or witness.verify(fam)
+            found.append(witness is not None)
+            for member in fam.members[::7]:
+                forced = find_induced_copy(fam, q, required=member)
+                assert (forced is not None) == naive_has_copy_up_to_twins(fam.bit_list, q, [member.bits])
+                assert forced is None or forced.verify(fam) and member in forced.assignment
+        assert any(found) and not all(found)
+
+    def test_report_past_the_nesting_limit(self):
+        q = TALL_TWINS["A23"]
+        rng = random.Random(22)
+        fam = SetFamily.from_masks(GroundSet(7), rng.sample(LAYER3, 11) + rng.sample(
+            [b for b in range(1 << 7) if b.bit_count() == 4], 11))
+        report = saturation_report(fam, q)
+        unsaturated = [
+            s for s in range(1 << 7)
+            if not fam.has_mask(s) and not naive_has_copy_up_to_twins(fam.bit_list + (s,), q, [s])
+        ]
+        assert report.free
+        assert sorted(s.bits for s in report.unsaturated_sets) == unsaturated
+
+    @pytest.mark.parametrize("name, masks", [
+        ("A23", LAYER3[:22]),
+        ("K21,1", LAYER3[:20] + [127]),
+    ])
+    @pytest.mark.parametrize("through", [None, 0, 5])
+    def test_deep_walks_past_the_nesting_limit(self, name, masks, through):
+        """Walks that place every element: the 3-sets outside the family
+        complete copies at the deepest loop, and sets that relate to many
+        members end their branches early."""
+        q = TALL_TWINS[name]
+        index = _FamilyIndex(masks, 7)
+        regions = [_regions(u, 7) for u in masks]
+        rest = [b for b in LAYER3 if b not in masks]
+        # few targets take the walks in search order, many the other walks
+        for targets in (rest, rest + [0, 127] + [1 << e for e in range(6)] + [127 ^ 1 << e for e in range(6)]):
+            targets = [t for t in targets if t not in masks]
+            got = _completing_sets(_completion_walks(q), (1 << len(masks)) - 1,
+                                   (index.incomp, index.below, index.above), regions,
+                                   sum(1 << t for t in targets), through)
+            required = [] if through is None else [masks[through]]
+            expected = [t for t in targets if naive_has_copy_up_to_twins(masks + [t], q, required + [t])]
+            assert expected
+            assert got == sum(1 << t for t in expected)
+
+    def test_sources_hold_only_names_and_integers(self, monkeypatch):
+        """A kernel's source is made of its plan's integers: no label or other
+        string of the poset reaches ``exec``."""
+        labels = ("\"'; import os", "x\ny", "{0}", "e0", "__import__('os')")
+        q = validate_poset(butterfly_poset().less, labels[:4])
+        r = validate_poset(n_poset().less, labels[1:])
+        monkeypatch.setattr(embedding, "_KERNELS", {})
+        _completion_walks.cache_clear()
+        _search_kernel.cache_clear()
+        try:
+            for poset in (q, r):
+                saturation_report(butterfly_construction(4), poset)
+                find_induced_copy(butterfly_construction(4), poset, required=SubsetMask(0, GroundSet(4)))
+        finally:
+            _completion_walks.cache_clear()
+            _search_kernel.cache_clear()
+        sources = list(embedding._KERNELS)
+        assert len(sources) > 4
+        for source in sources:
+            for token in tokenize.generate_tokens(io.StringIO(source).readline):
+                assert token.type != tokenize.STRING
+                if token.type == tokenize.NUMBER:
+                    assert token.string.isdigit()
+            assert not any(label in source for label in labels)
+
+    def test_walks_of_one_shape_share_a_kernel(self, monkeypatch):
+        """Ten disjoint 2-chains have 420 completion walks but few shapes: the
+        steps with each element renamed by its place in the walk."""
+        q = validate_poset([[a % 2 == 0 and b == a + 1 for b in range(20)] for a in range(20)])
+        monkeypatch.setattr(embedding, "_KERNELS", {})
+        _completion_walks.cache_clear()
+        try:
+            walks = _completion_walks(q)
+        finally:
+            _completion_walks.cache_clear()
+        shapes = set()
+        for group, fixed in zip(walks, (0, 0, 1)):
+            for x, _, steps, _ in group:
+                place = {y: k for k, y in enumerate([x][:fixed] + [s[0] for s in steps])}
+                shapes.add((fixed, tuple(
+                    (tuple((place[y], r) for y, r in checks), place.get(prev, -1), code)
+                    for _, checks, prev, code in steps
+                )))
+        assert sum(map(len, walks)) == 420
+        assert len(embedding._KERNELS) <= len(shapes) == 7

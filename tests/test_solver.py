@@ -155,6 +155,7 @@ class TestForbiddenTables:
 
         monkeypatch.setattr(solver, "_FamilyIndex", refuse)
         monkeypatch.setattr(embedding, "_search_plan", refuse)
+        monkeypatch.setattr(embedding, "_search_kernel", refuse)
         monkeypatch.setattr(embedding, "_completion_plan", refuse)
         counts = [len(enumerate_saturated_families(n, q)) for n in (1, 2, 3, 4) for q in (butterfly, nposet)]
         assert counts == [1, 1, 1, 1, 1, 9, 12, 118]

@@ -156,19 +156,18 @@ def incomparable(a, b):
     return a & b != a and a & b != b
 
 
-def best_bottom(fam, probe):
-    """The largest |C| over members C incomparable to ``probe`` with two
-    incomparable members strictly above C u probe, by brute force; -1 when
-    there is none."""
-    best = -1
-    for c in fam.bit_list:
+def first_chevron(fam, probe):
+    """The chevron (C, A, B) through ``probe`` by brute force: C a member
+    incomparable to the probe, largest first, then the least mask; A before
+    B the first two incomparable members strictly above C u probe, in
+    family order. None when there is none."""
+    for c in sorted(fam.bit_list, key=lambda b: (-b.bit_count(), b)):
         need = c | probe
         ups = [m for m in fam.bit_list if m & need == need and m != need]
-        if incomparable(c, probe) and any(
-            incomparable(a, b) for x, a in enumerate(ups) for b in ups[x + 1:]
-        ):
-            best = max(best, c.bit_count())
-    return best
+        pairs = [(a, b) for x, a in enumerate(ups) for b in ups[x + 1:] if incomparable(a, b)]
+        if incomparable(c, probe) and pairs:
+            return (c,) + pairs[0]
+    return None
 
 
 class TestMaximalChevrons:
@@ -180,7 +179,7 @@ class TestMaximalChevrons:
         "assign", [theorem2_assignment, theorem3_assignment], ids=["singletons", "pairs"]
     )
     def test_maximality_of_bottom(self, assign, saturated_n4, sampled_n5):
-        # against a brute-force best bottom; no saturated family at n = 4
+        # against a brute-force first chevron; no saturated family at n = 4
         # has a pair in the domain of theorem 3
         checked = 0
         for fam in saturated_n4 + sampled_n5:
@@ -195,7 +194,7 @@ class TestMaximalChevrons:
                     assert fam.has_mask(top) and top & need == need and top != need
                 assert incomparable(a, b)
                 assert assignment.images[probe].bits == need and fam.has_mask(need)
-                assert c.bit_count() == best_bottom(fam, probe)
+                assert (c, a, b) == first_chevron(fam, probe)
                 checked += 1
         assert checked > 0
 
@@ -252,6 +251,11 @@ class TestDifferencePairCover:
             for fam in sample_saturated_families(n, nposet, 3, rng_seed=n):
                 cover = difference_pair_cover(fam)
                 assert set(cover) == set(range(1, n + 1))
+                # the first pair per element, F then G in family order
+                for i, (f, g) in cover.items():
+                    assert (f.bits, g.bits) == next(
+                        (a, b) for a in fam.bit_list for b in fam.bit_list if a & ~b == 1 << (i - 1)
+                    )
 
 
 class TestProp4:
