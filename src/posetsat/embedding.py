@@ -42,21 +42,19 @@ them. An untracked index, as a plain copy search uses, holds no regions.
 
 One completion walk, ``_completing_sets``, serves every caller. Its walks
 are planned around the hole: the new set p is not a member, so it cuts the
-region and never the candidates. After the fixed elements each step places
-the element comparable to the most placed ones other than p, then one
-comparable to p, then one comparable to the fewest elements of the poset.
-A pass over no more missing sets than members walks in search order
-instead, counting p as placed, since a region that soon holds none of few
-sets ends most branches. The walks hold relation codes, not bitsets, so they are built once per
-poset and cached, on the first pass that a copy of it can reach, and run
-over the relation tables and regions of any family: the index passes its
-member rows, and the solver's walk for small n the regions of the Boolean
-lattice indexed by mask, which also serve as its relation tables.
+region and never the candidates (``_completion_plan``). The walks hold
+relation codes, not bitsets, so they are built once per poset and cached,
+on the first pass that a copy of it can reach, and run over the relation
+tables and regions of any family: the index passes its member rows, and the
+solver's walk for small n the regions of the Boolean lattice indexed by
+mask, which also serve as its relation tables.
 
 Every search plan and completion walk runs as a kernel: Python source
 generated from the plan, with one loop per step and the placed members in
 locals, compiled once per source text. Plans of one shape share a kernel,
 and a plan longer than CPython's limit on nested loops chains kernels.
+Walks compile group by group, on first use, and a walk's loop ends once
+its region, kept to the sets not yet blocked, is empty.
 """
 
 from __future__ import annotations
@@ -453,13 +451,15 @@ def _walk_kernel(fixed: tuple[int, ...], steps):
     ``kernel(members, t0, t1, t2, regions, unblocked, region, *images)``
     returns ``unblocked`` less the sets that the walk blocks, where
     ``t0, t1, t2`` are the relation tables and ``images`` the member indices
-    of the ``fixed`` elements other than the hole.
+    of the ``fixed`` elements other than the hole. ``region`` must lie
+    inside ``unblocked``.
 
     The placed elements keep their indices in ``i0``, ``i1``, ... in step
     order, the fixed ones first; loop s iterates candidates ``c<s>`` with
-    region ``r<s>``, and the last loop blocks what its region keeps. A walk
+    region ``r<s>`` and ends once that is empty. The last loop blocks what
+    its region keeps and drops it from every region of its kernel. A walk
     of more than ``_LOOPS`` steps chains kernels, each handing the next its
-    region and images."""
+    region and images and cutting its regions to what comes back."""
     at = {x: k for k, x in enumerate(fixed + tuple(x for x, *_ in steps))}
     base = len(fixed)
 
@@ -469,11 +469,13 @@ def _walk_kernel(fixed: tuple[int, ...], steps):
 
     lines = []
     for c, start in enumerate(range(0, max(len(steps), 1), _LOOPS)):
+        end = min(start + _LOOPS, len(steps))
         lines.append(f"def _k{c}({params(start)}):")
         pad = "    "
         if not steps:
             lines.append(f"{pad}unblocked &= ~r0")
-        for s in range(start, min(start + _LOOPS, len(steps))):
+        exits = []  # (pad inside, step) per loop around another
+        for s in range(start, end):
             _, checks, prev, code = steps[s]
             cuts = [f"t{r}[i{at[y]}]" for y, r in checks]
             if prev >= 0:  # only members above the previous twin's
@@ -481,15 +483,42 @@ def _walk_kernel(fixed: tuple[int, ...], steps):
             lines.append(f"{pad}c{s} = {' & '.join(['members'] + cuts)}")
             lines += _pull(pad, f"c{s}", f"i{base + s}")
             if s == len(steps) - 1:
-                lines.append(f"{pad}    unblocked &= ~(regions[i{base + s}][{code}] & r{s})")
+                lines += [f"{pad}    h = regions[i{base + s}][{code}] & r{s}",
+                          f"{pad}    if h:", f"{pad}        unblocked ^= h"]
+                lines += [f"{pad}        r{k} ^= h" for k in range(start, s + 1)]
+                lines += [f"{pad}        if not r{s}:", f"{pad}            break"]
             else:
-                lines += [f"{pad}    r{s + 1} = regions[i{base + s}][{code}] & r{s} & unblocked",
+                lines += [f"{pad}    r{s + 1} = regions[i{base + s}][{code}] & r{s}",
                           f"{pad}    if r{s + 1}:"]
                 pad += "        "
-        if start + _LOOPS < len(steps):
-            lines.append(f"{pad}unblocked = _k{c + 1}({params(start + _LOOPS)})")
+                exits.append((pad, s))
+        if end < len(steps):
+            lines.append(f"{pad}unblocked = _k{c + 1}({params(end)})")
+            lines += [f"{pad}r{k} &= unblocked" for k in range(start, end)]
+        for inner, s in reversed(exits):
+            lines += [f"{inner}if not r{s}:", f"{inner}    break"]
         lines.append("    return unblocked")
     return _compile(lines)
+
+
+class _WalkGroups:
+    """Groups of walks, each compiled on first use: per walk its last fixed
+    element, the hole's relation code to it, its steps and kernel."""
+
+    __slots__ = ("_plans", "_groups")
+
+    def __init__(self, plans):
+        self._plans = plans  # per walk (element, code, steps, fixed)
+        self._groups = [None] * len(plans)
+
+    def __getitem__(self, k: int):
+        group = self._groups[k]  # past the last, IndexError ends iteration
+        if group is None:
+            group = self._groups[k] = tuple(
+                (x, code, steps, _walk_kernel(fixed, steps))
+                for x, code, steps, fixed in self._plans[k]
+            )
+        return group
 
 
 @lru_cache(maxsize=None)
@@ -497,18 +526,13 @@ def _completion_walks(q: PosetSpec):
     """The walks of ``_completing_sets`` for q: over every missing set, one
     per class head p, once with the ``_completion_plan`` steps and once in
     the order of the search forced at p; and through one member, one per
-    pair (p, x) of ``_poset_tables``. Per walk the last fixed element, the
-    relation code of p to it, the steps and their ``_walk_kernel``."""
+    pair (p, x) of ``_poset_tables``."""
     rel, heads, pairs = _poset_tables(q)
-
-    def walk(x: int, code: int, steps, fixed: tuple[int, ...] = ()):
-        return x, code, steps, _walk_kernel(fixed, steps)
-
-    return (
-        tuple(walk(p, _NONE, _completion_plan(q, (p,))) for p in heads),
-        tuple(walk(p, _NONE, _walk_steps(q, _search_plan(q, (p,))[0], 1)) for p in heads),
-        tuple(walk(x, rel[p][x], _completion_plan(q, (p, x)), (x,)) for p, x in pairs),
-    )
+    return _WalkGroups((
+        tuple((p, _NONE, _completion_plan(q, (p,)), ()) for p in heads),
+        tuple((p, _NONE, _walk_steps(q, _search_plan(q, (p,))[0], 1), ()) for p in heads),
+        tuple((x, rel[p][x], _completion_plan(q, (p, x)), (x,)) for p, x in pairs),
+    ))
 
 
 def _completing_sets(walks, members: int, tables, regions, targets: int,

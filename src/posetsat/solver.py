@@ -13,21 +13,18 @@ cross-checks.
 
 One depth-first walk over families in canonical order serves both other
 paths. It tracks the missing sets whose addition keeps the family free as
-a bitmap, so each candidate costs one bit test and a family is saturated
-when the bitmap is empty. For n <= 6 it indexes sets by mask, reads every
-relation and region from fixed tables of the Boolean lattice, and ends a
-branch once some set it skipped can no longer be blocked by any family
-below it. It yields saturated families in lexicographic order of their
-members' canonical positions. Larger n enumerate the first families of
-that walk, up to a cap. The exact solver (``method="auto"``) closes greedy
-upper bounds first, then takes the first family of each smaller size from
-the walk, which also prunes a partial family when a symmetry of the
-Boolean lattice (a transposition of [n], or complementation when q is
-self-dual) sends its members to an earlier family. The pruning keeps the
-certificate that the search without it would return. Randomised greedy
-closure gives upper bounds beyond that: each sampled family grows a small
-random free seed and then closes it under a shuffled order, both on one
-search index.
+a bitmap; for n <= 8 it indexes sets by mask on fixed tables of the
+Boolean lattice and ends hopeless branches. It yields saturated families
+in lexicographic order of their members' canonical positions. Larger n
+enumerate the first families of that walk, up to a cap. The exact solver
+(``method="auto"``) closes greedy upper bounds first, then takes the first
+family of each smaller size from the walk, which also prunes a partial
+family when a symmetry of the Boolean lattice (a transposition of [n], or
+complementation when q is self-dual) sends its members to an earlier
+family. The pruning keeps the certificate that the search without it
+would return. Randomised greedy closure gives upper bounds beyond that:
+each sampled family grows a small random free seed and then closes it
+under a shuffled order, both on one tracked family.
 """
 
 from __future__ import annotations
@@ -60,8 +57,9 @@ from .saturation import (
 )
 
 _EXHAUSTIVE_LIMIT = 4
-# the walk indexes sets by mask up to here, where a region is one machine word
-_LATTICE_LIMIT = 6
+# tracked families index sets by mask up to here; on the sampler a member
+# index is faster from n = 9 for N
+_LATTICE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -109,16 +107,28 @@ def _forbidden_tables(n: int, q: PosetSpec):
     A deliberately naive relabelling test that shares no code with the
     backtracking search: a |q|-subset is a copy when its strict-subset
     relation, read in ascending order of its members, equals the order of
-    q under some relabelling of q (``_copy_shapes``)."""
+    q under some relabelling of q (``_copy_shapes``). A subset grows in
+    ascending order while its relation so far begins such an order."""
     nsets = 1 << n
     m = q.size
     copies = []
     if m <= nsets:
-        below = [[a != b and a & b == a for b in range(nsets)] for a in range(nsets)]
-        shapes = _copy_shapes(q)
-        for combo in combinations(range(nsets), m):
-            if tuple(below[a][b] for a in combo for b in combo) in shapes:
+        # shapes column by column; a set lies below larger masks only
+        prefixes = {
+            tuple(tuple(shape[i * m + j] for i in range(j)) for j in range(k))
+            for shape in _copy_shapes(q) for k in range(m + 1)
+        }
+        stack = [((), ())]
+        while stack:
+            combo, columns = stack.pop()
+            if len(combo) == m:
                 copies.append(sum(1 << s for s in combo))
+                continue
+            first = combo[-1] + 1 if combo else 0
+            for b in range(nsets - m + len(combo), first - 1, -1):
+                grown = columns + (tuple(a & b == a for a in combo),)
+                if grown in prefixes:
+                    stack.append((combo + (b,), grown))
     rest: list[list[int]] = [[] for _ in range(nsets)]
     for cmask in copies:
         for s in _bit_positions(cmask):
@@ -278,8 +288,7 @@ class _LatticeFamily:
     ``open`` stack is that of a tracked ``_FamilyIndex``; append and pop
     flip one bit and push or pop ``open``. Since the regions of non-members
     are at hand too, a completion pass can run over any superset of the
-    family (``hopeless``). Every table is one machine word for
-    n <= ``_LATTICE_LIMIT``. The walks of q are bound once: none when a
+    family (``hopeless``). The walks of q are bound once: none when a
     chain of q is longer than the n + 1 sets of a longest chain over [n],
     since q then has no copy in the lattice and blocks no set."""
 
@@ -315,6 +324,31 @@ class _LatticeFamily:
         return self._completing(self.members | later, pending) != pending
 
 
+def _tracked_family(n: int, q: PosetSpec):
+    """An empty family over [n] that tracks q: a ``_LatticeFamily`` for
+    n <= ``_LATTICE_LIMIT``, else a tracked ``_FamilyIndex``."""
+    if n <= _LATTICE_LIMIT:
+        return _LatticeFamily(n, q)
+    family = _FamilyIndex([], n)
+    family.track(q)
+    return family
+
+
+def _grown_images(images: list[int], maps, pos: int, chosen: int) -> list[int] | None:
+    """Per map, the image of the ``chosen`` positions, bit p for position p,
+    grown from ``images`` by ``pos``; None when one sorts first. Of two sets
+    of one size, the one holding the least position in just one of them
+    sorts first, as its sorted list does."""
+    grown = []
+    for image, g in zip(images, maps):
+        image |= 1 << g[pos]
+        differ = image ^ chosen
+        if differ & -differ & image:
+            return None
+        grown.append(image)
+    return grown
+
+
 def _saturated_walk(
     ground: GroundSet,
     q: PosetSpec,
@@ -333,69 +367,66 @@ def _saturated_walk(
     keeps the family free, so a child is a set in ``open``, and a family is
     saturated exactly when ``open`` is empty.
 
-    For n <= ``_LATTICE_LIMIT`` the family is a ``_LatticeFamily``, and a
-    node ends its branch when it is hopeless. Its pending sets, the open
+    On a ``_LatticeFamily`` (``_tracked_family``) a node ends its branch
+    when it is hopeless. Its pending sets, the open
     sets at positions before the next child's, join no family below it, so
     each must be blocked by a copy of q in the family it ends at. That
     family lies between this one and this one plus the open sets at later
     positions (a set once closed stays closed), so a pending set that no
     copy in that union blocks ends the branch, and so does any pending set
-    once the family has ``size`` members. Only saturation is used. Above
-    that n the family is a tracked ``_FamilyIndex``, which holds regions
-    for members only, and no branch ends early.
+    once the family has ``size`` members. Only saturation is used. A
+    ``_FamilyIndex`` holds regions for members only, and ends no branch.
 
-    A child is pruned when some map in ``maps``
-    sends its chosen positions to a sorted list that is lexicographically
-    smaller. This skips families, but never a prefix of the first saturated
-    family F of a size: a map that made a prefix P of F smaller would make
-    the image of F smaller than F, since the image of F contains the image
+    A child is pruned when some map in ``maps`` sends its chosen positions
+    to a sorted list that is lexicographically smaller (``_grown_images``).
+    This skips families, but never a prefix of the first saturated family F
+    of a size: a map that made a prefix P of F smaller would make the image
+    of F smaller than F, since the image of F contains the image
     of P, so its k-th smallest position is at most that of the image of P
     for every k up to |P|, and every member of F outside P comes after P.
     That image is saturated and of the same size, so F would not be first.
     """
     order = ground.all_masks()
     total = len(order)
+    family = _tracked_family(ground.n, q)
+    after = None
     if ground.n <= _LATTICE_LIMIT:
-        family = _LatticeFamily(ground.n, q)
         after = [0] * (total + 1)  # the sets at canonical positions i onward
         for i in range(total - 1, -1, -1):
             after[i] = after[i + 1] | 1 << order[i]
-    else:
-        family = _FamilyIndex([], ground.n)
-        family.track(q)
-        after = None
-    chosen: list[int] = []  # canonical positions of family.bits
 
-    def walk(start: int) -> Iterator[SetFamily]:
+    def walk(start: int, chosen: int, images: list[int]) -> Iterator[SetFamily]:
+        # chosen: the canonical positions of family.bits, as a bitmask
         # checked at every node: at n = 15 one node scans ~32k positions
         if deadline is not None and time.perf_counter() > deadline:
             raise _BudgetExpired
+        depth = len(family.bits)
         if after is not None:
             pending = family.open[-1] & ~after[start]
-            if pending and (len(chosen) == size
+            if pending and (depth == size
                             or family.hopeless(pending, family.open[-1] & after[start])):
                 return
         if size is None:
             stop = total
-        elif len(chosen) < size:
-            stop = total - (size - len(chosen)) + 1
+        elif depth < size:
+            stop = total - (size - depth) + 1
         else:
             stop = start
         for idx in range(start, stop):
             if not family.open[-1] >> order[idx] & 1:
                 continue
-            chosen.append(idx)
             # pruned when some map sends the chosen positions lower
-            if all(sorted([g[p] for p in chosen]) >= chosen for g in maps):
+            child = chosen | 1 << idx
+            grown = _grown_images(images, maps, idx, child)
+            if grown is not None:
                 family.append(order[idx])
-                yield from walk(idx + 1)
+                yield from walk(idx + 1, child, grown)
                 family.pop()
-            chosen.pop()
-        if (size is None or len(chosen) == size) and not family.open[-1]:
+        if (size is None or depth == size) and not family.open[-1]:
             yield SetFamily.from_masks(ground, family.bits)
 
     try:
-        yield from walk(0)
+        yield from walk(0, 0, [0] * len(maps))
     finally:
         del walk  # it refers to itself; unbound, it leaves no garbage cycle
 
@@ -519,7 +550,7 @@ def sample_saturated_families(
     random candidate orders; deterministic in ``rng_seed``. Duplicates are
     possible and harmless.
 
-    Each family grows on one search index that tracks q: a seed of up to
+    Each family grows on one ``_tracked_family``: a seed of up to
     ``_RANDOM_SEED_MAX_SIZE`` random sets that keep it free, then every
     subset in a shuffled order, each added when its bit in ``open`` is set.
     A seed member is never open, so the second pass is greedy closure of
@@ -531,18 +562,17 @@ def sample_saturated_families(
     out = []
     for _ in range(count):
         target = rng.randint(0, _RANDOM_SEED_MAX_SIZE)
-        index = _FamilyIndex([], n)
-        index.track(q)
+        family = _tracked_family(n, q)
         for _ in range(4 * _RANDOM_SEED_MAX_SIZE):
-            if len(index.bits) >= target:
+            if len(family.bits) >= target:
                 break
             s = rng.randrange(1 << n)
-            if index.open[-1] >> s & 1:
-                index.append(s)
+            if family.open[-1] >> s & 1:
+                family.append(s)
         order = list(range(1 << n))
         rng.shuffle(order)
         for s in order:
-            if index.open[-1] >> s & 1:
-                index.append(s)
-        out.append(SetFamily.from_masks(ground, index.bits))
+            if family.open[-1] >> s & 1:
+                family.append(s)
+        out.append(SetFamily.from_masks(ground, family.bits))
     return out

@@ -744,6 +744,30 @@ class TestCompletionPlans:
                     assert q.less[x][first] or q.less[first][x]
 
 
+class TestWalkExits:
+    """A completion walk's regions hold only sets not yet blocked, and each
+    loop ends once its region is empty; the sets it blocks must still be
+    those of a brute-force oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=small_posets(), n=st.integers(1, 5), data=st.data())
+    @pytest.mark.parametrize("through_member", [False, True])
+    def test_completing_sets_match_the_oracle(self, through_member, q, n, data):
+        masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), unique=True,
+                                   min_size=int(through_member), max_size=7))
+        missing = [s for s in range(1 << n) if s not in masks]
+        targets = data.draw(st.sets(st.sampled_from(missing), max_size=8)) if missing else set()
+        through = data.draw(st.integers(0, len(masks) - 1)) if through_member else None
+        index = _FamilyIndex(masks, n)
+        regions = [_regions(u, n) for u in masks]
+        got = _completing_sets(_completion_walks(q), (1 << len(masks)) - 1,
+                               (index.incomp, index.below, index.above), regions,
+                               sum(1 << t for t in targets), through)
+        required = [] if through is None else [masks[through]]
+        assert got == sum(1 << t for t in targets
+                          if naive_has_copy_up_to_twins(masks + [t], q, required + [t]))
+
+
 class TestRelationRows:
     """Each member's rows below, above and incomparable, and each element's
     column of members, through any sequence of appends and pops."""
@@ -865,6 +889,26 @@ class TestKernels:
             expected = [t for t in targets if naive_has_copy_up_to_twins(masks + [t], q, required + [t])]
             assert expected
             assert got == sum(1 << t for t in expected)
+
+    def test_chained_walk_refreshes_outer_regions(self):
+        """An antichain of 22 takes walks of 21 loops, so the last loop runs
+        in a chained kernel. The family is 21 3-sets and {3,4,5,7}, which
+        contains one of them, {3,4,5}, and so holds two copies of the
+        antichain less one element. They differ at {3,4,5}, which the first
+        kernel places. The first copy blocks 3-sets in the chained kernel;
+        the first kernel's regions must drop them, or the second copy would
+        block them again and, as blocking flips bits, unblock them."""
+        q = antichain_poset(22)
+        masks = LAYER3[:21] + [0b1011100]
+        index = _FamilyIndex(masks, 7)
+        regions = [_regions(u, 7) for u in masks]
+        targets = [t for t in LAYER3 if t not in masks]
+        got = _completing_sets(_completion_walks(q), (1 << len(masks)) - 1,
+                               (index.incomp, index.below, index.above), regions,
+                               sum(1 << t for t in targets))
+        expected = [t for t in targets if naive_has_copy_up_to_twins(masks + [t], q, [t])]
+        assert expected
+        assert got == sum(1 << t for t in expected)
 
     def test_sources_hold_only_names_and_integers(self, monkeypatch):
         """A kernel's source is made of its plan's integers: no label or other

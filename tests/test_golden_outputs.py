@@ -53,6 +53,10 @@ def golden_lines() -> list[str]:
             lines.append(f"random-greedy {name} n={n} value={res.value}: {_masks(res.certificate)}")
         for i, fam in enumerate(enumerate_saturated_families(5, q, cap=2)):
             lines.append(f"walk {name} n=5 #{i}: {_masks(fam)}")
+    for name in ("B", "N"):
+        for n in (7, 8):
+            for i, fam in enumerate(sample_saturated_families(n, POSETS[name], 2, 7)):
+                lines.append(f"sample {name} n={n} #{i}: {_masks(fam)}")
     return lines
 
 

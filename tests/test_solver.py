@@ -1,3 +1,4 @@
+import random
 import time
 from itertools import combinations
 
@@ -26,7 +27,14 @@ from posetsat import (
     validate_poset,
 )
 from posetsat import embedding, solver
-from posetsat.solver import _copy_shapes, _forbidden_tables, _named_seed, _saturated_walk
+from posetsat.solver import (
+    _copy_shapes,
+    _forbidden_tables,
+    _grown_images,
+    _named_seed,
+    _saturated_walk,
+    _tracked_family,
+)
 
 from conftest import CROSS_CHECK_POSETS
 from oracles import naive_has_copy, naive_is_saturated
@@ -412,6 +420,72 @@ class TestBranchAndBoundAgainstEnumerator:
         expected = expected_lattice_maps(n, q)
         assert len(maps) == len(expected)
         assert set(maps) == set(expected)
+
+
+# children of the exact walk's nodes, as counted with the symmetry test
+# that sorted each map's image of the chosen positions
+WALK_CHILDREN = {(4, "B"): 666, (4, "N"): 493, (5, "N"): 36661}
+
+
+class TestSymmetryTest:
+    """The walk tests its lattice maps on bitmasks of positions, which must
+    prune exactly the children that sorted lists of positions pruned."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(1, 40), data=st.data())
+    def test_bitmask_rule_matches_sorted_lists(self, size, data):
+        count = data.draw(st.integers(1, 3))
+        maps = [tuple(data.draw(st.permutations(range(size)))) for _ in range(count)]
+        chosen = sorted(data.draw(st.sets(st.integers(0, size - 1), min_size=1)))
+        images = [sum(1 << g[p] for p in chosen[:-1]) for g in maps]
+        grown = _grown_images(images, maps, chosen[-1], sum(1 << p for p in chosen))
+        if all(sorted([g[p] for p in chosen]) >= chosen for g in maps):
+            assert grown == [sum(1 << g[p] for p in chosen) for g in maps]
+        else:
+            assert grown is None
+
+    @pytest.mark.parametrize("n, name", sorted(WALK_CHILDREN))
+    def test_walk_visits_the_same_nodes(self, monkeypatch, n, name):
+        appended = []
+        append = solver._LatticeFamily.append
+
+        def counting(family, new):
+            appended.append(new)
+            append(family, new)
+
+        monkeypatch.setattr(solver._LatticeFamily, "append", counting)
+        assert exact_sat_star(n, CROSS_CHECK_POSETS[name]).exact
+        assert len(appended) == WALK_CHILDREN[n, name]
+
+
+class TestTrackedFamily:
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("name", ["B", "N", "K23"])
+    def test_lattice_family_and_member_index_agree(self, name, n):
+        """Random appends of open sets and pops keep equal ``open`` stacks."""
+        q = CROSS_CHECK_POSETS[name]
+        rng = random.Random(f"{name}:{n}")
+        lattice = _tracked_family(n, q)
+        index = embedding._FamilyIndex([], n)
+        index.track(q)
+        assert isinstance(lattice, solver._LatticeFamily)
+        assert lattice.open == index.open
+        for _ in range(60):
+            sets = [s for s in range(1 << n) if lattice.open[-1] >> s & 1]
+            if lattice.bits and (not sets or rng.random() < 0.3):
+                lattice.pop()
+                index.pop()
+            elif sets:
+                s = rng.choice(sets)
+                lattice.append(s)
+                index.append(s)
+            assert lattice.bits == index.bits
+            assert lattice.open == index.open
+
+    def test_member_index_above_the_lattice_limit(self, butterfly):
+        family = _tracked_family(solver._LATTICE_LIMIT + 1, butterfly)
+        assert isinstance(family, embedding._FamilyIndex)
+        assert family.open == [(1 << (1 << solver._LATTICE_LIMIT + 1)) - 1]
 
 
 class TestRandomGreedy:
