@@ -32,22 +32,24 @@ incomparable row of member i is stored as the complement of the other two
 and of i itself, so it is negative and already holds every index from the
 number of members up. Every reader ANDs a row with a bitset of members.
 
-The index can also track one poset: it keeps the bitmap of the missing sets
-whose addition keeps the family free, and a family is saturated exactly
-when that bitmap is empty. Tracking holds three region bitmaps per member,
-built when the member joins: the sets incomparable to it, inside it and
-containing it. Each append pushes the new member's regions and the next
-bitmap, found by completion walks through the new member, and each pop pops
-them. An untracked index, as a plain copy search uses, holds no regions.
+This module alone builds tracked families (``_tracked_family``): families
+that keep the bitmap of the missing sets whose addition keeps them free, so
+that one is saturated exactly when that bitmap is empty. Up to
+``_LATTICE_LIMIT`` a ``_LatticeFamily`` indexes sets by mask on fixed
+tables of the Boolean lattice; above it the index tracks the poset and
+holds three region bitmaps per member, built when the member joins: the
+sets incomparable to it, inside it and containing it. Each append pushes
+the next bitmap, found by completion walks through the new member, and each
+pop pops it. An untracked index, as a plain copy search uses, holds no
+regions.
 
-One completion walk, ``_completing_sets``, serves every caller. Its walks
-are planned around the hole: the new set p is not a member, so it cuts the
-region and never the candidates (``_completion_plan``). The walks hold
-relation codes, not bitsets, so they are built once per poset and cached,
-on the first pass that a copy of it can reach, and run over the relation
-tables and regions of any family: the index passes its member rows, and the
-solver's walk for small n the regions of the Boolean lattice indexed by
-mask, which also serve as its relation tables.
+One completion walk, ``_completing_sets``, serves every caller, behind one
+guard (``_completion_pass``) that blocks no set while no copy can form. Its
+walks are planned around the hole: the new set p is not a member, so it
+cuts the region and never the candidates (``_completion_plan``). The walks
+hold relation codes, not bitsets, so they are built once per poset and
+cached, on the first pass that passes the guard, and run over the relation
+tables and regions of either tracker.
 
 Every search plan and completion walk runs as a kernel: Python source
 generated from the plan, with one loop per step and the placed members in
@@ -266,8 +268,7 @@ class _FamilyIndex:
     untracked index builds no regions.
     """
 
-    __slots__ = ("n", "bits", "has", "below", "above", "incomp", "regions", "open", "_q",
-                 "_fits")
+    __slots__ = ("n", "bits", "has", "below", "above", "incomp", "regions", "open", "_blocked")
 
     def __init__(self, bits: Sequence[int], n: int):
         self.n = n
@@ -291,14 +292,14 @@ class _FamilyIndex:
             self.below.append(sub ^ bit)
             self.above.append(sup ^ bit)
             self.incomp.append(~(sub | sup))
-        self._q: PosetSpec | None = None
+        self._blocked = None
 
     def track(self, q: PosetSpec) -> None:
         """Keep ``open`` for q from now on. Builds every member's regions and
         runs one completion pass over every missing set."""
         self.regions = [_regions(u, self.n) for u in self.bits]
-        self._q = q
-        self._fits = _height(q) <= self.n + 1
+        self._blocked = _completion_pass(q, self.n, (self.incomp, self.below, self.above),
+                                         self.regions)
         missing = (1 << (1 << self.n)) - 1 - sum(1 << b for b in self.bits)
         self.open: list[int] = [missing ^ self.completing_sets(missing)]
 
@@ -318,7 +319,7 @@ class _FamilyIndex:
         self.below.append(sub)
         self.above.append(sup)
         self.incomp.append(~(sub | sup | bit))
-        if self._q is not None:
+        if self._blocked is not None:
             # a blocked set stays blocked, and a new copy in the family plus
             # new and t passes through both
             self.regions.append(_regions(new, self.n))
@@ -333,7 +334,7 @@ class _FamilyIndex:
         for e in range(self.n):
             if last >> e & 1:
                 self.has[e] ^= bit
-        if self._q is not None:
+        if self._blocked is not None:
             self.regions.pop()
             self.open.pop()
 
@@ -383,17 +384,9 @@ class _FamilyIndex:
         """The sets among ``targets`` (which must hold no member) whose
         addition creates a copy of the tracked poset q through them; with
         ``through``, a member index, only copies through that member count.
-        ``_completing_sets`` over the member indices, with each member's
-        relation bitsets and regions. While the family plus one set has
-        fewer than |q| members, or when a chain of q is longer than the
-        n + 1 sets of a longest chain over [n], no set is blocked, and the
-        walks of q are not built."""
-        q = self._q
-        if not self._fits or len(self.bits) + 1 < q.size:
-            return 0
-        return _completing_sets(_completion_walks(q), (1 << len(self.bits)) - 1,
-                                (self.incomp, self.below, self.above), self.regions,
-                                targets, through)
+        The ``_completion_pass`` of ``track`` over the member indices, with
+        each member's relation bitsets and regions."""
+        return self._blocked((1 << len(self.bits)) - 1, targets, through)
 
 
 def _completion_plan(q: PosetSpec, fixed: tuple[int, ...]):
@@ -566,8 +559,6 @@ def _completing_sets(walks, members: int, tables, regions, targets: int,
     With ``through``, a member, only copies through that member count. Each
     walk then also fixes it at the least element x of a twin class of
     q - p and starts from the region that x's relation to p leaves.
-    Three empty tuples as ``walks``, for a q with no copy to find, block no
-    set.
     """
     t0, t1, t2 = tables
     unblocked = targets
@@ -585,6 +576,91 @@ def _completing_sets(walks, members: int, tables, regions, targets: int,
                 break
             unblocked = kernel(members, t0, t1, t2, regions, unblocked, unblocked)
     return targets & ~unblocked
+
+
+def _completion_pass(q: PosetSpec, n: int, tables, regions):
+    """``_completing_sets`` for q over [n] on ``tables`` and ``regions``,
+    as a function of ``(members, targets, through=None)``, behind the one
+    guard of both trackers. No copy of q can form, so no set is blocked and
+    no walk of q is planned or compiled, while the family ``members`` plus
+    one set has fewer than |q| members, or when a chain of q is longer than
+    the n + 1 sets of a longest chain over [n]."""
+    least = q.size - 1 if _height(q) <= n + 1 else (1 << n) + 1  # > any family
+
+    def completing(members: int, targets: int, through: int | None = None) -> int:
+        if members.bit_count() < least:
+            return 0
+        return _completing_sets(_completion_walks(q), members, tables, regions, targets,
+                                through)
+
+    return completing
+
+
+# tracked families index sets by mask up to here; on the sampler a member
+# index is faster from n = 9 for N
+_LATTICE_LIMIT = 8
+
+
+@lru_cache(maxsize=None)  # n <= _LATTICE_LIMIT only
+def _lattice_tables(n: int):
+    """The relation tables of ``_completing_sets`` over the subsets of [n]
+    indexed by mask, and per subset s its row of them: the ``_regions``
+    bitmaps of s without s itself. The rows serve as regions too: a region
+    is always cut to ``unblocked``, which lies inside the targets, and the
+    targets hold no member, so the bit of the member that a region belongs
+    to never counts. The walks of a poset, cached apart, run over these
+    tables for every n."""
+    rows = [(incomp, down ^ 1 << s, up ^ 1 << s)
+            for s in range(1 << n) for incomp, down, up in [_regions(s, n)]]
+    return tuple(zip(*rows)), rows
+
+
+class _LatticeFamily:
+    """A family over [n] that tracks q, with each set indexed by its mask:
+    the members are the bits of ``members``, and the relation tables and
+    regions are fixed tables of the Boolean lattice, cached per n. Its
+    ``open`` stack is that of a tracked ``_FamilyIndex``: it starts from
+    one completion pass over the q-free seed ``bits``, and append and pop
+    flip one bit and push or pop ``open``. Since the regions of non-members
+    are at hand too, a completion pass can run over any superset of the
+    family (``hopeless``)."""
+
+    __slots__ = ("bits", "members", "open", "_blocked")
+
+    def __init__(self, n: int, q: PosetSpec, bits: Sequence[int] = ()):
+        self._blocked = _completion_pass(q, n, *_lattice_tables(n))
+        self.bits = list(bits)
+        self.members = sum(1 << s for s in self.bits)
+        missing = ((1 << (1 << n)) - 1) ^ self.members
+        self.open = [missing ^ self._blocked(self.members, missing)]
+
+    def append(self, new: int) -> None:
+        self.bits.append(new)
+        self.members |= 1 << new
+        rest = self.open[-1] & ~(1 << new)
+        self.open.append(rest ^ self._blocked(self.members, rest, through=new))
+
+    def pop(self) -> None:
+        self.members ^= 1 << self.bits.pop()
+        self.open.pop()
+
+    def hopeless(self, pending: int, later: int) -> bool:
+        """True when some set in ``pending`` stays unblocked by every
+        family between this one and this one plus ``later``: no copy of q
+        through it lies in their union. The pending sets must be open and
+        outside ``later``."""
+        return self._blocked(self.members | later, pending) != pending
+
+
+def _tracked_family(n: int, q: PosetSpec, bits: Sequence[int] = (), index=None):
+    """The q-free family ``bits`` over [n], tracking q: a ``_LatticeFamily``
+    for n <= ``_LATTICE_LIMIT``, else a tracked ``_FamilyIndex``, which is
+    ``index``, an untracked index over ``bits``, when one is given."""
+    if n <= _LATTICE_LIMIT:
+        return _LatticeFamily(n, q, bits)
+    index = _FamilyIndex(bits, n) if index is None else index
+    index.track(q)
+    return index
 
 
 @dataclass(frozen=True)

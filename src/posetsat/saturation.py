@@ -5,13 +5,16 @@ A family is q-saturated when it is q-free and adding any missing subset
 creates an induced copy of q; equivalently, when it is maximal q-free. Once
 the family is known to be free, any new copy passes through the new set.
 
-The search index keeps the missing sets whose addition keeps the family
-free as one bitmap over all subsets. It starts from one pass over
-completion regions rather than one forced search per missing set: for the
-least element p of each twin class of q it lists the copies of q - p among
-the members, and each copy blocks the region of subsets that complete it at
-p: those inside the images of the elements above p, containing the images
-of the elements below p, and incomparable to the other images. The missing
+Freeness is decided by a copy search on an untracked index. The scan and
+the closure then run on the tracked family that ``embedding`` builds,
+which keeps the missing sets whose addition keeps the family free as one
+bitmap over all subsets: for n <= 8 on lattice tables indexed by mask,
+above on the search index itself. It starts from one pass over completion
+regions rather than one forced search per missing set: for the least
+element p of each twin class of q it lists the copies of q - p among the
+members, and each copy blocks the region of subsets that complete it at p:
+those inside the images of the elements above p, containing the images of
+the elements below p, and incomparable to the other images. The missing
 sets that no copy blocks are the unsaturated ones. Greedy completion adds
 one such set at a time, and each addition removes from the bitmap the sets
 that now complete a copy through it.
@@ -24,7 +27,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .core import GroundSet, PosetSpec, SetFamily, SubsetMask, mask_key
-from .embedding import EmbeddingWitness, _FamilyIndex, _search_witness
+from .embedding import EmbeddingWitness, _FamilyIndex, _search_witness, _tracked_family
 from .errors import UsageError
 
 
@@ -65,14 +68,15 @@ def _bit_positions(x: int) -> list[int]:
 
 def saturation_report(family: SetFamily, q: PosetSpec) -> SaturationReport:
     """Full saturation verdict: freeness, then every missing subset that
-    completes no copy, in canonical order. One search index over the
-    members serves both steps."""
+    completes no copy, in canonical order. The freeness search runs on an
+    untracked search index over the members, and the scan on the tracked
+    family that ``_tracked_family`` builds from them."""
     index = _FamilyIndex(family.bit_list, family.ground.n)
     witness = _search_witness(index, q, family.ground)
     if witness is not None:
         return SaturationReport(False, witness, (), False)
-    index.track(q)
-    unsat = sorted(_bit_positions(index.open[-1]), key=mask_key)
+    tracked = _tracked_family(family.ground.n, q, index.bits, index)
+    unsat = sorted(_bit_positions(tracked.open[-1]), key=mask_key)
     masks = tuple(SubsetMask(s, family.ground) for s in unsat)
     return SaturationReport(True, None, masks, not unsat)
 
@@ -99,11 +103,11 @@ def greedy_saturate(
             raise UsageError(f"candidate {s!r} is not a subset mask of 1..{ground.n}")
     if set(range(1 << ground.n)) - set(seed.bit_list) - set(candidates):
         raise UsageError("candidate order must cover every subset outside the seed")
-    index.track(q)
+    tracked = _tracked_family(ground.n, q, index.bits, index)
     for s in candidates:
-        if index.open[-1] >> s & 1:
-            index.append(s)
-    return SetFamily.from_masks(ground, index.bits)
+        if tracked.open[-1] >> s & 1:
+            tracked.append(s)
+    return SetFamily.from_masks(ground, tracked.bits)
 
 
 # --- explicit families ------------------------------------------------------

@@ -12,17 +12,18 @@ the enumerator shares no code with the backtracking embedder it
 cross-checks.
 
 One depth-first walk over families in canonical order serves both other
-paths. It tracks the missing sets whose addition keeps the family free as
-a bitmap; for n <= 8 it indexes sets by mask on fixed tables of the
-Boolean lattice and ends hopeless branches. It yields saturated families
-in lexicographic order of their members' canonical positions. Larger n
-enumerate the first families of that walk, up to a cap. The exact solver
-(``method="auto"``) closes greedy upper bounds first, then takes the first
-family of each smaller size from the walk, which also prunes a partial
-family when a symmetry of the Boolean lattice (a transposition of [n], or
-complementation when q is self-dual) sends its members to an earlier
-family. The pruning keeps the certificate that the search without it
-would return. Randomised greedy closure gives upper bounds beyond that:
+paths. It follows one tracked family from ``embedding``, which alone
+chooses the tracker and keeps the missing sets whose addition keeps the
+family free as a bitmap; on the lattice tracker, which indexes sets by
+mask (n <= 8), the walk also ends hopeless branches. It yields saturated
+families in lexicographic order of their members' canonical positions.
+Larger n enumerate the first families of that walk, up to a cap. The exact
+solver (``method="auto"``) closes greedy upper bounds first, then takes
+the first family of each smaller size from the walk, which also prunes a
+partial family when a symmetry of the Boolean lattice (a transposition of
+[n], or complementation when q is self-dual) sends its members to an
+earlier family. The pruning keeps the certificate that the search without
+it would return. Randomised greedy closure gives upper bounds beyond that:
 each sampled family grows a small random free seed and then closes it
 under a shuffled order, both on one tracked family.
 """
@@ -45,7 +46,7 @@ from .core import (
     poset_isomorphic,
     poset_name,
 )
-from .embedding import _FamilyIndex, _completing_sets, _completion_walks, _height, _regions
+from .embedding import _LatticeFamily, _tracked_family
 from .errors import ContractViolationError, UsageError
 from .saturation import (
     _bit_positions,
@@ -57,9 +58,6 @@ from .saturation import (
 )
 
 _EXHAUSTIVE_LIMIT = 4
-# tracked families index sets by mask up to here; on the sampler a member
-# index is faster from n = 9 for N
-_LATTICE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -270,70 +268,6 @@ def _lattice_maps(n: int, q: PosetSpec, deadline: float | None = None) -> list[t
     return maps
 
 
-@lru_cache(maxsize=None)  # n <= _LATTICE_LIMIT only
-def _lattice_tables(n: int):
-    """The three ``_regions`` bitmaps of every subset of [n], by mask, and
-    the relation tables of ``_completing_sets`` over sets indexed by mask:
-    per relation code, the same bitmaps without the set itself. The walks of
-    a poset, cached apart, run over these tables for every n."""
-    regions = [_regions(s, n) for s in range(1 << n)]
-    strict = [(inc, down ^ 1 << s, up ^ 1 << s) for s, (inc, down, up) in enumerate(regions)]
-    return regions, tuple(zip(*strict))
-
-
-class _LatticeFamily:
-    """A family over [n] that tracks q, with each set indexed by its mask:
-    the members are the bits of ``members``, and the relation tables and
-    regions are fixed tables of the Boolean lattice, cached per n. Its
-    ``open`` stack is that of a tracked ``_FamilyIndex``; append and pop
-    flip one bit and push or pop ``open``. Since the regions of non-members
-    are at hand too, a completion pass can run over any superset of the
-    family (``hopeless``). The walks of q are bound once: none when a
-    chain of q is longer than the n + 1 sets of a longest chain over [n],
-    since q then has no copy in the lattice and blocks no set."""
-
-    __slots__ = ("bits", "members", "open", "_walks", "_regions", "_tables")
-
-    def __init__(self, n: int, q: PosetSpec):
-        self._regions, self._tables = _lattice_tables(n)
-        self._walks = _completion_walks(q) if _height(q) <= n + 1 else ((), (), ())
-        self.bits: list[int] = []
-        self.members = 0
-        missing = (1 << (1 << n)) - 1
-        self.open = [missing ^ self._completing(0, missing)]
-
-    def _completing(self, members: int, targets: int, through: int | None = None) -> int:
-        return _completing_sets(self._walks, members, self._tables, self._regions, targets,
-                                through)
-
-    def append(self, new: int) -> None:
-        self.bits.append(new)
-        self.members |= 1 << new
-        rest = self.open[-1] & ~(1 << new)
-        self.open.append(rest ^ self._completing(self.members, rest, through=new))
-
-    def pop(self) -> None:
-        self.members ^= 1 << self.bits.pop()
-        self.open.pop()
-
-    def hopeless(self, pending: int, later: int) -> bool:
-        """True when some set in ``pending`` stays unblocked by every
-        family between this one and this one plus ``later``: no copy of q
-        through it lies in their union. The pending sets must be open and
-        outside ``later``."""
-        return self._completing(self.members | later, pending) != pending
-
-
-def _tracked_family(n: int, q: PosetSpec):
-    """An empty family over [n] that tracks q: a ``_LatticeFamily`` for
-    n <= ``_LATTICE_LIMIT``, else a tracked ``_FamilyIndex``."""
-    if n <= _LATTICE_LIMIT:
-        return _LatticeFamily(n, q)
-    family = _FamilyIndex([], n)
-    family.track(q)
-    return family
-
-
 def _grown_images(images: list[int], maps, pos: int, chosen: int) -> list[int] | None:
     """Per map, the image of the ``chosen`` positions, bit p for position p,
     grown from ``images`` by ``pos``; None when one sorts first. Of two sets
@@ -367,8 +301,8 @@ def _saturated_walk(
     keeps the family free, so a child is a set in ``open``, and a family is
     saturated exactly when ``open`` is empty.
 
-    On a ``_LatticeFamily`` (``_tracked_family``) a node ends its branch
-    when it is hopeless. Its pending sets, the open
+    When ``_tracked_family`` gives a ``_LatticeFamily``, a node ends its
+    branch when it is hopeless. Its pending sets, the open
     sets at positions before the next child's, join no family below it, so
     each must be blocked by a copy of q in the family it ends at. That
     family lies between this one and this one plus the open sets at later
@@ -390,7 +324,7 @@ def _saturated_walk(
     total = len(order)
     family = _tracked_family(ground.n, q)
     after = None
-    if ground.n <= _LATTICE_LIMIT:
+    if isinstance(family, _LatticeFamily):
         after = [0] * (total + 1)  # the sets at canonical positions i onward
         for i in range(total - 1, -1, -1):
             after[i] = after[i + 1] | 1 << order[i]

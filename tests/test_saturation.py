@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +21,9 @@ from posetsat import (
     n_poset,
     saturation_report,
 )
+from posetsat import embedding
 from posetsat.core import mask_key
-from posetsat.embedding import _FamilyIndex, find_induced_copy
+from posetsat.embedding import _FamilyIndex, _tracked_family, find_induced_copy
 from posetsat.solver import _saturated_walk
 
 from conftest import CROSS_CHECK_POSETS, family
@@ -248,8 +250,9 @@ class TestReportAgainstDefinition:
 
 
 class TestOneIndexPerCall:
-    """The freeness search and the saturation or closure step share one
-    search index over the members."""
+    """A report or a closure builds one search index over the members for
+    the freeness search; above the lattice limit the scan or closure tracks
+    that same index."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -269,8 +272,9 @@ class TestOneIndexPerCall:
             butterfly_construction(5),
             family(4, [1], [2], [3], [1, 2]),
             family(4, [1], [2], [1, 2, 3], [1, 2, 4]),
+            butterfly_construction(9),
         ],
-        ids=["saturated", "unsaturated", "not-free"],
+        ids=["saturated", "unsaturated", "not-free", "member-index"],
     )
     def test_saturation_report_builds_one_index(self, builds, butterfly, fam):
         saturation_report(fam, butterfly)
@@ -280,10 +284,51 @@ class TestOneIndexPerCall:
         greedy_saturate(k2k_seed(6, 2), butterfly)
         assert builds[0] == 1
 
+    def test_member_index_greedy_saturate_builds_one_index(self, builds, butterfly):
+        greedy_saturate(n_construction(9), butterfly)
+        assert builds[0] == 1
+
     def test_rejected_greedy_seed_builds_one_index(self, builds, butterfly):
         with pytest.raises(UsageError):
             greedy_saturate(family(4, [1], [2], [1, 2, 3], [1, 2, 4]), butterfly)
         assert builds[0] == 1
+
+
+class TestMemberIndexBelowTheLimit:
+    """With the lattice limit at 0 every report and closure tracks on a
+    member index, so that tracker stays tested at the sizes where the
+    lattice tracker runs; both must give identical results."""
+
+    @pytest.mark.parametrize("name", sorted(CROSS_CHECK_POSETS))
+    def test_reports_and_closures_agree(self, monkeypatch, name):
+        q = CROSS_CHECK_POSETS[name]
+        rng = random.Random(name)
+        cases = []  # (family, candidate order for a free one, else None)
+        for n in range(1, 5):
+            ground = GroundSet(n)
+            for _ in range(4):
+                seed = []
+                for s in rng.sample(range(1 << n), min(5, 1 << n)):
+                    if not naive_has_copy(seed + [s], q):
+                        seed.append(s)
+                order = rng.sample(range(1 << n), 1 << n)
+                cases.append((SetFamily.from_masks(ground, seed), order))
+                masks = [s for s in range(1 << n) if rng.random() < 0.5]
+                cases.append((SetFamily.from_masks(ground, masks), None))
+
+        def run():
+            out = []
+            for fam, order in cases:
+                out.append(saturation_report(fam, q).to_json_obj())
+                if order is not None:
+                    out.append(greedy_saturate(fam, q).bit_list)
+                    out.append(greedy_saturate(fam, q, order).bit_list)
+            return out
+
+        lattice = run()
+        monkeypatch.setattr(embedding, "_LATTICE_LIMIT", 0)
+        assert isinstance(_tracked_family(1, q), _FamilyIndex)
+        assert run() == lattice
 
 
 @st.composite

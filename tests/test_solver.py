@@ -26,14 +26,14 @@ from posetsat import (
     upper_bound_via_random_greedy,
     validate_poset,
 )
-from posetsat import embedding, solver
+from posetsat import embedding, saturation, solver
+from posetsat.embedding import _LatticeFamily, _tracked_family
 from posetsat.solver import (
     _copy_shapes,
     _forbidden_tables,
     _grown_images,
     _named_seed,
     _saturated_walk,
-    _tracked_family,
 )
 
 from conftest import CROSS_CHECK_POSETS
@@ -161,7 +161,8 @@ class TestForbiddenTables:
         def refuse(*args, **kwargs):
             raise AssertionError("the enumerator must not use the copy search")
 
-        monkeypatch.setattr(solver, "_FamilyIndex", refuse)
+        monkeypatch.setattr(embedding, "_FamilyIndex", refuse)
+        monkeypatch.setattr(saturation, "_FamilyIndex", refuse)
         monkeypatch.setattr(embedding, "_search_plan", refuse)
         monkeypatch.setattr(embedding, "_search_kernel", refuse)
         monkeypatch.setattr(embedding, "_completion_plan", refuse)
@@ -210,7 +211,7 @@ class TestWalkAgainstDefinition:
         # and ends no branch early; both must list the same families
         q = CROSS_CHECK_POSETS[name]
         lattice = [f.bit_list for f in _saturated_walk(GroundSet(n), q)]
-        monkeypatch.setattr(solver, "_LATTICE_LIMIT", 0)
+        monkeypatch.setattr(embedding, "_LATTICE_LIMIT", 0)
         assert [f.bit_list for f in _saturated_walk(GroundSet(n), q)] == lattice
 
 
@@ -446,46 +447,99 @@ class TestSymmetryTest:
 
     @pytest.mark.parametrize("n, name", sorted(WALK_CHILDREN))
     def test_walk_visits_the_same_nodes(self, monkeypatch, n, name):
+        # only the walk's family counts: the greedy closures before it run
+        # on lattice families too
         appended = []
-        append = solver._LatticeFamily.append
 
-        def counting(family, new):
-            appended.append(new)
-            append(family, new)
+        class Counting(_LatticeFamily):
+            __slots__ = ()
 
-        monkeypatch.setattr(solver._LatticeFamily, "append", counting)
+            def append(self, new):
+                appended.append(new)
+                super().append(new)
+
+        monkeypatch.setattr(solver, "_tracked_family", Counting)
         assert exact_sat_star(n, CROSS_CHECK_POSETS[name]).exact
         assert len(appended) == WALK_CHILDREN[n, name]
 
 
 class TestTrackedFamily:
-    @pytest.mark.parametrize("n", [7, 8])
-    @pytest.mark.parametrize("name", ["B", "N", "K23"])
-    def test_lattice_family_and_member_index_agree(self, name, n):
-        """Random appends of open sets and pops keep equal ``open`` stacks."""
-        q = CROSS_CHECK_POSETS[name]
-        rng = random.Random(f"{name}:{n}")
-        lattice = _tracked_family(n, q)
-        index = embedding._FamilyIndex([], n)
-        index.track(q)
-        assert isinstance(lattice, solver._LatticeFamily)
+    @staticmethod
+    def follow(lattice, index, rng):
+        """Random appends of open sets and pops of appended ones keep equal
+        ``open`` stacks."""
+        assert isinstance(lattice, _LatticeFamily)
         assert lattice.open == index.open
+        added = 0
         for _ in range(60):
-            sets = [s for s in range(1 << n) if lattice.open[-1] >> s & 1]
-            if lattice.bits and (not sets or rng.random() < 0.3):
+            sets = [s for s in range(1 << index.n) if lattice.open[-1] >> s & 1]
+            if added and (not sets or rng.random() < 0.3):
                 lattice.pop()
                 index.pop()
+                added -= 1
             elif sets:
                 s = rng.choice(sets)
                 lattice.append(s)
                 index.append(s)
+                added += 1
             assert lattice.bits == index.bits
             assert lattice.open == index.open
 
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("name", ["B", "N", "K23"])
+    def test_lattice_family_and_member_index_agree(self, name, n):
+        q = CROSS_CHECK_POSETS[name]
+        index = embedding._FamilyIndex([], n)
+        index.track(q)
+        self.follow(_tracked_family(n, q), index, random.Random(f"{name}:{n}"))
+
+    @pytest.mark.parametrize("n", [7, 8])
+    @pytest.mark.parametrize("name", ["B", "N", "K23"])
+    def test_trackers_agree_from_free_seeds(self, name, n):
+        q = CROSS_CHECK_POSETS[name]
+        rng = random.Random(f"seeded {name}:{n}")
+        for _ in range(3):
+            seed = []
+            for s in rng.sample(range(1 << n), 10):
+                if not naive_has_copy(seed + [s], q):
+                    seed.append(s)
+            index = embedding._FamilyIndex(seed, n)
+            index.track(q)
+            self.follow(_tracked_family(n, q, seed), index, rng)
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """The fixed elements of each walk kernel built from empty caches:
+        () for a walk over every missing set."""
+        built = []
+        walk_kernel = embedding._walk_kernel
+
+        def counting(fixed, steps):
+            built.append(fixed)
+            return walk_kernel(fixed, steps)
+
+        monkeypatch.setattr(embedding, "_KERNELS", {})
+        monkeypatch.setattr(embedding, "_walk_kernel", counting)
+        embedding._completion_walks.cache_clear()
+        yield built
+        embedding._completion_walks.cache_clear()
+
+    def test_empty_family_compiles_no_walk(self, compiled, butterfly):
+        assert _tracked_family(5, butterfly).open == [(1 << 32) - 1]
+        assert compiled == []
+
+    @pytest.mark.parametrize("name, kernels", [("B", 4), ("N", 12)])
+    def test_sampler_compiles_only_walks_through_a_member(self, compiled, name, kernels):
+        # the sampler's only pass over every missing set is at its empty
+        # family, where no copy can form
+        sample_saturated_families(5, CROSS_CHECK_POSETS[name], 1, 1)
+        assert len(compiled) == kernels
+        assert () not in compiled
+
     def test_member_index_above_the_lattice_limit(self, butterfly):
-        family = _tracked_family(solver._LATTICE_LIMIT + 1, butterfly)
+        family = _tracked_family(embedding._LATTICE_LIMIT + 1, butterfly)
         assert isinstance(family, embedding._FamilyIndex)
-        assert family.open == [(1 << (1 << solver._LATTICE_LIMIT + 1)) - 1]
+        assert family.open == [(1 << (1 << embedding._LATTICE_LIMIT + 1)) - 1]
 
 
 class TestRandomGreedy:
