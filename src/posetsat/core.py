@@ -144,6 +144,11 @@ class PosetSpec:
     ``less[a][b]`` is True iff element a lies strictly below element b. The
     matrix is the complete strict order (transitively closed), so relation
     queries are O(1).
+
+    The hash is computed once, from the size and the matrix: the search
+    and walk caches look a spec up on every pass. Labels are left out, so
+    the value is the same in every process and survives pickling; specs
+    that differ only in their labels still compare unequal.
     """
 
     size: int
@@ -151,12 +156,19 @@ class PosetSpec:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        # an empty poset would reach the copy search with no element to place
+        if self.size < 1:
+            raise UsageError("poset needs at least one element")
         if not self.labels:
             object.__setattr__(
                 self, "labels", tuple(f"e{i}" for i in range(self.size))
             )
         if len(self.labels) != self.size:
             raise UsageError("label count must equal poset size")
+        object.__setattr__(self, "_hash", hash((self.size, self.less)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def strict_pairs(self) -> list[tuple[int, int]]:
         return [
@@ -199,7 +211,8 @@ def _check_poset_size(size: int) -> None:
 
 def validate_poset(raw: Sequence[Sequence[bool]], labels: Sequence[str] = ()) -> PosetSpec:
     """Check a strict-order matrix and return the spec, or raise listing every
-    violated axiom cell. Matrices above ``MAX_POSET_SIZE`` rows are refused."""
+    violated axiom cell. Empty matrices and matrices above ``MAX_POSET_SIZE``
+    rows are refused."""
     m = len(raw)
     _check_poset_size(m)
     for row in raw:

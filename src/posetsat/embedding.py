@@ -43,13 +43,13 @@ the next bitmap, found by completion walks through the new member, and each
 pop pops it. An untracked index, as a plain copy search uses, holds no
 regions.
 
-One completion walk, ``_completing_sets``, serves every caller, behind one
-guard (``_completion_pass``) that blocks no set while no copy can form. Its
+One function, ``_completion_pass``, runs every completion pass of either
+tracker, behind one guard that blocks no set while no copy can form. Its
 walks are planned around the hole: the new set p is not a member, so it
 cuts the region and never the candidates (``_completion_plan``). The walks
-hold relation codes, not bitsets, so they are built once per poset and
-cached, on the first pass that passes the guard, and run over the relation
-tables and regions of either tracker.
+hold relation codes, not bitsets, so each group of them is built once per
+poset and cached (``_completion_walks``), on the first pass that runs the
+group, and runs over the relation tables and regions of either tracker.
 
 Every search plan and completion walk runs as a kernel: Python source
 generated from the plan, with one loop per step and the placed members in
@@ -77,7 +77,7 @@ def _poset_tables(q: PosetSpec):
     and the pairs (p, x) of such a class head p and the least element x of
     a twin class of q - p.
 
-    A forced search and ``completing_sets`` place the forced member or the
+    A forced search and ``_completion_pass`` place the forced member or the
     new set only at these class heads, and a completion walk through a new
     member places it only at such an x. That loses nothing: twins relate to
     every other element alike and to each other not at all, so swapping
@@ -158,7 +158,8 @@ def _search_plan(q: PosetSpec, forced: tuple[int, ...]):
 
 
 # CPython 3.10 to 3.12 refuse more than 20 statically nested blocks in one
-# function, so a kernel with more loops chains functions of this many each
+# function and 3.13 more than 21, so a kernel with more loops chains
+# functions of this many each
 _LOOPS = 20
 _KERNELS: dict[str, object] = {}  # source -> its first function
 
@@ -301,7 +302,7 @@ class _FamilyIndex:
         self._blocked = _completion_pass(q, self.n, (self.incomp, self.below, self.above),
                                          self.regions)
         missing = (1 << (1 << self.n)) - 1 - sum(1 << b for b in self.bits)
-        self.open: list[int] = [missing ^ self.completing_sets(missing)]
+        self.open: list[int] = [missing ^ self._blocked((1 << len(self.bits)) - 1, missing)]
 
     def append(self, new: int) -> None:
         idx = len(self.bits)
@@ -324,7 +325,7 @@ class _FamilyIndex:
             # new and t passes through both
             self.regions.append(_regions(new, self.n))
             rest = self.open[-1] & ~(1 << new)
-            self.open.append(rest ^ self.completing_sets(rest, through=idx))
+            self.open.append(rest ^ self._blocked((1 << len(self.bits)) - 1, rest, through=idx))
 
     def pop(self) -> None:
         bit = 1 << (len(self.bits) - 1)
@@ -379,14 +380,6 @@ class _FamilyIndex:
                     assign[x] = i
                 return assign
         return None
-
-    def completing_sets(self, targets: int, through: int | None = None) -> int:
-        """The sets among ``targets`` (which must hold no member) whose
-        addition creates a copy of the tracked poset q through them; with
-        ``through``, a member index, only copies through that member count.
-        The ``_completion_pass`` of ``track`` over the member indices, with
-        each member's relation bitsets and regions."""
-        return self._blocked((1 << len(self.bits)) - 1, targets, through)
 
 
 def _completion_plan(q: PosetSpec, fixed: tuple[int, ...]):
@@ -494,104 +487,81 @@ def _walk_kernel(fixed: tuple[int, ...], steps):
     return _compile(lines)
 
 
-class _WalkGroups:
-    """Groups of walks, each compiled on first use: per walk its last fixed
-    element, the hole's relation code to it, its steps and kernel."""
-
-    __slots__ = ("_plans", "_groups")
-
-    def __init__(self, plans):
-        self._plans = plans  # per walk (element, code, steps, fixed)
-        self._groups = [None] * len(plans)
-
-    def __getitem__(self, k: int):
-        group = self._groups[k]  # past the last, IndexError ends iteration
-        if group is None:
-            group = self._groups[k] = tuple(
-                (x, code, steps, _walk_kernel(fixed, steps))
-                for x, code, steps, fixed in self._plans[k]
-            )
-        return group
-
-
 @lru_cache(maxsize=None)
-def _completion_walks(q: PosetSpec):
-    """The walks of ``_completing_sets`` for q: over every missing set, one
-    per class head p, once with the ``_completion_plan`` steps and once in
-    the order of the search forced at p; and through one member, one per
-    pair (p, x) of ``_poset_tables``."""
+def _completion_walks(q: PosetSpec, group: int):
+    """Walk group ``group`` of ``_completion_pass`` for q, compiled on the
+    first pass that runs it, as (relation code of the hole to the last
+    fixed element, kernel) pairs. Groups 0 and 1 walk over every missing
+    set, one walk per class head p, with the ``_completion_plan`` steps and
+    in the order of the search forced at p; group 2 walks through one
+    member, one walk per pair (p, x) of ``_poset_tables``."""
     rel, heads, pairs = _poset_tables(q)
-    return _WalkGroups((
-        tuple((p, _NONE, _completion_plan(q, (p,)), ()) for p in heads),
-        tuple((p, _NONE, _walk_steps(q, _search_plan(q, (p,))[0], 1), ()) for p in heads),
-        tuple((x, rel[p][x], _completion_plan(q, (p, x)), (x,)) for p, x in pairs),
-    ))
+    if group == 2:
+        return tuple((rel[p][x], _walk_kernel((x,), _completion_plan(q, (p, x))))
+                     for p, x in pairs)
+    if group == 1:
+        return tuple((_NONE, _walk_kernel((), _walk_steps(q, _search_plan(q, (p,))[0], 1)))
+                     for p in heads)
+    return tuple((_NONE, _walk_kernel((), _completion_plan(q, (p,)))) for p in heads)
 
 
-def _completing_sets(walks, members: int, tables, regions, targets: int,
-                     through: int | None = None) -> int:
-    """The sets among ``targets`` whose addition to the family ``members``
-    creates a copy of a poset q through them, found in one pass over
-    completion regions.
+def _completion_pass(q: PosetSpec, n: int, tables, regions):
+    """The completion pass for q over [n] on ``tables`` and ``regions``, as a
+    function ``(members, targets, through=None)`` of the sets among
+    ``targets`` whose addition to the family ``members`` creates a copy of
+    q through them, found in one pass over completion regions.
 
-    Members are the bits of ``members``; ``walks`` comes from
-    ``_completion_walks(q)``. ``tables`` holds three lists indexed by
-    relation code (_NONE, _BELOW, _ABOVE) that map a member to the bitset of
-    the members that relation allows, never the member itself, and
-    ``regions[i]`` holds the three ``_regions`` bitmaps of member i. Sets
-    are bitmaps over all 2^n subsets (bit s for subset s), and ``targets``
-    must hold no member. For the least element p of each twin class of q,
-    one walk lists the copies of q - p among the members. It carries the
-    region of sets that fit at p against the images assigned so far:
-    subsets of the image of an element above p, supersets of the image of
-    one below p, and sets incomparable to the image of the rest. A full
-    copy blocks its region, and a branch ends once its region holds no
-    target left unblocked. No member lies in the region, so a set in it
-    differs from every image and relates to each strictly. Twins relate to
-    p alike, so the twin ordering loses no region. The result does not
-    depend on the order of the steps, so each walk takes the order that
-    costs least: with many targets the region seldom empties and the
-    ``_completion_plan`` order, which cuts the candidates first, wins;
-    with no more targets than members the search order forced at p, which
-    counts p as placed and so cuts the region first, ends most branches
-    after a step or two. Each walk runs as its compiled kernel.
+    Members are the bits of ``members``. ``tables`` holds three lists
+    indexed by relation code (_NONE, _BELOW, _ABOVE) that map a member to
+    the bitset of the members that relation allows, never the member
+    itself, and ``regions[i]`` holds the three ``_regions`` bitmaps of
+    member i. Sets are bitmaps over all 2^n subsets (bit s for subset s),
+    and ``targets`` must hold no member. For the least element p of each
+    twin class of q, one walk lists the copies of q - p among the members.
+    It carries the region of sets that fit at p against the images
+    assigned so far: subsets of the image of an element above p, supersets
+    of the image of one below p, and sets incomparable to the image of the
+    rest. A full copy blocks its region, and a branch ends once its region
+    holds no target left unblocked. No member lies in the region, so a set
+    in it differs from every image and relates to each strictly. Twins
+    relate to p alike, so the twin ordering loses no region. The result
+    does not depend on the order of the steps, so each walk takes the
+    order that costs least: with many targets the region seldom empties
+    and the ``_completion_plan`` order, which cuts the candidates first,
+    wins; with no more targets than members the search order forced at p,
+    which counts p as placed and so cuts the region first, ends most
+    branches after a step or two. Each walk runs as its compiled kernel.
 
     With ``through``, a member, only copies through that member count. Each
     walk then also fixes it at the least element x of a twin class of
     q - p and starts from the region that x's relation to p leaves.
-    """
-    t0, t1, t2 = tables
-    unblocked = targets
-    if through is not None:
-        fixed = regions[through]
-        for _, code, _, kernel in walks[2]:
-            if not unblocked:
-                break
-            region = unblocked & fixed[code]
-            if region:
-                unblocked = kernel(members, t0, t1, t2, regions, unblocked, region, through)
-    else:  # few targets: cut the region first, and it soon holds none
-        for _, _, _, kernel in walks[1] if targets.bit_count() <= members.bit_count() else walks[0]:
-            if not unblocked:
-                break
-            unblocked = kernel(members, t0, t1, t2, regions, unblocked, unblocked)
-    return targets & ~unblocked
 
-
-def _completion_pass(q: PosetSpec, n: int, tables, regions):
-    """``_completing_sets`` for q over [n] on ``tables`` and ``regions``,
-    as a function of ``(members, targets, through=None)``, behind the one
-    guard of both trackers. No copy of q can form, so no set is blocked and
-    no walk of q is planned or compiled, while the family ``members`` plus
-    one set has fewer than |q| members, or when a chain of q is longer than
-    the n + 1 sets of a longest chain over [n]."""
+    One guard serves both trackers. No copy of q can form, so no set is
+    blocked and no walk of q is planned or compiled, while the family plus
+    one set has fewer than |q| members, or when a chain of q is longer
+    than the n + 1 sets of a longest chain over [n]."""
     least = q.size - 1 if _height(q) <= n + 1 else (1 << n) + 1  # > any family
+    t0, t1, t2 = tables
 
     def completing(members: int, targets: int, through: int | None = None) -> int:
         if members.bit_count() < least:
             return 0
-        return _completing_sets(_completion_walks(q), members, tables, regions, targets,
-                                through)
+        unblocked = targets
+        if through is not None:
+            fixed = regions[through]
+            for code, kernel in _completion_walks(q, 2):
+                if not unblocked:
+                    break
+                region = unblocked & fixed[code]
+                if region:
+                    unblocked = kernel(members, t0, t1, t2, regions, unblocked, region, through)
+        else:  # few targets: cut the region first, and it soon holds none
+            group = 1 if targets.bit_count() <= members.bit_count() else 0
+            for _, kernel in _completion_walks(q, group):
+                if not unblocked:
+                    break
+                unblocked = kernel(members, t0, t1, t2, regions, unblocked, unblocked)
+        return targets & ~unblocked
 
     return completing
 
@@ -603,7 +573,7 @@ _LATTICE_LIMIT = 8
 
 @lru_cache(maxsize=None)  # n <= _LATTICE_LIMIT only
 def _lattice_tables(n: int):
-    """The relation tables of ``_completing_sets`` over the subsets of [n]
+    """The relation tables of ``_completion_pass`` over the subsets of [n]
     indexed by mask, and per subset s its row of them: the ``_regions``
     bitmaps of s without s itself. The rows serve as regions too: a region
     is always cut to ``unblocked``, which lies inside the targets, and the

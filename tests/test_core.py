@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from posetsat import (
     GroundSet,
+    PosetSpec,
     PosetValidationError,
     SetFamily,
     SubsetMask,
@@ -150,6 +151,12 @@ class TestValidatePoset:
     def test_non_square(self):
         with pytest.raises(UsageError):
             validate_poset([[False, True]])
+
+    def test_empty_matrix(self):
+        # an empty poset would reach the copy search with no element to place
+        for build in (lambda: validate_poset([]), lambda: PosetSpec(0, ())):
+            with pytest.raises(UsageError, match="^poset needs at least one element$"):
+                build()
 
 
 class TestBuilders:

@@ -1,4 +1,5 @@
 import io
+import pickle
 import random
 import tokenize
 import tracemalloc
@@ -29,7 +30,7 @@ from posetsat import embedding
 from posetsat.core import _transitive_closure
 from posetsat.embedding import (
     _FamilyIndex,
-    _completing_sets,
+    _completion_pass,
     _completion_plan,
     _completion_walks,
     _height,
@@ -37,6 +38,8 @@ from posetsat.embedding import (
     _regions,
     _search_kernel,
     _search_plan,
+    _walk_kernel,
+    _walk_steps,
 )
 from posetsat.hasse import cover_edges
 from posetsat.saturation import saturation_report
@@ -580,7 +583,7 @@ class TestRegions:
                 appended += 1
             for _ in range(2):
                 index.pop()
-            index.completing_sets(index.open[-1])
+            index._blocked((1 << len(index.bits)) - 1, index.open[-1])
             assert builds[0] == 3 + appended
         assert len(index.regions) == len(index.bits)
 
@@ -600,8 +603,8 @@ class TestRegions:
 
 class TestLazyWalkBinding:
     """A tracked index runs its completion walks, one plan per class head and
-    per (head, twin-class head) pair, built once per poset, only once the
-    family plus one set can hold a copy of the poset."""
+    per (head, twin-class head) pair, built once per poset and group, only
+    once the family plus one set can hold a copy of the poset."""
 
     @pytest.fixture
     def plans(self, monkeypatch):
@@ -633,13 +636,17 @@ class TestLazyWalkBinding:
         assert plans == []
         assert index.open[-1] == 0b11111110
         index.append(0b001)
-        assert sorted(plans) == sorted([(p,) for p in heads] + list(pairs))
+        # a pass through the new member plans only the walks through one
+        assert sorted(plans) == sorted(pairs)
         assert index.open[-1] == 0b01010100  # {2}, {3} and {2, 3}
+        # a pass over more missing sets than members plans one per head
+        index._blocked(0b11, index.open[-1])
+        assert sorted(plans) == sorted([(p,) for p in heads] + list(pairs))
         bound = len(plans)
         index.append(0b110)
         index.pop()
         index.pop()
-        index.completing_sets(index.open[-1])
+        index._blocked((1 << len(index.bits)) - 1, index.open[-1])
         # another index over the same poset reuses the walks
         again = _FamilyIndex([0b000, 0b001], 3)
         again.track(q)
@@ -710,6 +717,36 @@ def completion_order(q, fixed):
     return tuple(order)
 
 
+class TestWalkCache:
+    """Walk groups are cached per poset and group. A spec's hash is computed
+    once, from its size and matrix, so equal specs built apart share an
+    entry, while a spec with other labels compares unequal and keeps its
+    own."""
+
+    def test_equal_specs_share_an_entry(self, butterfly):
+        same = validate_poset(butterfly.less, butterfly.labels)
+        relabelled = validate_poset(butterfly.less, ("w", "x", "y", "z"))
+        assert same is not butterfly and same == butterfly
+        assert hash(same) == hash(butterfly) == hash(relabelled)
+        assert relabelled != butterfly
+        _completion_walks.cache_clear()
+        try:
+            for group in range(3):
+                assert _completion_walks(same, group) is _completion_walks(butterfly, group)
+            assert _completion_walks.cache_info().currsize == 3
+            for group in range(3):
+                _completion_walks(relabelled, group)
+            assert _completion_walks.cache_info().currsize == 6
+        finally:
+            _completion_walks.cache_clear()
+
+    def test_hash_holds_no_string(self, butterfly):
+        # the same value in every process, and after a pickle round trip
+        copy = pickle.loads(pickle.dumps(butterfly))
+        assert hash(copy) == hash(butterfly) == hash((butterfly.size, butterfly.less))
+        assert copy == butterfly
+
+
 class TestCompletionPlans:
     @pytest.mark.parametrize("name", ["B", "N", "K33"])
     def test_walks_follow_their_rule_and_twin_chains(self, name):
@@ -717,15 +754,23 @@ class TestCompletionPlans:
         rule gives, chains each twin class in that order, and checks each
         step against every placed element but the hole. A walk through a
         member x first places an element comparable to x when one is free.
-        The second plan of each hole follows the search forced at it."""
+        The second plan of each hole follows the search forced at it. The
+        walk groups compile these plans, in this order."""
         q = TWIN_POSETS[name]
         rows = [(q.less[x], tuple(row[x] for row in q.less)) for x in range(q.size)]
         rel, heads, pairs = _poset_tables(q)
-        every, search_first, through = _completion_walks(q)
-        walks = [((p,), every[k][2], completion_order(q, (p,))) for k, p in enumerate(heads)]
-        walks += [((p,), search_first[k][2], _search_plan(q, (p,))[0]) for k, p in enumerate(heads)]
-        walks += [(f, through[k][2], completion_order(q, f)) for k, f in enumerate(pairs)]
-        for fixed, steps, expected in walks:
+        groups = [
+            [((p,), _completion_plan(q, (p,)), completion_order(q, (p,))) for p in heads],
+            [((p,), _walk_steps(q, _search_plan(q, (p,))[0], 1), _search_plan(q, (p,))[0])
+             for p in heads],
+            [(f, _completion_plan(q, f), completion_order(q, f)) for f in pairs],
+        ]
+        for group, walks in enumerate(groups):
+            assert _completion_walks(q, group) == tuple(
+                (rel[fixed[0]][fixed[-1]], _walk_kernel(fixed[1:], steps))
+                for fixed, steps, _ in walks
+            )
+        for fixed, steps, expected in (walk for walks in groups for walk in walks):
             order = fixed + tuple(x for x, *_ in steps)
             assert order == expected
             classes = {}
@@ -760,9 +805,8 @@ class TestWalkExits:
         through = data.draw(st.integers(0, len(masks) - 1)) if through_member else None
         index = _FamilyIndex(masks, n)
         regions = [_regions(u, n) for u in masks]
-        got = _completing_sets(_completion_walks(q), (1 << len(masks)) - 1,
-                               (index.incomp, index.below, index.above), regions,
-                               sum(1 << t for t in targets), through)
+        completing = _completion_pass(q, n, (index.incomp, index.below, index.above), regions)
+        got = completing((1 << len(masks)) - 1, sum(1 << t for t in targets), through)
         required = [] if through is None else [masks[through]]
         assert got == sum(1 << t for t in targets
                           if naive_has_copy_up_to_twins(masks + [t], q, required + [t]))
@@ -835,8 +879,8 @@ def tall_families(name):
 class TestKernels:
     """Every search and completion walk runs as a kernel compiled from its
     plan. Posets of 22 and 23 elements take more nested loops than CPython
-    3.10 to 3.12 allow in one function, so their kernels chain functions;
-    they must still agree with a brute-force oracle."""
+    allows in one function, so their kernels chain functions; they must
+    still agree with a brute-force oracle."""
 
     @pytest.mark.parametrize("name", list(TALL_TWINS))
     def test_search_past_the_nesting_limit(self, name):
@@ -878,13 +922,12 @@ class TestKernels:
         q = TALL_TWINS[name]
         index = _FamilyIndex(masks, 7)
         regions = [_regions(u, 7) for u in masks]
+        completing = _completion_pass(q, 7, (index.incomp, index.below, index.above), regions)
         rest = [b for b in LAYER3 if b not in masks]
         # few targets take the walks in search order, many the other walks
         for targets in (rest, rest + [0, 127] + [1 << e for e in range(6)] + [127 ^ 1 << e for e in range(6)]):
             targets = [t for t in targets if t not in masks]
-            got = _completing_sets(_completion_walks(q), (1 << len(masks)) - 1,
-                                   (index.incomp, index.below, index.above), regions,
-                                   sum(1 << t for t in targets), through)
+            got = completing((1 << len(masks)) - 1, sum(1 << t for t in targets), through)
             required = [] if through is None else [masks[through]]
             expected = [t for t in targets if naive_has_copy_up_to_twins(masks + [t], q, required + [t])]
             assert expected
@@ -903,9 +946,8 @@ class TestKernels:
         index = _FamilyIndex(masks, 7)
         regions = [_regions(u, 7) for u in masks]
         targets = [t for t in LAYER3 if t not in masks]
-        got = _completing_sets(_completion_walks(q), (1 << len(masks)) - 1,
-                               (index.incomp, index.below, index.above), regions,
-                               sum(1 << t for t in targets))
+        completing = _completion_pass(q, 7, (index.incomp, index.below, index.above), regions)
+        got = completing((1 << len(masks)) - 1, sum(1 << t for t in targets))
         expected = [t for t in targets if naive_has_copy_up_to_twins(masks + [t], q, [t])]
         assert expected
         assert got == sum(1 << t for t in expected)
@@ -942,16 +984,19 @@ class TestKernels:
         monkeypatch.setattr(embedding, "_KERNELS", {})
         _completion_walks.cache_clear()
         try:
-            walks = _completion_walks(q)
+            walks = [_completion_walks(q, group) for group in range(3)]
         finally:
             _completion_walks.cache_clear()
+        heads, pairs = _poset_tables(q)[1:]
+        plans = [((), _completion_plan(q, (p,))) for p in heads]
+        plans += [((), _walk_steps(q, _search_plan(q, (p,))[0], 1)) for p in heads]
+        plans += [((x,), _completion_plan(q, (p, x))) for p, x in pairs]
         shapes = set()
-        for group, fixed in zip(walks, (0, 0, 1)):
-            for x, _, steps, _ in group:
-                place = {y: k for k, y in enumerate([x][:fixed] + [s[0] for s in steps])}
-                shapes.add((fixed, tuple(
-                    (tuple((place[y], r) for y, r in checks), place.get(prev, -1), code)
-                    for _, checks, prev, code in steps
-                )))
-        assert sum(map(len, walks)) == 420
+        for fixed, steps in plans:
+            place = {y: k for k, y in enumerate(list(fixed) + [s[0] for s in steps])}
+            shapes.add((len(fixed), tuple(
+                (tuple((place[y], r) for y, r in checks), place.get(prev, -1), code)
+                for _, checks, prev, code in steps
+            )))
+        assert sum(map(len, walks)) == len(plans) == 420
         assert len(embedding._KERNELS) <= len(shapes) == 7
