@@ -14,15 +14,16 @@ operations. The search checks forward: each node carries, for every later
 step, the members that fit against all elements placed so far, and a branch
 ends as soon as one of those domains is empty.
 
-Each poset and tuple of forced elements has a cached plan: the search
-order and per depth the earlier elements whose relation bitsets constrain
-the candidate. Twins, elements with identical relation rows (such as the
-bottoms or the tops of ``K_{s,t}``), must take ascending member indices in
-search order; forced elements are left out of their twin chains. The
-ordering changes no witness: swapping two out-of-order twins gives another
-copy that comes earlier in search order, so the first copy found already
-has its twins in ascending order. A forced search tries the forced member
-only at the least element of each twin class.
+Each poset and tuple of forced elements has a plan, the search order: an
+order of the poset's elements, the forced ones first. The relation codes of
+``_poset_tables`` say which relation bitset of each earlier element cuts
+the candidates of a later one. Twins, elements with identical relation rows
+(such as the bottoms or the tops of ``K_{s,t}``), must take ascending
+member indices in search order (``_twins``). The ordering changes no
+witness: swapping two out-of-order twins gives another copy that comes
+earlier in search order, so the first copy found already has its twins in
+ascending order. A forced search tries the forced member only at the least
+element of each twin class.
 
 Each index keeps, per member, bitsets of the members strictly below it,
 strictly above it and incomparable to it, and per element of the ground set
@@ -52,11 +53,11 @@ poset and cached (``_completion_walks``), on the first pass that runs the
 group, and runs over the relation tables and regions of either tracker.
 
 Every search plan and completion walk runs as a kernel: Python source
-generated from the plan, with one loop per step and the placed members in
-locals, compiled once per source text. Plans of one shape share a kernel,
-and a plan longer than CPython's limit on nested loops chains kernels.
-Walks compile group by group, on first use, and a walk's loop ends once
-its region, kept to the sets not yet blocked, is empty.
+generated from an element order, with one loop per step and the placed
+members in locals, compiled once per source text. Plans of one shape share
+a kernel, and a plan longer than CPython's limit on nested loops chains
+kernels. Walks compile group by group, on first use, and a walk's loop
+ends once its region, kept to the sets not yet blocked, is empty.
 """
 
 from __future__ import annotations
@@ -111,20 +112,15 @@ def _height(q: PosetSpec) -> int:
     return max(height)
 
 
-@lru_cache(maxsize=None)
-def _search_plan(q: PosetSpec, forced: tuple[int, ...]):
-    """Search order, per-depth relation checks and twin chains for one search
-    of ``q`` with the ``forced`` elements placed first, in the given order.
+def _search_plan(q: PosetSpec, forced: tuple[int, ...]) -> tuple[int, ...]:
+    """The search order of ``q`` with the ``forced`` elements placed first,
+    in the given order.
 
     After them, each step takes the unplaced element comparable to the most
     placed ones; ties go to the element comparable to the most elements of
     q, then to the smaller label. So the bottoms and tops of ``K_{3,3}``
     alternate, 0, 3, 1, 4, 2, 5, and each step after the first must fit at
-    least one subset or superset relation. ``checks[d]`` lists (earlier
-    element, relation code) pairs that the candidate at depth d must
-    satisfy; ``prev[d]`` is the previous element of its twin class in
-    search order, or -1. Forced elements are left out of their twin chains:
-    swapping one with a twin would move its member.
+    least one subset or superset relation.
     """
     rel = _poset_tables(q)[0]
     rest = sorted(
@@ -145,16 +141,23 @@ def _search_plan(q: PosetSpec, forced: tuple[int, ...]):
         x = max(rest, key=placed.__getitem__)
         rest.remove(x)
         place(x)
-    order = tuple(order)
-    checks = tuple(
-        tuple((y, rel[x][y]) for y in order[:d]) for d, x in enumerate(order)
-    )
+    return tuple(order)
+
+
+def _twins(q: PosetSpec, order: Sequence[int], fixed: int) -> list[int]:
+    """Per position of ``order``, the position of the previous element of
+    its twin class, or -1, with the first ``fixed`` positions left out of
+    every chain. A kernel places each element at a member index above that
+    of its previous twin. A fixed element stays out: its image is pinned
+    (the forced member, the set under test or the member walked through),
+    and swapping it with a twin would move that image."""
+    rel = _poset_tables(q)[0]
     last: dict[tuple[int, ...], int] = {}
-    prev = [-1] * len(forced)
-    for x in order[len(forced):]:
-        prev.append(last.get(rel[x], -1))
-        last[rel[x]] = x
-    return order, checks, tuple(prev)
+    twins = [-1] * len(order)
+    for d in range(fixed, len(order)):
+        twins[d] = last.get(rel[order[d]], -1)
+        last[rel[order[d]]] = d
+    return twins
 
 
 # CPython 3.10 to 3.12 refuse more than 20 statically nested blocks in one
@@ -198,9 +201,8 @@ def _search_kernel(q: PosetSpec, forced: tuple[int, ...]):
     the least member of its domain, which is never empty there. A search of
     more than ``_LOOPS`` + 1 steps chains kernels, each handing the next the
     domains of the steps it leaves."""
-    order, checks, prev = _search_plan(q, forced)
-    m = len(order)
-    depth = {x: d for d, x in enumerate(order)}
+    order = _search_plan(q, forced)
+    rel, twins, m = _poset_tables(q)[0], _twins(q, order, len(forced)), len(order)
 
     def domain(d: int, k: int) -> str:
         return "members" if d == 0 < k else f"v{d}_{k}"
@@ -218,8 +220,9 @@ def _search_kernel(q: PosetSpec, forced: tuple[int, ...]):
             lines += _pull(pad, domain(d, d), f"i{d}")
             cuts = []
             for k in range(d + 1, m):
-                twin = f" & -(2 << i{d})" if prev[k] >= 0 and depth[prev[k]] == d else ""
-                cuts.append(f"(v{d + 1}_{k} := {domain(d, k)} & t{checks[k][d][1]}[i{d}]{twin})")
+                twin = f" & -(2 << i{d})" if twins[k] == d else ""
+                cut = f"{domain(d, k)} & t{rel[order[k]][order[d]]}[i{d}]{twin}"
+                cuts.append(f"(v{d + 1}_{k} := {cut})")
             lines.append(f"{pad}    if {' and '.join(cuts)}:")
             pad += "        "
         images = "".join(f"i{d}, " for d in range(start, end))
@@ -382,8 +385,8 @@ class _FamilyIndex:
         return None
 
 
-def _completion_plan(q: PosetSpec, fixed: tuple[int, ...]):
-    """The steps of one completion walk for q after the ``fixed`` elements:
+def _completion_plan(q: PosetSpec, fixed: tuple[int, ...]) -> tuple[int, ...]:
+    """The order of one completion walk for q, the ``fixed`` elements first:
     the hole p = ``fixed[0]``, whose image is the set under test, and for a
     walk through one member the element ``fixed[1]`` at that member.
 
@@ -408,77 +411,60 @@ def _completion_plan(q: PosetSpec, fixed: tuple[int, ...]):
         order.append(x)
         for z, r in enumerate(rel[x]):
             placed[z] += r != _NONE
-    return _walk_steps(q, order, len(fixed))
+    return tuple(order)
 
 
-def _walk_steps(q: PosetSpec, order: Sequence[int], fixed: int):
-    """The steps of a completion walk for q that places ``order`` after its
-    first ``fixed`` elements, the hole ``order[0]`` among them. Per step:
-    the element; its (placed element other than the hole, relation code)
-    checks; the previous element of its twin class in step order, or -1,
-    the fixed elements left out; and the relation code of the hole to it.
-    Each step checks against every placed element but the hole, and a
-    relation bitset never holds its own member, so the images stay
-    distinct."""
-    rel = _poset_tables(q)[0]
-    p = order[0]
-    last: dict[tuple[int, ...], int] = {}
-    steps = []
-    for d in range(fixed, len(order)):
-        x = order[d]
-        checks = tuple((y, rel[x][y]) for y in order[1:d])
-        steps.append((x, checks, last.get(rel[x], -1), rel[p][x]))
-        last[rel[x]] = x
-    return tuple(steps)
-
-
-def _walk_kernel(fixed: tuple[int, ...], steps):
-    """The completion walk of ``steps`` compiled into nested loops:
-    ``kernel(members, t0, t1, t2, regions, unblocked, region, *images)``
-    returns ``unblocked`` less the sets that the walk blocks, where
-    ``t0, t1, t2`` are the relation tables and ``images`` the member indices
-    of the ``fixed`` elements other than the hole. ``region`` must lie
+def _walk_kernel(q: PosetSpec, order: Sequence[int], fixed: int):
+    """The completion walk for q that places ``order`` after its first
+    ``fixed`` elements, the hole ``order[0]`` among them, compiled into
+    nested loops: ``kernel(members, t0, t1, t2, regions, unblocked, region,
+    *images)`` returns ``unblocked`` less the sets that the walk blocks,
+    where ``t0, t1, t2`` are the relation tables and ``images`` the member
+    indices of the fixed elements other than the hole. ``region`` must lie
     inside ``unblocked``.
 
-    The placed elements keep their indices in ``i0``, ``i1``, ... in step
-    order, the fixed ones first; loop s iterates candidates ``c<s>`` with
-    region ``r<s>`` and ends once that is empty. The last loop blocks what
-    its region keeps and drops it from every region of its kernel. A walk
-    of more than ``_LOOPS`` steps chains kernels, each handing the next its
-    region and images and cutting its regions to what comes back."""
-    at = {x: k for k, x in enumerate(fixed + tuple(x for x, *_ in steps))}
-    base = len(fixed)
+    The placed elements other than the hole keep their indices in ``i0``,
+    ``i1``, ... in order, the fixed ones first; loop s iterates candidates
+    ``c<s>`` with region ``r<s>`` and ends once that is empty. Each step
+    checks against every placed element but the hole, and a relation bitset
+    never holds its own member, so the images stay distinct; the hole's
+    relation to the step picks the member's region. The last loop blocks
+    what its region keeps and drops it from every region of its kernel. A
+    walk of more than ``_LOOPS`` steps chains kernels, each handing the next
+    its region and images and cutting its regions to what comes back."""
+    rel, twins, steps = _poset_tables(q)[0], _twins(q, order, fixed), len(order) - fixed
 
     def params(s: int) -> str:  # of the kernel that starts at step s
-        images = [f"i{k}" for k in range(base + s)]
+        images = [f"i{k}" for k in range(fixed - 1 + s)]
         return ", ".join(["members, t0, t1, t2, regions, unblocked", f"r{s}"] + images)
 
     lines = []
-    for c, start in enumerate(range(0, max(len(steps), 1), _LOOPS)):
-        end = min(start + _LOOPS, len(steps))
+    for c, start in enumerate(range(0, max(steps, 1), _LOOPS)):
+        end = min(start + _LOOPS, steps)
         lines.append(f"def _k{c}({params(start)}):")
         pad = "    "
         if not steps:
             lines.append(f"{pad}unblocked &= ~r0")
         exits = []  # (pad inside, step) per loop around another
         for s in range(start, end):
-            _, checks, prev, code = steps[s]
-            cuts = [f"t{r}[i{at[y]}]" for y, r in checks]
-            if prev >= 0:  # only members above the previous twin's
-                cuts.append(f"-(2 << i{at[prev]})")
+            d = fixed + s  # the position of the step's element in order
+            x, code = order[d], rel[order[0]][order[d]]
+            cuts = [f"t{rel[x][order[k]]}[i{k - 1}]" for k in range(1, d)]
+            if twins[d] >= 0:  # only members above the previous twin's
+                cuts.append(f"-(2 << i{twins[d] - 1})")
             lines.append(f"{pad}c{s} = {' & '.join(['members'] + cuts)}")
-            lines += _pull(pad, f"c{s}", f"i{base + s}")
-            if s == len(steps) - 1:
-                lines += [f"{pad}    h = regions[i{base + s}][{code}] & r{s}",
+            lines += _pull(pad, f"c{s}", f"i{d - 1}")
+            if s == steps - 1:
+                lines += [f"{pad}    h = regions[i{d - 1}][{code}] & r{s}",
                           f"{pad}    if h:", f"{pad}        unblocked ^= h"]
                 lines += [f"{pad}        r{k} ^= h" for k in range(start, s + 1)]
                 lines += [f"{pad}        if not r{s}:", f"{pad}            break"]
             else:
-                lines += [f"{pad}    r{s + 1} = regions[i{base + s}][{code}] & r{s}",
+                lines += [f"{pad}    r{s + 1} = regions[i{d - 1}][{code}] & r{s}",
                           f"{pad}    if r{s + 1}:"]
                 pad += "        "
                 exits.append((pad, s))
-        if end < len(steps):
+        if end < steps:
             lines.append(f"{pad}unblocked = _k{c + 1}({params(end)})")
             lines += [f"{pad}r{k} &= unblocked" for k in range(start, end)]
         for inner, s in reversed(exits):
@@ -492,17 +478,16 @@ def _completion_walks(q: PosetSpec, group: int):
     """Walk group ``group`` of ``_completion_pass`` for q, compiled on the
     first pass that runs it, as (relation code of the hole to the last
     fixed element, kernel) pairs. Groups 0 and 1 walk over every missing
-    set, one walk per class head p, with the ``_completion_plan`` steps and
+    set, one walk per class head p, in the ``_completion_plan`` order and
     in the order of the search forced at p; group 2 walks through one
-    member, one walk per pair (p, x) of ``_poset_tables``."""
+    member, one walk per pair (p, x) of ``_poset_tables``, in the
+    ``_completion_plan`` order."""
     rel, heads, pairs = _poset_tables(q)
     if group == 2:
-        return tuple((rel[p][x], _walk_kernel((x,), _completion_plan(q, (p, x))))
+        return tuple((rel[p][x], _walk_kernel(q, _completion_plan(q, (p, x)), 2))
                      for p, x in pairs)
-    if group == 1:
-        return tuple((_NONE, _walk_kernel((), _walk_steps(q, _search_plan(q, (p,))[0], 1)))
-                     for p in heads)
-    return tuple((_NONE, _walk_kernel((), _completion_plan(q, (p,)))) for p in heads)
+    plan = _search_plan if group else _completion_plan
+    return tuple((_NONE, _walk_kernel(q, plan(q, (p,)), 1)) for p in heads)
 
 
 def _completion_pass(q: PosetSpec, n: int, tables, regions):

@@ -38,8 +38,8 @@ from posetsat.embedding import (
     _regions,
     _search_kernel,
     _search_plan,
+    _twins,
     _walk_kernel,
-    _walk_steps,
 )
 from posetsat.hasse import cover_edges
 from posetsat.saturation import saturation_report
@@ -342,8 +342,9 @@ class TestTwinOrdering:
     def test_search_plan_follows_twin_chains(self, name):
         q = TWIN_POSETS[name]
         for forced, chains in TWIN_CHAINS[name].items():
-            order, _, prev = _search_plan(q, () if forced is None else (forced,))
-            links = {(p, x) for p, x in zip(prev, order) if p >= 0}
+            forced = () if forced is None else (forced,)
+            order = _search_plan(q, forced)
+            links = {(order[t], x) for t, x in zip(_twins(q, order, len(forced)), order) if t >= 0}
             assert links == {pair for chain in chains for pair in zip(chain, chain[1:])}
 
     @pytest.mark.parametrize("name", list(SEARCH_ORDERS))
@@ -354,7 +355,28 @@ class TestTwinOrdering:
         for forced, order in expected.items():
             forced = () if forced is None else (forced,)
             assert comparability_first(q, forced) == order
-            assert _search_plan(q, forced)[0] == order
+            assert _search_plan(q, forced) == order
+
+    @given(
+        size=st.integers(1, 7),
+        pairs=st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6))),
+        perm=st.permutations(range(7)),
+        data=st.data(),
+    )
+    def test_twins_link_equal_rows(self, size, pairs, perm, data):
+        """Each position past the first ``fixed`` links to the last earlier
+        such position whose element has the same relation row, restated by
+        comparing rows and columns of ``q.less``."""
+        q = relabelled_poset(size, pairs, perm)
+        order = data.draw(st.permutations(range(size)))
+        fixed = data.draw(st.integers(0, size))
+        rows = [(q.less[x], tuple(row[x] for row in q.less)) for x in range(size)]
+        expected = [
+            max((k for k in range(fixed, d) if rows[order[k]] == rows[order[d]]), default=-1)
+            if d >= fixed else -1
+            for d in range(size)
+        ]
+        assert _twins(q, order, fixed) == expected
 
     @given(name=st.sampled_from([*CROSS_CHECK_POSETS, "K33"]), data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -761,31 +783,39 @@ class TestCompletionPlans:
         rel, heads, pairs = _poset_tables(q)
         groups = [
             [((p,), _completion_plan(q, (p,)), completion_order(q, (p,))) for p in heads],
-            [((p,), _walk_steps(q, _search_plan(q, (p,))[0], 1), _search_plan(q, (p,))[0])
-             for p in heads],
+            [((p,), _search_plan(q, (p,)), comparability_first(q, (p,))) for p in heads],
             [(f, _completion_plan(q, f), completion_order(q, f)) for f in pairs],
         ]
         for group, walks in enumerate(groups):
             assert _completion_walks(q, group) == tuple(
-                (rel[fixed[0]][fixed[-1]], _walk_kernel(fixed[1:], steps))
-                for fixed, steps, _ in walks
+                (rel[fixed[0]][fixed[-1]], _walk_kernel(q, order, len(fixed)))
+                for fixed, order, _ in walks
             )
-        for fixed, steps, expected in (walk for walks in groups for walk in walks):
-            order = fixed + tuple(x for x, *_ in steps)
+        source = {kernel: text for text, kernel in embedding._KERNELS.items()}
+        for fixed, order, expected in (walk for walks in groups for walk in walks):
             assert order == expected
             classes = {}
             for x in order[len(fixed):]:
                 classes.setdefault(rows[x], []).append(x)
-            links = {(prev, x) for x, _, prev, _ in steps if prev >= 0}
+            twins = _twins(q, order, len(fixed))
+            links = {(order[t], x) for t, x in zip(twins, order) if t >= 0}
             assert links == {pair for c in classes.values() for pair in zip(c, c[1:])}
-            for d, (x, checks, _, code) in enumerate(steps):
-                # every placed element but the hole, with its relation code
-                assert checks == tuple((y, rel[x][y]) for y in order[1:len(fixed) + d])
-                assert code == rel[fixed[0]][x]
-            if len(fixed) == 2 and steps:
+            text = source[_walk_kernel(q, order, len(fixed))]
+            lines = {line.strip() for line in text.splitlines()}
+            for d in range(len(fixed), q.size):
+                # step s, at position d, checks every placed element but the
+                # hole with its relation code, the element at position k by
+                # its index in i<k - 1>, then its previous twin, and takes the
+                # region that the hole's relation to it picks
+                x, s = order[d], d - len(fixed)
+                checks = ["members"] + [f"t{rel[x][order[k]]}[i{k - 1}]" for k in range(1, d)]
+                checks += [f"-(2 << i{twins[d] - 1})"] if twins[d] >= 0 else []
+                assert f"c{s} = {' & '.join(checks)}" in lines
+                assert f"regions[i{d - 1}][{rel[fixed[0]][x]}] & r{s}" in text
+            if len(fixed) == 2 and len(order) > 2:
                 x = fixed[1]
                 if any(q.less[x][y] or q.less[y][x] for y in order[2:]):
-                    first = steps[0][0]
+                    first = order[2]
                     assert q.less[x][first] or q.less[first][x]
 
 
@@ -987,16 +1017,17 @@ class TestKernels:
             walks = [_completion_walks(q, group) for group in range(3)]
         finally:
             _completion_walks.cache_clear()
-        heads, pairs = _poset_tables(q)[1:]
-        plans = [((), _completion_plan(q, (p,))) for p in heads]
-        plans += [((), _walk_steps(q, _search_plan(q, (p,))[0], 1)) for p in heads]
-        plans += [((x,), _completion_plan(q, (p, x))) for p, x in pairs]
+        rel, heads, pairs = _poset_tables(q)
+        plans = [(1, _completion_plan(q, (p,))) for p in heads]
+        plans += [(1, _search_plan(q, (p,))) for p in heads]
+        plans += [(2, _completion_plan(q, (p, x))) for p, x in pairs]
         shapes = set()
-        for fixed, steps in plans:
-            place = {y: k for k, y in enumerate(list(fixed) + [s[0] for s in steps])}
-            shapes.add((len(fixed), tuple(
-                (tuple((place[y], r) for y, r in checks), place.get(prev, -1), code)
-                for _, checks, prev, code in steps
+        for fixed, order in plans:
+            twins = _twins(q, order, fixed)
+            shapes.add((fixed, tuple(
+                (tuple((k, rel[order[d]][order[k]]) for k in range(1, d)), twins[d],
+                 rel[order[0]][order[d]])
+                for d in range(fixed, len(order))
             )))
         assert sum(map(len, walks)) == len(plans) == 420
         assert len(embedding._KERNELS) <= len(shapes) == 7

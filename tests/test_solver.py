@@ -509,14 +509,14 @@ class TestTrackedFamily:
 
     @pytest.fixture
     def compiled(self, monkeypatch):
-        """The fixed elements of each walk kernel built from empty caches:
-        () for a walk over every missing set."""
+        """The fixed elements other than the hole of each walk kernel built
+        from empty caches: () for a walk over every missing set."""
         built = []
         walk_kernel = embedding._walk_kernel
 
-        def counting(fixed, steps):
-            built.append(fixed)
-            return walk_kernel(fixed, steps)
+        def counting(q, order, fixed):
+            built.append(tuple(order[1:fixed]))
+            return walk_kernel(q, order, fixed)
 
         monkeypatch.setattr(embedding, "_KERNELS", {})
         monkeypatch.setattr(embedding, "_walk_kernel", counting)
