@@ -15,15 +15,19 @@ step, the members that fit against all elements placed so far, and a branch
 ends as soon as one of those domains is empty.
 
 Each poset and tuple of forced elements has a plan, the search order: an
-order of the poset's elements, the forced ones first. The relation codes of
-``_poset_tables`` say which relation bitset of each earlier element cuts
-the candidates of a later one. Twins, elements with identical relation rows
-(such as the bottoms or the tops of ``K_{s,t}``), must take ascending
-member indices in search order (``_twins``). The ordering changes no
-witness: swapping two out-of-order twins gives another copy that comes
-earlier in search order, so the first copy found already has its twins in
-ascending order. A forced search tries the forced member only at the least
-element of each twin class.
+order of the poset's elements, the forced ones first. It and the order of
+each completion walk grow by one greedy rule (``_grow``): after the fixed
+elements, each step takes the element comparable to the most placed ones
+that count. The two plans differ only in their keys: which fixed elements
+count and how ties break. The relation codes of ``_poset_tables`` say
+which relation bitset of each earlier element cuts the candidates of a
+later one. Twins, elements with identical relation rows (such as the
+bottoms or the tops of ``K_{s,t}``), must take ascending member indices in
+search order (``_twins``). The ordering changes no witness: swapping two
+out-of-order twins gives another copy that comes earlier in search order,
+so the first copy found already has its twins in ascending order. A forced
+search tries the forced member only at the least element of each twin
+class.
 
 Each index keeps, per member, bitsets of the members strictly below it,
 strictly above it and incomparable to it, and per element of the ground set
@@ -112,6 +116,23 @@ def _height(q: PosetSpec) -> int:
     return max(height)
 
 
+def _grow(q: PosetSpec, fixed: tuple[int, ...], counted: tuple[int, ...], key) -> tuple[int, ...]:
+    """The elements of q in the order that grows from ``fixed``: each step
+    takes the remaining element x with the least ``key(placed, x)``, where
+    ``placed[x]`` counts the elements of ``counted`` and those taken since
+    that are comparable to x."""
+    rel = _poset_tables(q)[0]
+    placed = [sum(rel[x][y] != _NONE for y in counted) for x in range(q.size)]
+    order, rest = list(fixed), [x for x in range(q.size) if x not in fixed]
+    while rest:
+        x = min(rest, key=lambda y: key(placed, y))
+        rest.remove(x)
+        order.append(x)
+        for y, r in enumerate(rel[x]):
+            placed[y] += r != _NONE
+    return tuple(order)
+
+
 def _search_plan(q: PosetSpec, forced: tuple[int, ...]) -> tuple[int, ...]:
     """The search order of ``q`` with the ``forced`` elements placed first,
     in the given order.
@@ -122,26 +143,8 @@ def _search_plan(q: PosetSpec, forced: tuple[int, ...]) -> tuple[int, ...]:
     alternate, 0, 3, 1, 4, 2, 5, and each step after the first must fit at
     least one subset or superset relation.
     """
-    rel = _poset_tables(q)[0]
-    rest = sorted(
-        (x for x in range(q.size) if x not in forced),
-        key=lambda x: (-sum(r != _NONE for r in rel[x]), x),
-    )
-    order = []
-    placed = [0] * q.size  # per element, the placed elements comparable to it
-
-    def place(x: int) -> None:
-        order.append(x)
-        for y, r in enumerate(rel[x]):
-            placed[y] += r != _NONE
-
-    for x in forced:
-        place(x)
-    while rest:  # max keeps the first of equals, so ties go by rest's order
-        x = max(rest, key=placed.__getitem__)
-        rest.remove(x)
-        place(x)
-    return tuple(order)
+    degree = [sum(r != _NONE for r in row) for row in _poset_tables(q)[0]]
+    return _grow(q, forced, forced, lambda placed, x: (-placed[x], -degree[x], x))
 
 
 def _twins(q: PosetSpec, order: Sequence[int], fixed: int) -> list[int]:
@@ -394,24 +397,10 @@ def _completion_plan(q: PosetSpec, fixed: tuple[int, ...]) -> tuple[int, ...]:
     elements other than p, since only those cut its candidates; ties go to
     an element comparable to p, which cuts the region, then to the element
     comparable to the fewest elements of q, then to the smaller label."""
-    rel = _poset_tables(q)[0]
-    p = fixed[0]
-    rest = sorted(
-        (x for x in range(q.size) if x not in fixed),
-        key=lambda x: (sum(r != _NONE for r in rel[x]), x),
-    )
-    order = list(fixed)
-    placed = [0] * q.size  # per element, the placed members comparable to it
-    for y in fixed[1:]:
-        for z, r in enumerate(rel[y]):
-            placed[z] += r != _NONE
-    while rest:  # max keeps the first of equals, so ties go by rest's order
-        x = max(rest, key=lambda y: (placed[y], rel[p][y] != _NONE))
-        rest.remove(x)
-        order.append(x)
-        for z, r in enumerate(rel[x]):
-            placed[z] += r != _NONE
-    return tuple(order)
+    rel, p = _poset_tables(q)[0], fixed[0]
+    degree = [sum(r != _NONE for r in row) for row in rel]
+    return _grow(q, fixed, fixed[1:],
+                 lambda placed, x: (-placed[x], rel[p][x] == _NONE, degree[x], x))
 
 
 def _walk_kernel(q: PosetSpec, order: Sequence[int], fixed: int):

@@ -365,6 +365,12 @@ def _saturated_walk(
         del walk  # it refers to itself; unbound, it leaves no garbage cycle
 
 
+def _smallest(families: Sequence[SetFamily]) -> SetFamily:
+    """The family with the fewest members, ties going to the smaller
+    ``bit_list``, then to the first of equals."""
+    return min(families, key=lambda f: (len(f), f.bit_list))
+
+
 def _bound_discrepancy_check(n: int, result: "SolveResult") -> None:
     """Exact values must respect the proved lower bounds; a violation is a
     halt-worthy discrepancy, never silently reported."""
@@ -409,19 +415,19 @@ def exact_sat_star(
         if budget_s is not None:
             raise UsageError("method 'enumerate' takes no budget")
         families = enumerate_saturated_families(n, q)
-        best = min(families, key=lambda f: (len(f), f.bit_list))
+        best = _smallest(families)
         enumerated_count = len(families)
     else:
-        best = greedy_saturate(SetFamily.from_masks(ground, []), q)
+        closed = [greedy_saturate(SetFamily.from_masks(ground, []), q)]
         named = _named_seed(n, q)
         if named is not None:
-            closed = greedy_saturate(named, q)
-            if (len(closed), closed.bit_list) < (len(best), best.bit_list):
-                best = closed
+            closed.append(greedy_saturate(named, q))
+        best = _smallest(closed)
         deadline = None if budget_s is None else t0 + budget_s
+        sizes = range(1, len(best))  # a bound of one set or none is settled
         try:
-            maps = _lattice_maps(n, q, deadline)
-            for size in range(1, len(best)):
+            maps = _lattice_maps(n, q, deadline) if sizes else ()
+            for size in sizes:
                 found = next(_saturated_walk(ground, q, size, maps, deadline), None)
                 if found is not None:
                     best = found
@@ -470,8 +476,7 @@ def upper_bound_via_random_greedy(
     closed = [greedy_saturate(seed, q)]
     if trials > 1:
         closed += sample_saturated_families(n, q, trials - 1, rng_seed)
-    best = min(closed, key=lambda f: (len(f), f.bit_list))
-    return _result(n, q, best, False, t0)
+    return _result(n, q, _smallest(closed), False, t0)
 
 
 def sample_saturated_families(

@@ -1,4 +1,6 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,3 +38,17 @@ def test_main_totals_a_directory(tmp_path, capsys):
     (tmp_path / "b.py").write_text("x = 1\n")
     assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == f"     7  {tmp_path} (total)"
+
+
+def test_a_closed_pipe_ends_quietly(tmp_path):
+    # more output than a pipe holds, so the tool writes after the reader
+    # has gone, whatever its buffering
+    for k in range(1000):
+        (tmp_path / f"{k:04}{'_' * 200}.py").write_text("x = 1\n")
+    command = [sys.executable, str(ROOT / "tools" / "code_lines.py"), str(tmp_path)]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as tool:
+        assert tool.stdout.readline().strip().startswith(b"1")
+        tool.stdout.close()
+        stderr = tool.stderr.read()
+        assert tool.wait(timeout=60) == 141
+    assert b"Traceback" not in stderr

@@ -818,6 +818,25 @@ class TestCompletionPlans:
                     first = order[2]
                     assert q.less[x][first] or q.less[first][x]
 
+    @given(
+        size=st.integers(1, 7),
+        pairs=st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6))),
+        perm=st.permutations(range(7)),
+    )
+    def test_plans_follow_their_rules_on_random_posets(self, size, pairs, perm):
+        """Both plan functions give the orders that their rules, restated
+        in ``comparability_first`` and ``completion_order``, give: the
+        unforced and every singly forced search, and every completion walk
+        of one hole p, alone or through a member at x."""
+        q = relabelled_poset(size, pairs, perm)
+        assert _search_plan(q, ()) == comparability_first(q)
+        for p in range(size):
+            assert _search_plan(q, (p,)) == comparability_first(q, (p,))
+            assert _completion_plan(q, (p,)) == completion_order(q, (p,))
+            for x in range(size):
+                if x != p:
+                    assert _completion_plan(q, (p, x)) == completion_order(q, (p, x))
+
 
 class TestWalkExits:
     """A completion walk's regions hold only sets not yet blocked, and each

@@ -266,6 +266,19 @@ class TestExactSatStar:
         assert not res.exact
         assert time.perf_counter() - t0 < 0.6
 
+    @pytest.mark.parametrize("budget", [None, 0.2])
+    @pytest.mark.parametrize("m, bound", [(1, 0), (2, 1)])
+    def test_a_settled_bound_builds_no_lattice_maps(self, monkeypatch, m, bound, budget):
+        # a greedy bound of one set or none leaves no size to refute, so it
+        # is exact without the lattice maps, which at n = 14 outlast a 0.2 s
+        # budget and would turn the proven value into an inexact one
+        def refuse(*args, **kwargs):
+            raise AssertionError("lattice maps built for a settled bound")
+
+        monkeypatch.setattr(solver, "_lattice_maps", refuse)
+        res = exact_sat_star(14, chain_poset(m), budget_s=budget)
+        assert (res.value, res.exact) == (bound, True)
+
     def test_lattice_maps_stop_at_a_passed_deadline(self, butterfly, monkeypatch):
         built = []
         swap = solver._swap_bits

@@ -8,11 +8,13 @@ docstring does, is left out too. Run it from the root of the repository:
     python tools/code_lines.py [DIR ...]
 
 It prints the count of every ``.py`` file under each directory (default
-``src/posetsat``), then the directory's total.
+``src/posetsat``), then the directory's total. When its reader closes the
+pipe, as ``head`` does, it stops quietly with status 141.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -56,4 +58,13 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        status = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # send what is left to the null device, so the flush at exit cannot
+        # fail too, and exit as a shell reports a tool stopped by a closed
+        # pipe (128 + SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)
