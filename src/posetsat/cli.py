@@ -59,9 +59,7 @@ EXIT_CONTRACT = 3
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a tool stopped by a closed pipe
 
 
-def _resolve_poset(selector: str | None):
-    if selector is None:
-        raise UsageError("a poset selector is required")
+def _resolve_poset(selector: str):
     low = selector.lower()
     if low in ("butterfly", "b"):
         return butterfly_poset()

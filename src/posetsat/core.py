@@ -420,11 +420,12 @@ def format_family(family: SetFamily) -> str:
 
 
 def _read_text(path) -> str:
-    """Contents of a UTF-8 input file; undecodable bytes are a usage error.
+    """Contents of a UTF-8 input file, without a leading byte-order mark;
+    undecodable bytes are a usage error, at their offset in the file.
     ``OSError`` from opening or reading propagates."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise UsageError(f"{path} is not UTF-8 text (byte {exc.start})") from None
 

@@ -241,17 +241,20 @@ def _search_kernel(q: PosetSpec, forced: tuple[int, ...]):
 
 def _regions(u: int, n: int) -> tuple[int, int, int]:
     """Bitmaps over all 2^n subsets (bit s for subset s) of the sets
-    incomparable to ``u``, inside it and containing it. Indexed by relation
-    code (_NONE, _BELOW, _ABOVE), they hold the sets that fit at an element
-    p against an element with image ``u`` that p is incomparable to, below
-    or above. The first is negative: every bit from 2^n up is set."""
+    incomparable to ``u``, strictly inside it and strictly containing it.
+    Indexed by relation code (_NONE, _BELOW, _ABOVE), they hold the sets
+    that fit at an element p against an element with image ``u`` that p is
+    incomparable to, below or above. The first is negative: every bit from
+    2^n up is set. No region holds ``u`` itself, so a row of a non-member
+    serves as a member's row: a region is always cut to ``unblocked``, which
+    lies inside targets that hold no member."""
     down, up = 1, 1 << u
     for i in range(n):
         if u >> i & 1:
             down |= down << (1 << i)
         else:
             up |= up << (1 << i)
-    return ~(down | up), down, up
+    return ~(down | up), down ^ 1 << u, up ^ 1 << u
 
 
 class _FamilyIndex:
@@ -548,14 +551,10 @@ _LATTICE_LIMIT = 8
 @lru_cache(maxsize=None)  # n <= _LATTICE_LIMIT only
 def _lattice_tables(n: int):
     """The relation tables of ``_completion_pass`` over the subsets of [n]
-    indexed by mask, and per subset s its row of them: the ``_regions``
-    bitmaps of s without s itself. The rows serve as regions too: a region
-    is always cut to ``unblocked``, which lies inside the targets, and the
-    targets hold no member, so the bit of the member that a region belongs
-    to never counts. The walks of a poset, cached apart, run over these
-    tables for every n."""
-    rows = [(incomp, down ^ 1 << s, up ^ 1 << s)
-            for s in range(1 << n) for incomp, down, up in [_regions(s, n)]]
+    indexed by mask, and per subset s its row of them, the ``_regions``
+    bitmaps of s, which serve as regions too. The walks of a poset, cached
+    apart, run over these tables for every n."""
+    rows = [_regions(s, n) for s in range(1 << n)]
     return tuple(zip(*rows)), rows
 
 

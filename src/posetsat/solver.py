@@ -84,12 +84,29 @@ class SolveResult:
         }
 
 
+# the proved lower bounds on sat*(n, q) by poset name, theorem 2's for B and
+# proposition 4's for N: the bound as messages name it, and whether a size
+# meets it
+_LOWER_BOUNDS = {"B": ("n+1", lambda n, size: size >= n + 1),
+                 "N": ("sqrt(n)", lambda n, size: size * size >= n)}
+
+
 def _result(n: int, q: PosetSpec, best: SetFamily, exact: bool, t0: float,
             count: int | None = None) -> SolveResult:
-    """The result for certificate ``best``, timed from ``t0``."""
+    """The result for certificate ``best``, timed from ``t0``. An exact
+    value below a proved lower bound (``_LOWER_BOUNDS``) is a halt-worthy
+    discrepancy, never silently reported, so it raises. The check reads no
+    verifier, so it tests the solver independently of them."""
+    name = poset_name(q)
+    bound, meets = _LOWER_BOUNDS.get(name, ("", None))
+    if exact and meets and not meets(n, len(best)):
+        raise ContractViolationError(
+            f"exact sat*({n}, {name}) = {len(best)} violates the {bound} lower bound",
+            detail={"certificate": [list(m.elements()) for m in best]},
+        )
     return SolveResult(
         n=n,
-        poset=poset_name(q),
+        poset=name,
         value=len(best),
         exact=exact,
         certificate=best,
@@ -371,23 +388,6 @@ def _smallest(families: Sequence[SetFamily]) -> SetFamily:
     return min(families, key=lambda f: (len(f), f.bit_list))
 
 
-def _bound_discrepancy_check(n: int, result: "SolveResult") -> None:
-    """Exact values must respect the proved lower bounds; a violation is a
-    halt-worthy discrepancy, never silently reported."""
-    if not result.exact:
-        return
-    if result.poset == "B" and result.value < n + 1:
-        raise ContractViolationError(
-            f"exact sat*({n}, B) = {result.value} violates the n+1 lower bound",
-            detail={"certificate": [list(m.elements()) for m in result.certificate]},
-        )
-    if result.poset == "N" and result.value ** 2 < n:
-        raise ContractViolationError(
-            f"exact sat*({n}, N) = {result.value} violates the sqrt(n) lower bound",
-            detail={"certificate": [list(m.elements()) for m in result.certificate]},
-        )
-
-
 def exact_sat_star(
     n: int,
     q: PosetSpec,
@@ -434,9 +434,7 @@ def exact_sat_star(
                     break
         except _BudgetExpired:
             exact = False
-    result = _result(n, q, best, exact, t0, count=enumerated_count)
-    _bound_discrepancy_check(n, result)
-    return result
+    return _result(n, q, best, exact, t0, count=enumerated_count)
 
 
 def _named_seed(n: int, q: PosetSpec) -> SetFamily | None:

@@ -107,7 +107,11 @@ def _report(
     hold: bool = True,
 ) -> TheoremReport:
     """Verifier report; it passes iff the hypotheses hold and no
-    counterexample was found."""
+    counterexample was found. It enforces the size bound itself: a family
+    smaller than ``bound`` with no other counterexample reports "size below
+    bound", checked last."""
+    if counterexample is None and len(family) < bound:
+        counterexample = {"reason": "size below bound", "bound": bound}
     return TheoremReport(
         theorem=theorem,
         n=family.ground.n,
@@ -289,8 +293,6 @@ def verify_theorem2(family: SetFamily) -> TheoremReport:
     counterexample = _injection_failure(family, theorem2_assignment, _singleton_bits(family))
     if counterexample is None and not family.has_mask(0):
         counterexample = {"reason": "empty set missing from the family"}
-    if counterexample is None and len(family) < bound:
-        counterexample = {"reason": "size below bound", "bound": bound}
     return _report("T2", family, bound, counterexample)
 
 
@@ -318,8 +320,6 @@ def verify_theorem3(family: SetFamily) -> TheoremReport:
         singles_mask = sum(singles)
         fixed = [b for b in family.bit_list if b.bit_count() == 2 and b & singles_mask]
         counterexample = _injection_failure(family, theorem3_assignment, fixed)
-    if counterexample is None and len(family) < bound:
-        counterexample = {"reason": "size below bound", "bound": bound}
     return _report("T3", family, bound, counterexample, k)
 
 
@@ -392,6 +392,4 @@ def verify_prop4(family: SetFamily, strong: bool = False) -> TheoremReport:
         counterexample = {"reason": str(exc), **(exc.detail or {})}
     if counterexample is None and strong:
         counterexample = _strong_difference_check(family)
-    if counterexample is None and len(family) ** 2 < n:
-        counterexample = {"reason": "size below bound", "bound": bound}
     return _report("P4", family, bound, counterexample)

@@ -78,6 +78,28 @@ class TestCheck:
         assert code == 2
         assert "error" in err
 
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        # editors such as Windows Notepad start a UTF-8 file with U+FEFF
+        fam, poset = tmp_path / "n5.txt", tmp_path / "n.json"
+        texts = {fam: format_family(n_construction(5)),
+                 poset: '{"size": 4, "less": [[0, 2], [1, 2], [1, 3]]}'}
+        args = ("check", "--poset", str(poset), "--in", str(fam), "--n", "5")
+        runs = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            for path, text in texts.items():
+                path.write_bytes(mark + text.encode())
+            runs.append(invoke(capsys, *args))
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
+
+    def test_byte_order_mark_keeps_decode_offsets(self, capsys, tmp_path):
+        # the bad byte is the 8th of the file, after the mark and "{1}\n"
+        path = tmp_path / "fam.txt"
+        path.write_bytes(b"\xef\xbb\xbf{1}\n\xff\n")
+        code, out, err = invoke(capsys, "check", "--poset", "b", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} is not UTF-8 text (byte 7)\n"
+
     def test_threads_option_removed(self, tmp_path):
         path = tmp_path / "fam.txt"
         path.write_text(format_family(butterfly_construction(4)))

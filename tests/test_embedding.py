@@ -579,8 +579,8 @@ class TestRegions:
             assert incomp & everything == sum(
                 1 << s for s in range(1 << n) if s & u not in (s, u)
             )
-            assert inside == sum(1 << s for s in range(1 << n) if s & u == s)
-            assert containing == sum(1 << s for s in range(1 << n) if s & u == u)
+            assert inside == sum(1 << s for s in range(1 << n) if s & u == s != u)
+            assert containing == sum(1 << s for s in range(1 << n) if s & u == u != s)
 
     @pytest.fixture
     def builds(self, monkeypatch):

@@ -312,6 +312,26 @@ class TestExactSatStar:
         assert str(exc.value) == message
         assert exc.value.detail == {"certificate": [[], [1]]}
 
+    @pytest.mark.parametrize(
+        "n, q, size",
+        [(3, butterfly_poset(), 4), (4, n_poset(), 2), (9, n_poset(), 3)],
+        ids=["B3", "N4", "N9"],
+    )
+    def test_a_claim_at_the_bound_stands(self, monkeypatch, n, q, size):
+        # n + 1 sets for B, and sqrt(n) sets for N at a square n, meet the bound
+        claim = SetFamily.from_masks(GroundSet(n), range(size))
+        monkeypatch.setattr(solver, "_saturated_walk", lambda *args: iter([claim]))
+        res = exact_sat_star(n, q)
+        assert (res.value, res.exact, res.certificate) == (size, True, claim)
+
+    def test_bound_discrepancy_halts_the_enumerate_path(self, monkeypatch, butterfly):
+        small = SetFamily.from_masks(GroundSet(3), [0, 1])
+        monkeypatch.setattr(solver, "enumerate_saturated_families", lambda *args: [small])
+        with pytest.raises(ContractViolationError) as exc:
+            exact_sat_star(3, butterfly, method="enumerate")
+        assert str(exc.value) == "exact sat*(3, B) = 2 violates the n+1 lower bound"
+        assert exc.value.detail == {"certificate": [[], [1]]}
+
     def test_enumerate_method_rejected_for_large_n(self, butterfly):
         with pytest.raises(UsageError):
             exact_sat_star(5, butterfly, method="enumerate")

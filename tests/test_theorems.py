@@ -579,3 +579,14 @@ class TestProp4Failures:
         rep = verify_prop4(family(5, [], [1]))
         assert rep.counterexample == {"reason": "size below bound", "bound": 3}
         assert rep.bound_value == 3 and not rep.passed
+
+    @pytest.mark.parametrize("n, bound", [(4, 2), (5, 3), (9, 3), (10, 4), (16, 4)])
+    def test_size_at_the_edge_of_the_bound(self, monkeypatch, n, bound):
+        # |F| >= ceil(sqrt(n)) is |F|^2 >= n; at a square n the two differ
+        # from |F| > sqrt(n) and from |F| >= floor(sqrt(n)) + 1
+        monkeypatch.setattr(theorems, "difference_pair_cover", lambda fam: {})
+        at = verify_prop4(SetFamily.from_masks(GroundSet(n), range(bound)))
+        assert at.passed and at.counterexample is None and at.bound_value == bound
+        below = verify_prop4(SetFamily.from_masks(GroundSet(n), range(bound - 1)))
+        assert below.counterexample == {"reason": "size below bound", "bound": bound}
+        assert below.bound_value == bound and not below.passed
