@@ -275,7 +275,8 @@ class _FamilyIndex:
     q-free, so the family is q-saturated exactly when it is 0. Each append
     pushes the new member's regions and the next bitmap, and each pop pops
     them; while tracking, only sets in ``open[-1]`` may be appended. An
-    untracked index builds no regions.
+    untracked index builds no regions; the copy search, ``cover_edges`` and
+    the chevron search of theorems 2 and 3 read untracked ones.
     """
 
     __slots__ = ("n", "bits", "has", "below", "above", "incomp", "regions", "open", "_blocked")

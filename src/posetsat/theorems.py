@@ -15,7 +15,9 @@ i -> C u {i} injective into the family. One chevron map serves both
 theorems: theorem 2 runs it over the missing singletons, theorem 3 over the
 qualifying missing pairs. It raises at the first item with no chevron or
 with an image outside the family, and both verifiers check injectivity the
-same way, with the members that map to themselves added to the images.
+same way, with the members that map to themselves added to the images. The
+chevron search reads the element columns and the ``above`` and ``incomp``
+rows of one untracked ``_FamilyIndex`` over the family.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from functools import lru_cache
 from math import comb, isqrt
 
 from .core import SetFamily, SubsetMask, butterfly_poset, n_poset
+from .embedding import _FamilyIndex
 from .errors import ContractViolationError, UsageError
 from .saturation import saturation_report
 
@@ -154,51 +157,43 @@ def _missing_singleton_pair(family: SetFamily, singles: list[int]) -> list[int] 
 
 
 @lru_cache(maxsize=1)
-def _chevron_tables(family: SetFamily) -> tuple[list[int], list[int]]:
-    """The members of ``family`` by falling size, then value, and per ground
-    element the bitset of the member indices that hold it."""
+def _chevron_tables(family: SetFamily) -> tuple[_FamilyIndex, list[int]]:
+    """An untracked search index over the members of ``family``, and the
+    member indices by falling size, then value. The last one is cached, so
+    theorems 2 and 3 share one build per family; no caller may append to,
+    pop from or track the cached index."""
     bits = family.bit_list
-    columns = [0] * family.ground.n
-    for i, b in enumerate(bits):
-        for e in range(family.ground.n):
-            if b >> e & 1:
-                columns[e] |= 1 << i
-    return sorted(bits, key=lambda b: (-b.bit_count(), b)), columns
+    order = sorted(range(len(bits)), key=lambda i: (-bits[i].bit_count(), bits[i]))
+    return _FamilyIndex(bits, family.ground.n), order
 
 
 def _max_chevron_through(family: SetFamily, probe: int) -> Chevron | None:
     """Best chevron completing a butterfly with ``probe`` as a minimal
     element: bottom C incomparable to the probe with |C| maximal, tops two
-    incomparable members containing both; canonical tie-break on (C, A, B)."""
-    bits = family.bit_list
+    incomparable members containing both; canonical tie-break on (C, A, B).
+    The probe is not inside C, so every member holding C u probe lies
+    strictly above C. A member equal to C u probe lies inside every other
+    holder, so it is never a top."""
+    index, bottoms = _chevron_tables(family)
     ground = family.ground
-    bottoms, columns = _chevron_tables(family)
-    everyone = (1 << len(bits)) - 1
+    holding = -1
+    for e, column in enumerate(index.has):
+        if probe >> e & 1:
+            holding &= column
     for c in bottoms:
+        bottom = index.bits[c]
         # the other bottom must be incomparable to the probe (for a singleton
         # probe that means disjoint and nonempty; a pair may share an element)
-        if c & probe == c or c & probe == probe:
+        if bottom & probe == bottom or bottom & probe == probe:
             continue
-        need = c | probe
-        holders = everyone
-        for e, column in enumerate(columns):
-            if need >> e & 1:
-                holders &= column
-        if holders & (holders - 1) == 0:  # no two members hold it
-            continue
-        ups = []
+        holders = index.above[c] & holding
         while holders:
-            low = holders & -holders
-            holders ^= low
-            m = bits[low.bit_length() - 1]
-            if m != need:
-                ups.append(m)
-        for i, a in enumerate(ups):
-            for b in ups[i + 1:]:
-                if a & b != a and b & a != b:
-                    return Chevron(
-                        SubsetMask(a, ground), SubsetMask(b, ground), SubsetMask(c, ground)
-                    )
+            a = (holders & -holders).bit_length() - 1
+            holders &= holders - 1
+            pair = index.incomp[a] & holders  # the later holders incomparable to a
+            if pair:
+                b = (pair & -pair).bit_length() - 1
+                return Chevron(*(SubsetMask(index.bits[i], ground) for i in (a, b, c)))
     return None
 
 
@@ -380,8 +375,7 @@ def verify_prop4(family: SetFamily, strong: bool = False) -> TheoremReport:
     n = family.ground.n
     if n < 2:
         return _refused("P4", family, _SMALL_GROUND)
-    s = isqrt(n)
-    bound = s if s * s == n else s + 1
+    bound = isqrt(n - 1) + 1
     rep = saturation_report(family, n_poset())
     if not rep.saturated:
         return _refused("P4", family, "family is not N-saturated", bound)

@@ -10,14 +10,16 @@ from posetsat import (
     n_poset,
     validate_poset,
 )
-from posetsat.theorems import _butterfly_saturated
+from posetsat.theorems import _butterfly_saturated, _chevron_tables
 
 
 @pytest.fixture(autouse=True)
 def _no_cached_butterfly_verdict():
-    """The butterfly verifiers cache their last saturation verdict; each test
-    starts without one, so no result depends on the order tests run in."""
+    """The butterfly verifiers cache their last saturation verdict and their
+    last chevron search index; each test starts without either, so no result
+    depends on the order tests run in."""
     _butterfly_saturated.cache_clear()
+    _chevron_tables.cache_clear()
 
 
 @pytest.fixture(scope="session")

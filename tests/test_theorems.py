@@ -3,7 +3,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from posetsat import (
     Chevron,
@@ -197,6 +197,20 @@ class TestMaximalChevrons:
                 assert (c, a, b) == first_chevron(fam, probe)
                 checked += 1
         assert checked > 0
+
+    @given(case=st.integers(2, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=24))
+    ))
+    # {1,2} = C u {1} holds C u probe itself, and pairs with no other holder
+    @example(case=(4, {0b10, 0b11, 0b111, 0b1011}))
+    @settings(max_examples=200, deadline=None)
+    def test_search_matches_oracle_on_every_probe(self, case):
+        n, masks = case
+        fam = SetFamily.from_masks(GroundSet(n), sorted(masks))
+        for probe in range(1 << n):
+            ch = theorems._max_chevron_through(fam, probe)
+            found = None if ch is None else (ch.c.bits, ch.a.bits, ch.b.bits)
+            assert found == first_chevron(fam, probe)
 
 
 class TestTheorem3:
