@@ -10,9 +10,10 @@ element comparable to the most elements already placed, since a subset or
 superset bitset cuts the candidates far more than an incomparability one.
 Candidate sets are bitsets over member indices, cut by intersecting
 precomputed relation bitsets, so the hot loops run on machine-word
-operations. The search checks forward: each node carries, for every later
-step, the members that fit against all elements placed so far, and a branch
-ends as soon as one of those domains is empty.
+operations. The search and the completion walks check forward: each node
+carries, for every later step, the members that fit against all elements
+placed so far, and a branch ends as soon as one of those domains is empty,
+or holds fewer members than its twin class has elements left to place.
 
 Each poset and tuple of forced elements has a plan, the search order: an
 order of the poset's elements, the forced ones first. It and the order of
@@ -60,8 +61,9 @@ Every search plan and completion walk runs as a kernel: Python source
 generated from an element order, with one loop per step and the placed
 members in locals, compiled once per source text. Plans of one shape share
 a kernel, and a plan longer than CPython's limit on nested loops chains
-kernels. Walks compile group by group, on first use, and a walk's loop
-ends once its region, kept to the sets not yet blocked, is empty.
+kernels. Walks compile group by group, on first use. A walk's branch ends
+once a later step's domain is empty, and its loop ends once its region,
+kept to the sets not yet blocked, is empty.
 """
 
 from __future__ import annotations
@@ -192,6 +194,31 @@ def _pull(pad: str, cand: str, image: str) -> list[str]:
             f"{pad}    {image} = b.bit_length() - 1"]
 
 
+def _forward(q: PosetSpec, order: Sequence[int], twins: list[int], d: int, domain) -> list[str]:
+    """The tests, as source, that check forward once the element at
+    position d of ``order`` has member ``i<d>``: each later element whose
+    twins before it are all placed has its domain ``domain(d, k)`` cut, into
+    ``v<d + 1>_<k>``, by the relation bitset of ``i<d>`` that its relation
+    to the placed element picks, and the domain must not be empty.
+
+    A later twin carries no domain while its previous twin is unplaced, as
+    that twin's domain holds its own. The next twin of the placed element
+    takes the candidates still left in ``v<d>_<d>``: they lie above
+    ``i<d>``, since each loop takes the lowest first. The first unplaced
+    element of a twin class needs as many members as its class has
+    elements from it on, since they all take distinct members of its
+    domain. So every test drops only branches that hold no copy."""
+    rel, m = _poset_tables(q)[0], len(order)
+    tests = []
+    for k in range(d + 1, m):
+        if twins[k] <= d:
+            base = f"v{d}_{d}" if twins[k] == d else domain(d, k)
+            cut = f"(v{d + 1}_{k} := {base} & t{rel[order[k]][order[d]]}[i{d}])"
+            left = sum(rel[order[j]] == rel[order[k]] for j in range(k, m))  # its class from k on
+            tests.append(f"{cut}.bit_count() >= {left}" if left > 1 else cut)
+    return tests
+
+
 @lru_cache(maxsize=None)
 def _search_kernel(q: PosetSpec, forced: tuple[int, ...]):
     """The order of ``_search_plan(q, forced)`` and its search compiled into
@@ -200,18 +227,19 @@ def _search_kernel(q: PosetSpec, forced: tuple[int, ...]):
     the domain of the first step and ``members`` that of the others.
 
     Loop d places the element at depth d, its index in ``i<d>``, and
-    ``v<d>_<k>`` holds the domain of step k at depth d. The last step takes
-    the least member of its domain, which is never empty there. A search of
-    more than ``_LOOPS`` + 1 steps chains kernels, each handing the next the
-    domains of the steps it leaves."""
+    ``v<d>_<k>`` holds the domain of step k at depth d (``_forward``). The
+    last step takes the least member of its domain, which is never empty
+    there. A search of more than ``_LOOPS`` + 1 steps chains kernels, each
+    handing the next the domains of the steps it leaves."""
     order = _search_plan(q, forced)
-    rel, twins, m = _poset_tables(q)[0], _twins(q, order, len(forced)), len(order)
+    twins, m = _twins(q, order, len(forced)), len(order)
 
     def domain(d: int, k: int) -> str:
         return "members" if d == 0 < k else f"v{d}_{k}"
 
     def params(d: int) -> str:  # of the kernel that starts at depth d
-        domains = ["members", "v0_0"] if d == 0 else [domain(d, k) for k in range(d, m)]
+        domains = ["members", "v0_0"] if d == 0 else [
+            domain(d, k) for k in range(d, m) if twins[k] < d]
         return ", ".join(["t0, t1, t2"] + domains)
 
     lines = []
@@ -221,12 +249,7 @@ def _search_kernel(q: PosetSpec, forced: tuple[int, ...]):
         pad = "    "
         for d in range(start, end):
             lines += _pull(pad, domain(d, d), f"i{d}")
-            cuts = []
-            for k in range(d + 1, m):
-                twin = f" & -(2 << i{d})" if twins[k] == d else ""
-                cut = f"{domain(d, k)} & t{rel[order[k]][order[d]]}[i{d}]{twin}"
-                cuts.append(f"(v{d + 1}_{k} := {cut})")
-            lines.append(f"{pad}    if {' and '.join(cuts)}:")
+            lines.append(f"{pad}    if {' and '.join(_forward(q, order, twins, d, domain))}:")
             pad += "        "
         images = "".join(f"i{d}, " for d in range(start, end))
         if end == m - 1:
@@ -416,52 +439,64 @@ def _walk_kernel(q: PosetSpec, order: Sequence[int], fixed: int):
     indices of the fixed elements other than the hole. ``region`` must lie
     inside ``unblocked``.
 
-    The placed elements other than the hole keep their indices in ``i0``,
-    ``i1``, ... in order, the fixed ones first; loop s iterates candidates
-    ``c<s>`` with region ``r<s>`` and ends once that is empty. Each step
-    checks against every placed element but the hole, and a relation bitset
-    never holds its own member, so the images stay distinct; the hole's
-    relation to the step picks the member's region. The last loop blocks
-    what its region keeps and drops it from every region of its kernel. A
-    walk of more than ``_LOOPS`` steps chains kernels, each handing the next
-    its region and images and cutting its regions to what comes back."""
-    rel, twins, steps = _poset_tables(q)[0], _twins(q, order, fixed), len(order) - fixed
+    The element at position d of ``order`` but the hole keeps its member
+    index in ``i<d>``. The walk checks forward, as the copy search does
+    (``_forward``): ``v<d>_<k>`` holds the members left for position k once
+    the positions before d are placed, and loop d iterates ``v<d>_<d>``
+    with region ``r<d>``, ending once that is empty. Placing a member cuts
+    the region by the member's region that the hole's relation picks, and
+    each later domain, and the branch goes on only while the region and
+    every later domain are nonempty. A relation bitset never holds its own
+    member, so the images stay distinct. The fixed images cut the domains
+    before the first loop; with none, each starts at ``members``. The last
+    loop blocks what its region keeps and drops it from every region of its
+    kernel. A walk of more than ``_LOOPS`` steps chains kernels, each
+    handing the next its region and later domains and cutting its regions
+    to what comes back."""
+    rel, twins, m = _poset_tables(q)[0], _twins(q, order, fixed), len(order)
 
-    def params(s: int) -> str:  # of the kernel that starts at step s
-        images = [f"i{k}" for k in range(fixed - 1 + s)]
-        return ", ".join(["members, t0, t1, t2, regions, unblocked", f"r{s}"] + images)
+    def domain(d: int, k: int) -> str:
+        return "members" if d == 1 else f"v{d}_{k}"
+
+    def params(d: int) -> str:  # of the kernel that starts at position d
+        images = [f"i{k}" for k in range(1, fixed)]
+        carried = [domain(d, k) for k in range(d, m) if twins[k] < d]
+        return ", ".join([f"members, t0, t1, t2, regions, unblocked, r{d}"]
+                         + (images if d == fixed else carried))
 
     lines = []
-    for c, start in enumerate(range(0, max(steps, 1), _LOOPS)):
-        end = min(start + _LOOPS, steps)
+    for c, start in enumerate(range(fixed, max(m, fixed + 1), _LOOPS)):
+        end = min(start + _LOOPS, m)
         lines.append(f"def _k{c}({params(start)}):")
         pad = "    "
-        if not steps:
-            lines.append(f"{pad}unblocked &= ~r0")
-        exits = []  # (pad inside, step) per loop around another
-        for s in range(start, end):
-            d = fixed + s  # the position of the step's element in order
-            x, code = order[d], rel[order[0]][order[d]]
-            cuts = [f"t{rel[x][order[k]]}[i{k - 1}]" for k in range(1, d)]
-            if twins[d] >= 0:  # only members above the previous twin's
-                cuts.append(f"-(2 << i{twins[d] - 1})")
-            lines.append(f"{pad}c{s} = {' & '.join(['members'] + cuts)}")
-            lines += _pull(pad, f"c{s}", f"i{d - 1}")
-            if s == steps - 1:
-                lines += [f"{pad}    h = regions[i{d - 1}][{code}] & r{s}",
+        if m == fixed:
+            lines.append(f"{pad}unblocked &= ~r{fixed}")
+        elif c == 0 and fixed > 1:
+            lines += [f"{pad}if not ({' and '.join(_forward(q, order, twins, 1, domain))}):",
+                      f"{pad}    return unblocked"]
+        exits = []  # (pad inside, position) per loop around another
+        for d in range(start, end):
+            code = rel[order[0]][order[d]]
+            if d == 1:
+                lines.append(f"{pad}v1_1 = members")
+            lines += _pull(pad, f"v{d}_{d}", f"i{d}")
+            if d == m - 1:
+                lines += [f"{pad}    h = regions[i{d}][{code}] & r{d}",
                           f"{pad}    if h:", f"{pad}        unblocked ^= h"]
-                lines += [f"{pad}        r{k} ^= h" for k in range(start, s + 1)]
-                lines += [f"{pad}        if not r{s}:", f"{pad}            break"]
+                lines += [f"{pad}        r{k} ^= h" for k in range(start, d + 1)]
+                lines += [f"{pad}        if not r{d}:", f"{pad}            break"]
             else:
-                lines += [f"{pad}    r{s + 1} = regions[i{d - 1}][{code}] & r{s}",
-                          f"{pad}    if r{s + 1}:"]
+                # the region first, the cheaper cut
+                tests = [f"(r{d + 1} := regions[i{d}][{code}] & r{d})"]
+                tests += _forward(q, order, twins, d, domain)
+                lines.append(f"{pad}    if {' and '.join(tests)}:")
                 pad += "        "
-                exits.append((pad, s))
-        if end < steps:
+                exits.append((pad, d))
+        if end < m:
             lines.append(f"{pad}unblocked = _k{c + 1}({params(end)})")
             lines += [f"{pad}r{k} &= unblocked" for k in range(start, end)]
-        for inner, s in reversed(exits):
-            lines += [f"{inner}if not r{s}:", f"{inner}    break"]
+        for inner, d in reversed(exits):
+            lines += [f"{inner}if not r{d}:", f"{inner}    break"]
         lines.append("    return unblocked")
     return _compile(lines)
 
@@ -500,15 +535,17 @@ def _completion_pass(q: PosetSpec, n: int, tables, regions):
     assigned so far: subsets of the image of an element above p, supersets
     of the image of one below p, and sets incomparable to the image of the
     rest. A full copy blocks its region, and a branch ends once its region
-    holds no target left unblocked. No member lies in the region, so a set
-    in it differs from every image and relates to each strictly. Twins
-    relate to p alike, so the twin ordering loses no region. The result
-    does not depend on the order of the steps, so each walk takes the
-    order that costs least: with many targets the region seldom empties
-    and the ``_completion_plan`` order, which cuts the candidates first,
-    wins; with no more targets than members the search order forced at p,
-    which counts p as placed and so cuts the region first, ends most
-    branches after a step or two. Each walk runs as its compiled kernel.
+    holds no target left unblocked, or once the members left for a later
+    element cannot complete a copy (``_walk_kernel``). No member lies in
+    the region, so a set in it differs from every image and relates to
+    each strictly. Twins relate to p alike, so the twin ordering loses no
+    region. The result does not depend on the order of the steps, so each
+    walk takes the order that costs least: with many targets the region
+    seldom empties and the ``_completion_plan`` order, which cuts the
+    candidates first, wins; with no more targets than members the search
+    order forced at p, which counts p as placed and so cuts the region
+    first, ends most branches after a step or two. Each walk runs as its
+    compiled kernel.
 
     With ``through``, a member, only copies through that member count. Each
     walk then also fixes it at the least element x of a twin class of

@@ -34,6 +34,7 @@ from posetsat.embedding import (
     _completion_plan,
     _completion_walks,
     _height,
+    _lattice_tables,
     _poset_tables,
     _regions,
     _search_kernel,
@@ -773,11 +774,16 @@ class TestCompletionPlans:
     @pytest.mark.parametrize("name", ["B", "N", "K33"])
     def test_walks_follow_their_rule_and_twin_chains(self, name):
         """Every completion walk places the free elements in the order its
-        rule gives, chains each twin class in that order, and checks each
-        step against every placed element but the hole. A walk through a
-        member x first places an element comparable to x when one is free.
-        The second plan of each hole follows the search forced at it. The
-        walk groups compile these plans, in this order."""
+        rule gives, chains each twin class in that order, and checks
+        forward: placing a member cuts the region, then the domain of each
+        later element whose twins before it are placed, by that element's
+        relation to the one placed, and the next twin of the one placed
+        takes the candidates left above it. The first unplaced element of a
+        twin class needs as many candidates as the class has unplaced
+        elements. A walk through a member x cuts the domains by x before
+        its first loop, and first places an element comparable to x when
+        one is free. The second plan of each hole follows the search forced
+        at it. The walk groups compile these plans, in this order."""
         q = TWIN_POSETS[name]
         rows = [(q.less[x], tuple(row[x] for row in q.less)) for x in range(q.size)]
         rel, heads, pairs = _poset_tables(q)
@@ -802,16 +808,36 @@ class TestCompletionPlans:
             assert links == {pair for c in classes.values() for pair in zip(c, c[1:])}
             text = source[_walk_kernel(q, order, len(fixed))]
             lines = {line.strip() for line in text.splitlines()}
-            for d in range(len(fixed), q.size):
-                # step s, at position d, checks every placed element but the
-                # hole with its relation code, the element at position k by
-                # its index in i<k - 1>, then its previous twin, and takes the
-                # region that the hole's relation to it picks
-                x, s = order[d], d - len(fixed)
-                checks = ["members"] + [f"t{rel[x][order[k]]}[i{k - 1}]" for k in range(1, d)]
-                checks += [f"-(2 << i{twins[d] - 1})"] if twins[d] >= 0 else []
-                assert f"c{s} = {' & '.join(checks)}" in lines
-                assert f"regions[i{d - 1}][{rel[fixed[0]][x]}] & r{s}" in text
+            free = range(len(fixed), q.size)
+
+            def forward(d):
+                # the element at position d has member i<d>: each later
+                # element whose twins before it are placed gets its domain
+                # cut, v<d + 1>_<k>, its first twin after d needing as many
+                # members as its class has left from there on
+                cuts = []
+                for k in range(d + 1, q.size):
+                    twin = [j for j in free if j < k and rows[order[j]] == rows[order[k]]]
+                    if twin and twin[-1] > d:
+                        continue
+                    base = "members" if d == 1 else f"v{d}_{k}"
+                    base = f"v{d}_{d}" if twin and twin[-1] == d else base
+                    cut = f"(v{d + 1}_{k} := {base} & t{rel[order[k]][order[d]]}[i{d}])"
+                    left = sum(rows[order[j]] == rows[order[k]] for j in range(k, q.size))
+                    cuts.append(f"{cut}.bit_count() >= {left}" if left > 1 else cut)
+                return cuts
+
+            if len(fixed) == 2 < q.size:
+                assert f"if not ({' and '.join(forward(1))}):" in lines
+            for d in free:
+                # the hole's relation to the element picks the region
+                code = rel[fixed[0]][order[d]]
+                assert f"while v{d}_{d}:" in lines and f"i{d} = b.bit_length() - 1" in lines
+                if d == q.size - 1:
+                    assert f"h = regions[i{d}][{code}] & r{d}" in lines
+                else:
+                    tests = [f"(r{d + 1} := regions[i{d}][{code}] & r{d})"] + forward(d)
+                    assert f"if {' and '.join(tests)}:" in lines
             if len(fixed) == 2 and len(order) > 2:
                 x = fixed[1]
                 if any(q.less[x][y] or q.less[y][x] for y in order[2:]):
@@ -859,6 +885,54 @@ class TestWalkExits:
         required = [] if through is None else [masks[through]]
         assert got == sum(1 << t for t in targets
                           if naive_has_copy_up_to_twins(masks + [t], q, required + [t]))
+
+    @pytest.mark.parametrize("name", ["K2,3", "K3,3", "A4"])
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_deep_walks_match_the_oracle_on_both_trackers(self, name, n):
+        """Walks of twin classes of 3 or 4, and of 4 or more free steps, on
+        the index's tables and on the lattice's: the same sets as the
+        oracle, with few targets and with more targets than members (the
+        two orders of a walk over every missing set), and through a
+        member. Each family holds a copy of q less one set, so that some
+        target completes a copy, or where q has no copy over [n] (K2,3
+        needs n = 5 and K3,3 n = 6), of its largest first elements that
+        have one, so that the walks still run deep."""
+        q = {"K2,3": complete_bipartite_poset(2, 3), "K3,3": complete_bipartite_poset(3, 3),
+             "A4": antichain_poset(4)}[name]
+        rng = random.Random(f"deep walks:{name}:{n}")
+        lattice = _completion_pass(q, n, *_lattice_tables(n))
+        power = SetFamily.from_masks(GroundSet(n), range(1 << n))
+        for m in range(q.size, 0, -1):
+            copy = find_induced_copy(power, validate_poset([row[:m] for row in q.less[:m]]))
+            if copy is not None:
+                break
+        blocked = 0
+        for size in (6, 9, 12):
+            perm = rng.sample(range(n), n)
+            planted = [sum(1 << perm[e] for e in range(n) if s.bits >> e & 1)
+                       for s in copy.assignment]
+            dropped = planted.pop(rng.randrange(len(planted)))
+            rest = [s for s in range(1 << n) if s not in planted and s != dropped]
+            masks = planted + rng.sample(rest, size - len(planted))
+            missing = [s for s in range(1 << n) if s not in masks]
+            index = _FamilyIndex(masks, n)
+            indexed = _completion_pass(q, n, (index.incomp, index.below, index.above),
+                                       [_regions(u, n) for u in masks])
+            few = [dropped] + rng.sample([s for s in missing if s != dropped], 2)
+            # a copy through a member and t is a copy through t
+            anywhere = {t for t in missing if naive_has_copy_up_to_twins(masks + [t], q, [t])}
+            for through in (None, rng.randrange(size)):
+                required = [] if through is None else [masks[through]]
+                completes = {t for t in anywhere
+                             if naive_has_copy_up_to_twins(masks + [t], q, required + [t])}
+                for targets in (few, missing):
+                    bitmap = sum(1 << t for t in targets)
+                    expected = sum(1 << t for t in completes.intersection(targets))
+                    assert indexed((1 << size) - 1, bitmap, through) == expected
+                    at = None if through is None else masks[through]
+                    assert lattice(sum(1 << s for s in masks), bitmap, at) == expected
+                    blocked |= expected
+        assert blocked or m < q.size
 
 
 class TestRelationRows:
