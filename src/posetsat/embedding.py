@@ -52,10 +52,14 @@ regions.
 One function, ``_completion_pass``, runs every completion pass of either
 tracker, behind one guard that blocks no set while no copy can form. Its
 walks are planned around the hole: the new set p is not a member, so it
-cuts the region and never the candidates (``_completion_plan``). The walks
-hold relation codes, not bitsets, so each group of them is built once per
-poset and cached (``_completion_walks``), on the first pass that runs the
-group, and runs over the relation tables and regions of either tracker.
+cuts the region, and the candidates only once the region holds one set
+(``_completion_plan``). The walks hold relation codes, not bitsets, so
+each of their two groups, over every missing set and through one member,
+is built once per poset and cached (``_completion_walks``), on the first
+pass that runs the group, and runs over the relation tables, regions and
+pins of either tracker. A pin table gives the relation rows of a set
+outside the family: the lattice's rows of each mask, or rows that a
+tracked index reads off its element columns on first use in a pass.
 
 Every search plan and completion walk runs as a kernel: Python source
 generated from an element order, with one loop per step and the placed
@@ -63,13 +67,15 @@ members in locals, compiled once per source text. Plans of one shape share
 a kernel, and a plan longer than CPython's limit on nested loops chains
 kernels. Walks compile group by group, on first use. A walk's branch ends
 once a later step's domain is empty, and its loop ends once its region,
-kept to the sets not yet blocked, is empty.
+kept to the sets not yet blocked, is empty. A region of one set pins the
+hole at that set, so at the head of its loop the set's relation rows cut
+the domains still to place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Sequence
 
 from .core import GroundSet, PosetSpec, SetFamily, SubsetMask
@@ -194,29 +200,33 @@ def _pull(pad: str, cand: str, image: str) -> list[str]:
             f"{pad}    {image} = b.bit_length() - 1"]
 
 
+def _cut(q: PosetSpec, order: Sequence[int], k: int, name: str, base: str, row: str) -> str:
+    """The test, as source, that cuts the domain ``base`` of the element at
+    position k of ``order`` by the bitset ``row`` into ``name``: the cut must
+    hold as many members as the element's twin class has elements from k
+    on, since they all take distinct members of it."""
+    rel = _poset_tables(q)[0]
+    left = sum(rel[order[j]] == rel[order[k]] for j in range(k, len(order)))
+    cut = f"({name} := {base} & {row})"
+    return f"{cut}.bit_count() >= {left}" if left > 1 else cut
+
+
 def _forward(q: PosetSpec, order: Sequence[int], twins: list[int], d: int, domain) -> list[str]:
     """The tests, as source, that check forward once the element at
     position d of ``order`` has member ``i<d>``: each later element whose
     twins before it are all placed has its domain ``domain(d, k)`` cut, into
     ``v<d + 1>_<k>``, by the relation bitset of ``i<d>`` that its relation
-    to the placed element picks, and the domain must not be empty.
+    to the placed element picks (``_cut``).
 
     A later twin carries no domain while its previous twin is unplaced, as
     that twin's domain holds its own. The next twin of the placed element
     takes the candidates still left in ``v<d>_<d>``: they lie above
-    ``i<d>``, since each loop takes the lowest first. The first unplaced
-    element of a twin class needs as many members as its class has
-    elements from it on, since they all take distinct members of its
-    domain. So every test drops only branches that hold no copy."""
-    rel, m = _poset_tables(q)[0], len(order)
-    tests = []
-    for k in range(d + 1, m):
-        if twins[k] <= d:
-            base = f"v{d}_{d}" if twins[k] == d else domain(d, k)
-            cut = f"(v{d + 1}_{k} := {base} & t{rel[order[k]][order[d]]}[i{d}])"
-            left = sum(rel[order[j]] == rel[order[k]] for j in range(k, m))  # its class from k on
-            tests.append(f"{cut}.bit_count() >= {left}" if left > 1 else cut)
-    return tests
+    ``i<d>``, since each loop takes the lowest first. So every test drops
+    only branches that hold no copy."""
+    rel = _poset_tables(q)[0]
+    return [_cut(q, order, k, f"v{d + 1}_{k}", f"v{d}_{d}" if twins[k] == d else domain(d, k),
+                 f"t{rel[order[k]][order[d]]}[i{d}]")
+            for k in range(d + 1, len(order)) if twins[k] <= d]
 
 
 @lru_cache(maxsize=None)
@@ -280,6 +290,32 @@ def _regions(u: int, n: int) -> tuple[int, int, int]:
     return ~(down | up), down ^ 1 << u, up ^ 1 << u
 
 
+class _Pins(dict):
+    """The pin table of one completion pass over a tracked index: per set s
+    outside the family, filled on first use, the members ``members``
+    incomparable to s, inside it and containing it, indexed by relation
+    code. The members containing s hold every element of s, and those
+    inside it no other element. An append changes the rows, so each pass
+    builds a table of its own."""
+
+    __slots__ = ("has", "members")
+
+    def __init__(self, has: list[int], members: int):
+        super().__init__()
+        self.has, self.members = has, members
+
+    def __missing__(self, s: int) -> tuple[int, int, int]:
+        sup, outside = self.members, 0
+        for e, col in enumerate(self.has):
+            if s >> e & 1:
+                sup &= col
+            else:
+                outside |= col
+        sub = self.members & ~outside
+        row = self[s] = (~(sub | sup), sub, sup)
+        return row
+
+
 class _FamilyIndex:
     """Mutable search index over a duplicate-free list of subset masks.
 
@@ -297,8 +333,10 @@ class _FamilyIndex:
     all 2^n subsets of the missing sets whose addition keeps the family
     q-free, so the family is q-saturated exactly when it is 0. Each append
     pushes the new member's regions and the next bitmap, and each pop pops
-    them; while tracking, only sets in ``open[-1]`` may be appended. An
-    untracked index builds no regions; the copy search, ``cover_edges`` and
+    them; while tracking, only sets in ``open[-1]`` may be appended. Each
+    completion pass reads its pins, the rows of sets outside the family,
+    off the element columns (``_Pins``). An untracked index builds no
+    regions; the copy search, ``cover_edges`` and
     the chevron search of theorems 2 and 3 read untracked ones.
     """
 
@@ -333,7 +371,7 @@ class _FamilyIndex:
         runs one completion pass over every missing set."""
         self.regions = [_regions(u, self.n) for u in self.bits]
         self._blocked = _completion_pass(q, self.n, (self.incomp, self.below, self.above),
-                                         self.regions)
+                                         self.regions, partial(_Pins, self.has))
         missing = (1 << (1 << self.n)) - 1 - sum(1 << b for b in self.bits)
         self.open: list[int] = [missing ^ self._blocked((1 << len(self.bits)) - 1, missing)]
 
@@ -421,9 +459,10 @@ def _completion_plan(q: PosetSpec, fixed: tuple[int, ...]) -> tuple[int, ...]:
     walk through one member the element ``fixed[1]`` at that member.
 
     Each step takes the unplaced element comparable to the most placed
-    elements other than p, since only those cut its candidates; ties go to
-    an element comparable to p, which cuts the region, then to the element
-    comparable to the fewest elements of q, then to the smaller label."""
+    elements other than p, since only those cut its candidates until the
+    region holds one set; ties go to an element comparable to p, which
+    cuts the region, then to the element comparable to the fewest elements
+    of q, then to the smaller label."""
     rel, p = _poset_tables(q)[0], fixed[0]
     degree = [sum(r != _NONE for r in row) for row in rel]
     return _grow(q, fixed, fixed[1:],
@@ -433,9 +472,10 @@ def _completion_plan(q: PosetSpec, fixed: tuple[int, ...]) -> tuple[int, ...]:
 def _walk_kernel(q: PosetSpec, order: Sequence[int], fixed: int):
     """The completion walk for q that places ``order`` after its first
     ``fixed`` elements, the hole ``order[0]`` among them, compiled into
-    nested loops: ``kernel(members, t0, t1, t2, regions, unblocked, region,
-    *images)`` returns ``unblocked`` less the sets that the walk blocks,
-    where ``t0, t1, t2`` are the relation tables and ``images`` the member
+    nested loops: ``kernel(members, t0, t1, t2, regions, pins, unblocked,
+    region, *images)`` returns ``unblocked`` less the sets that the walk
+    blocks, where ``t0, t1, t2`` are the relation tables, ``pins[s]`` the
+    relation rows of a set s outside the family, and ``images`` the member
     indices of the fixed elements other than the hole. ``region`` must lie
     inside ``unblocked``.
 
@@ -452,17 +492,26 @@ def _walk_kernel(q: PosetSpec, order: Sequence[int], fixed: int):
     loop blocks what its region keeps and drops it from every region of its
     kernel. A walk of more than ``_LOOPS`` steps chains kernels, each
     handing the next its region and later domains and cutting its regions
-    to what comes back."""
+    to what comes back.
+
+    A region of one set s pins the hole at s, so at the head of each loop
+    whose region holds one set, this loop's domain and each later domain it
+    carries are cut by the row of ``pins[s]`` that the element's relation
+    to the hole picks, and the loop is skipped when a cut fails: a member
+    outside that row would only narrow the region to nothing."""
     rel, twins, m = _poset_tables(q)[0], _twins(q, order, fixed), len(order)
 
     def domain(d: int, k: int) -> str:
-        return "members" if d == 1 else f"v{d}_{k}"
+        return "members" if d < fixed else f"v{d}_{k}"
+
+    def carried(d: int) -> list[int]:  # the positions whose domains loop d holds
+        return [k for k in range(d, m) if twins[k] < d]
 
     def params(d: int) -> str:  # of the kernel that starts at position d
         images = [f"i{k}" for k in range(1, fixed)]
-        carried = [domain(d, k) for k in range(d, m) if twins[k] < d]
-        return ", ".join([f"members, t0, t1, t2, regions, unblocked, r{d}"]
-                         + (images if d == fixed else carried))
+        domains = [domain(d, k) for k in carried(d)]
+        return ", ".join([f"members, t0, t1, t2, regions, pins, unblocked, r{d}"]
+                         + (images if d == fixed else domains))
 
     lines = []
     for c, start in enumerate(range(fixed, max(m, fixed + 1), _LOOPS)):
@@ -478,7 +527,12 @@ def _walk_kernel(q: PosetSpec, order: Sequence[int], fixed: int):
         for d in range(start, end):
             code = rel[order[0]][order[d]]
             if d == 1:
-                lines.append(f"{pad}v1_1 = members")
+                lines.append(f"{pad}{' = '.join(domain(1, k) for k in carried(1))} = members")
+            cuts = [_cut(q, order, k, domain(d, k), domain(d, k), f"pin[{rel[order[k]][order[0]]}]")
+                    for k in carried(d)]
+            lines += [f"{pad}if r{d} == 1 << (s := r{d}.bit_length() - 1):",
+                      f"{pad}    pin = pins[s]",
+                      f"{pad}    if not ({' and '.join(cuts)}):", f"{pad}        v{d}_{d} = 0"]
             lines += _pull(pad, f"v{d}_{d}", f"i{d}")
             if d == m - 1:
                 lines += [f"{pad}    h = regions[i{d}][{code}] & r{d}",
@@ -505,47 +559,43 @@ def _walk_kernel(q: PosetSpec, order: Sequence[int], fixed: int):
 def _completion_walks(q: PosetSpec, group: int):
     """Walk group ``group`` of ``_completion_pass`` for q, compiled on the
     first pass that runs it, as (relation code of the hole to the last
-    fixed element, kernel) pairs. Groups 0 and 1 walk over every missing
-    set, one walk per class head p, in the ``_completion_plan`` order and
-    in the order of the search forced at p; group 2 walks through one
-    member, one walk per pair (p, x) of ``_poset_tables``, in the
-    ``_completion_plan`` order."""
+    fixed element, kernel) pairs, every walk in the ``_completion_plan``
+    order. Group 0 walks over every missing set, one walk per class head p;
+    group 1 walks through one member, one walk per pair (p, x) of
+    ``_poset_tables``."""
     rel, heads, pairs = _poset_tables(q)
-    if group == 2:
+    if group:
         return tuple((rel[p][x], _walk_kernel(q, _completion_plan(q, (p, x)), 2))
                      for p, x in pairs)
-    plan = _search_plan if group else _completion_plan
-    return tuple((_NONE, _walk_kernel(q, plan(q, (p,)), 1)) for p in heads)
+    return tuple((_NONE, _walk_kernel(q, _completion_plan(q, (p,)), 1)) for p in heads)
 
 
-def _completion_pass(q: PosetSpec, n: int, tables, regions):
-    """The completion pass for q over [n] on ``tables`` and ``regions``, as a
-    function ``(members, targets, through=None)`` of the sets among
-    ``targets`` whose addition to the family ``members`` creates a copy of
-    q through them, found in one pass over completion regions.
+def _completion_pass(q: PosetSpec, n: int, tables, regions, pins):
+    """The completion pass for q over [n] on ``tables``, ``regions`` and
+    ``pins``, as a function ``(members, targets, through=None)`` of the sets
+    among ``targets`` whose addition to the family ``members`` creates a
+    copy of q through them, found in one pass over completion regions.
 
     Members are the bits of ``members``. ``tables`` holds three lists
     indexed by relation code (_NONE, _BELOW, _ABOVE) that map a member to
     the bitset of the members that relation allows, never the member
     itself, and ``regions[i]`` holds the three ``_regions`` bitmaps of
-    member i. Sets are bitmaps over all 2^n subsets (bit s for subset s),
-    and ``targets`` must hold no member. For the least element p of each
-    twin class of q, one walk lists the copies of q - p among the members.
-    It carries the region of sets that fit at p against the images
-    assigned so far: subsets of the image of an element above p, supersets
-    of the image of one below p, and sets incomparable to the image of the
-    rest. A full copy blocks its region, and a branch ends once its region
-    holds no target left unblocked, or once the members left for a later
-    element cannot complete a copy (``_walk_kernel``). No member lies in
-    the region, so a set in it differs from every image and relates to
-    each strictly. Twins relate to p alike, so the twin ordering loses no
-    region. The result does not depend on the order of the steps, so each
-    walk takes the order that costs least: with many targets the region
-    seldom empties and the ``_completion_plan`` order, which cuts the
-    candidates first, wins; with no more targets than members the search
-    order forced at p, which counts p as placed and so cuts the region
-    first, ends most branches after a step or two. Each walk runs as its
-    compiled kernel.
+    member i. ``pins(members)`` gives the pass its pin table: per set s
+    outside the family, the three bitsets of the members incomparable to
+    s, inside it and containing it, in that order. Sets are bitmaps over
+    all 2^n subsets (bit s for subset s), and ``targets`` must hold no
+    member. For the least element p of each twin class of q, one walk
+    lists the copies of q - p among the members. It carries the region of
+    sets that fit at p against the images assigned so far: subsets of the
+    image of an element above p, supersets of the image of one below p,
+    and sets incomparable to the image of the rest. A full copy blocks its
+    region, and a branch ends once its region holds no target left
+    unblocked, or once the members left for a later element cannot
+    complete a copy, where a region of one set cuts those members by that
+    set's relation rows (``_walk_kernel``). No member lies in the region,
+    so a set in it differs from every image and relates to each strictly.
+    Twins relate to p alike, so the twin ordering loses no region. Each
+    walk runs as its compiled kernel.
 
     With ``through``, a member, only copies through that member count. Each
     walk then also fixes it at the least element x of a twin class of
@@ -561,21 +611,21 @@ def _completion_pass(q: PosetSpec, n: int, tables, regions):
     def completing(members: int, targets: int, through: int | None = None) -> int:
         if members.bit_count() < least:
             return 0
-        unblocked = targets
+        unblocked, pin = targets, pins(members)
         if through is not None:
             fixed = regions[through]
-            for code, kernel in _completion_walks(q, 2):
+            for code, kernel in _completion_walks(q, 1):
                 if not unblocked:
                     break
                 region = unblocked & fixed[code]
                 if region:
-                    unblocked = kernel(members, t0, t1, t2, regions, unblocked, region, through)
-        else:  # few targets: cut the region first, and it soon holds none
-            group = 1 if targets.bit_count() <= members.bit_count() else 0
-            for _, kernel in _completion_walks(q, group):
+                    unblocked = kernel(members, t0, t1, t2, regions, pin, unblocked, region,
+                                       through)
+        else:
+            for _, kernel in _completion_walks(q, 0):
                 if not unblocked:
                     break
-                unblocked = kernel(members, t0, t1, t2, regions, unblocked, unblocked)
+                unblocked = kernel(members, t0, t1, t2, regions, pin, unblocked, unblocked)
         return targets & ~unblocked
 
     return completing
@@ -588,12 +638,13 @@ _LATTICE_LIMIT = 8
 
 @lru_cache(maxsize=None)  # n <= _LATTICE_LIMIT only
 def _lattice_tables(n: int):
-    """The relation tables of ``_completion_pass`` over the subsets of [n]
-    indexed by mask, and per subset s its row of them, the ``_regions``
-    bitmaps of s, which serve as regions too. The walks of a poset, cached
-    apart, run over these tables for every n."""
+    """The relation tables, regions and pins of ``_completion_pass`` over
+    the subsets of [n] indexed by mask: per subset s its row of the tables,
+    the ``_regions`` bitmaps of s, serves as its regions and as its pins in
+    every pass. The walks of a poset, cached apart, run over these tables
+    for every n."""
     rows = [_regions(s, n) for s in range(1 << n)]
-    return tuple(zip(*rows)), rows
+    return tuple(zip(*rows)), rows, lambda members: rows
 
 
 class _LatticeFamily:

@@ -3,7 +3,7 @@ import pickle
 import random
 import tokenize
 import tracemalloc
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations
 
 import pytest
@@ -30,6 +30,7 @@ from posetsat import embedding
 from posetsat.core import _transitive_closure
 from posetsat.embedding import (
     _FamilyIndex,
+    _Pins,
     _completion_pass,
     _completion_plan,
     _completion_walks,
@@ -662,7 +663,7 @@ class TestLazyWalkBinding:
         # a pass through the new member plans only the walks through one
         assert sorted(plans) == sorted(pairs)
         assert index.open[-1] == 0b01010100  # {2}, {3} and {2, 3}
-        # a pass over more missing sets than members plans one per head
+        # a pass over every missing set plans one walk per head
         index._blocked(0b11, index.open[-1])
         assert sorted(plans) == sorted([(p,) for p in heads] + list(pairs))
         bound = len(plans)
@@ -754,12 +755,12 @@ class TestWalkCache:
         assert relabelled != butterfly
         _completion_walks.cache_clear()
         try:
-            for group in range(3):
+            for group in range(2):
                 assert _completion_walks(same, group) is _completion_walks(butterfly, group)
-            assert _completion_walks.cache_info().currsize == 3
-            for group in range(3):
+            assert _completion_walks.cache_info().currsize == 2
+            for group in range(2):
                 _completion_walks(relabelled, group)
-            assert _completion_walks.cache_info().currsize == 6
+            assert _completion_walks.cache_info().currsize == 4
         finally:
             _completion_walks.cache_clear()
 
@@ -782,14 +783,16 @@ class TestCompletionPlans:
         twin class needs as many candidates as the class has unplaced
         elements. A walk through a member x cuts the domains by x before
         its first loop, and first places an element comparable to x when
-        one is free. The second plan of each hole follows the search forced
-        at it. The walk groups compile these plans, in this order."""
+        one is free. At the head of each loop, a region of one set s cuts
+        this loop's domain and each later one it carries by the row of s
+        that the element's relation to the hole picks. The two walk groups,
+        over every missing set and through a member, compile these plans,
+        in this order."""
         q = TWIN_POSETS[name]
         rows = [(q.less[x], tuple(row[x] for row in q.less)) for x in range(q.size)]
         rel, heads, pairs = _poset_tables(q)
         groups = [
             [((p,), _completion_plan(q, (p,)), completion_order(q, (p,))) for p in heads],
-            [((p,), _search_plan(q, (p,)), comparability_first(q, (p,))) for p in heads],
             [(f, _completion_plan(q, f), completion_order(q, f)) for f in pairs],
         ]
         for group, walks in enumerate(groups):
@@ -810,26 +813,42 @@ class TestCompletionPlans:
             lines = {line.strip() for line in text.splitlines()}
             free = range(len(fixed), q.size)
 
+            def previous_twin(k):
+                twin = [j for j in free if j < k and rows[order[j]] == rows[order[k]]]
+                return twin[-1] if twin else -1
+
+            def cut(k, name, base, row):
+                # the first twin of a class needs as many members as its
+                # class has left from k on
+                text = f"({name} := {base} & {row})"
+                left = sum(rows[order[j]] == rows[order[k]] for j in range(k, q.size))
+                return f"{text}.bit_count() >= {left}" if left > 1 else text
+
             def forward(d):
                 # the element at position d has member i<d>: each later
                 # element whose twins before it are placed gets its domain
-                # cut, v<d + 1>_<k>, its first twin after d needing as many
-                # members as its class has left from there on
+                # cut, v<d + 1>_<k>
                 cuts = []
                 for k in range(d + 1, q.size):
-                    twin = [j for j in free if j < k and rows[order[j]] == rows[order[k]]]
-                    if twin and twin[-1] > d:
+                    if previous_twin(k) > d:
                         continue
-                    base = "members" if d == 1 else f"v{d}_{k}"
-                    base = f"v{d}_{d}" if twin and twin[-1] == d else base
-                    cut = f"(v{d + 1}_{k} := {base} & t{rel[order[k]][order[d]]}[i{d}])"
-                    left = sum(rows[order[j]] == rows[order[k]] for j in range(k, q.size))
-                    cuts.append(f"{cut}.bit_count() >= {left}" if left > 1 else cut)
+                    base = "members" if d < len(fixed) else f"v{d}_{k}"
+                    base = f"v{d}_{d}" if previous_twin(k) == d else base
+                    cuts.append(cut(k, f"v{d + 1}_{k}", base, f"t{rel[order[k]][order[d]]}[i{d}]"))
                 return cuts
 
             if len(fixed) == 2 < q.size:
                 assert f"if not ({' and '.join(forward(1))}):" in lines
+            carried = [[k for k in range(d, q.size) if previous_twin(k) < d] for d in range(q.size)]
+            if len(fixed) == 1 < q.size:
+                assert " = ".join([f"v1_{k}" for k in carried[1]] + ["members"]) in lines
             for d in free:
+                # a region of one set s pins the hole: the element's relation
+                # to the hole picks the row of s
+                pins = [cut(k, f"v{d}_{k}", f"v{d}_{k}", f"pin[{rel[order[k]][fixed[0]]}]")
+                        for k in carried[d]]
+                assert f"if r{d} == 1 << (s := r{d}.bit_length() - 1):" in lines
+                assert f"if not ({' and '.join(pins)}):" in lines and f"v{d}_{d} = 0" in lines
                 # the hole's relation to the element picks the region
                 code = rel[fixed[0]][order[d]]
                 assert f"while v{d}_{d}:" in lines and f"i{d} = b.bit_length() - 1" in lines
@@ -880,7 +899,8 @@ class TestWalkExits:
         through = data.draw(st.integers(0, len(masks) - 1)) if through_member else None
         index = _FamilyIndex(masks, n)
         regions = [_regions(u, n) for u in masks]
-        completing = _completion_pass(q, n, (index.incomp, index.below, index.above), regions)
+        completing = _completion_pass(q, n, (index.incomp, index.below, index.above), regions,
+                                      partial(_Pins, index.has))
         got = completing((1 << len(masks)) - 1, sum(1 << t for t in targets), through)
         required = [] if through is None else [masks[through]]
         assert got == sum(1 << t for t in targets
@@ -891,9 +911,8 @@ class TestWalkExits:
     def test_deep_walks_match_the_oracle_on_both_trackers(self, name, n):
         """Walks of twin classes of 3 or 4, and of 4 or more free steps, on
         the index's tables and on the lattice's: the same sets as the
-        oracle, with few targets and with more targets than members (the
-        two orders of a walk over every missing set), and through a
-        member. Each family holds a copy of q less one set, so that some
+        oracle, with few targets and with every missing set, alone and
+        through a member. Each family holds a copy of q less one set, so that some
         target completes a copy, or where q has no copy over [n] (K2,3
         needs n = 5 and K3,3 n = 6), of its largest first elements that
         have one, so that the walks still run deep."""
@@ -917,7 +936,7 @@ class TestWalkExits:
             missing = [s for s in range(1 << n) if s not in masks]
             index = _FamilyIndex(masks, n)
             indexed = _completion_pass(q, n, (index.incomp, index.below, index.above),
-                                       [_regions(u, n) for u in masks])
+                                       [_regions(u, n) for u in masks], partial(_Pins, index.has))
             few = [dropped] + rng.sample([s for s in missing if s != dropped], 2)
             # a copy through a member and t is a copy through t
             anywhere = {t for t in missing if naive_has_copy_up_to_twins(masks + [t], q, [t])}
@@ -933,6 +952,61 @@ class TestWalkExits:
                     assert lattice(sum(1 << s for s in masks), bitmap, at) == expected
                     blocked |= expected
         assert blocked or m < q.size
+
+    @pytest.mark.parametrize("name", ["B", "N", "antichain-3", "chain-3"])
+    def test_one_set_regions_match_the_oracle(self, name):
+        """Passes whose regions narrow to one set, which pins the hole and
+        cuts the domains still to place: one target, where the first loop
+        already holds one set, and two, where a deeper loop does; on the
+        index's tables with its own pins and on the lattice's, alone and
+        through a member, and on a lattice superset as ``hopeless`` runs
+        it. The index's passes must read some pin."""
+        q = TWIN_POSETS[name]
+        rng = random.Random(f"one-set regions:{name}")
+        pinned = []
+
+        class Recording(_Pins):
+            def __missing__(self, s):
+                pinned.append(s)
+                return super().__missing__(s)
+
+        hopeless = []
+        for _ in range(40):
+            n = rng.randint(3, 5)
+            masks = rng.sample(range(1 << n), rng.randint(q.size - 1, min(9, (1 << n) - 2)))
+            missing = [s for s in range(1 << n) if s not in masks]
+            index = _FamilyIndex(masks, n)
+            indexed = _completion_pass(q, n, (index.incomp, index.below, index.above),
+                                       [_regions(u, n) for u in masks], partial(Recording, index.has))
+            lattice = _completion_pass(q, n, *_lattice_tables(n))
+            for through in (None, rng.randrange(len(masks))):
+                required = [] if through is None else [masks[through]]
+                for targets in (rng.sample(missing, 1), rng.sample(missing, 2)):
+                    bitmap = sum(1 << t for t in targets)
+                    expected = sum(1 << t for t in targets
+                                   if naive_has_copy_up_to_twins(masks + [t], q, required + [t]))
+                    assert indexed((1 << len(masks)) - 1, bitmap, through) == expected
+                    at = None if through is None else masks[through]
+                    assert lattice(sum(1 << s for s in masks), bitmap, at) == expected
+            # a q-free family and the open sets at later positions
+            free = []
+            for s in masks:
+                if not naive_has_copy(free + [s], q):
+                    free.append(s)
+            family = embedding._LatticeFamily(n, q, free)
+            open_sets = [s for s in range(1 << n) if family.open[-1] >> s & 1]
+            if len(open_sets) < 2:
+                continue
+            later = rng.sample(open_sets, rng.randint(1, min(6, len(open_sets) - 1)))
+            rest = [s for s in open_sets if s not in later]
+            for pending in (rng.sample(rest, 1), rng.sample(rest, min(2, len(rest)))):
+                unblocked = any(not naive_has_copy_up_to_twins(free + later + [t], q, [t])
+                                for t in pending)
+                assert family.hopeless(sum(1 << t for t in pending), sum(1 << s for s in later)) \
+                    == unblocked
+                hopeless.append(unblocked)
+        assert pinned
+        assert True in hopeless and False in hopeless
 
 
 class TestRelationRows:
@@ -971,6 +1045,22 @@ class TestRelationRows:
             else:
                 index.append(move)
             self.check(index, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 5), data=st.data())
+    def test_pin_rows_match_a_pairwise_oracle(self, n, data):
+        """A pass's pin row of each set outside the family: the members
+        incomparable to it, inside it and containing it, as the lattice's
+        row of that set holds them."""
+        masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), unique=True, max_size=10))
+        members = (1 << len(masks)) - 1
+        pins = _Pins(_FamilyIndex(masks, n).has, members)
+        rows = _lattice_tables(n)[1]
+        for s in range(1 << n):
+            if s not in masks:
+                expected = [sum(1 << i for i, u in enumerate(masks) if row >> u & 1)
+                            for row in rows[s]]
+                assert [row & members for row in pins[s]] == expected
 
 
 LAYER3 = [b for b in range(1 << 7) if b.bit_count() == 3]  # the 35 3-sets of [7]
@@ -1045,9 +1135,10 @@ class TestKernels:
         q = TALL_TWINS[name]
         index = _FamilyIndex(masks, 7)
         regions = [_regions(u, 7) for u in masks]
-        completing = _completion_pass(q, 7, (index.incomp, index.below, index.above), regions)
+        completing = _completion_pass(q, 7, (index.incomp, index.below, index.above), regions,
+                                      partial(_Pins, index.has))
         rest = [b for b in LAYER3 if b not in masks]
-        # few targets take the walks in search order, many the other walks
+        # few targets narrow the regions to one set sooner than many
         for targets in (rest, rest + [0, 127] + [1 << e for e in range(6)] + [127 ^ 1 << e for e in range(6)]):
             targets = [t for t in targets if t not in masks]
             got = completing((1 << len(masks)) - 1, sum(1 << t for t in targets), through)
@@ -1069,7 +1160,8 @@ class TestKernels:
         index = _FamilyIndex(masks, 7)
         regions = [_regions(u, 7) for u in masks]
         targets = [t for t in LAYER3 if t not in masks]
-        completing = _completion_pass(q, 7, (index.incomp, index.below, index.above), regions)
+        completing = _completion_pass(q, 7, (index.incomp, index.below, index.above), regions,
+                                      partial(_Pins, index.has))
         got = completing((1 << len(masks)) - 1, sum(1 << t for t in targets))
         expected = [t for t in targets if naive_has_copy_up_to_twins(masks + [t], q, [t])]
         assert expected
@@ -1101,18 +1193,17 @@ class TestKernels:
             assert not any(label in source for label in labels)
 
     def test_walks_of_one_shape_share_a_kernel(self, monkeypatch):
-        """Ten disjoint 2-chains have 420 completion walks but few shapes: the
+        """Ten disjoint 2-chains have 400 completion walks but few shapes: the
         steps with each element renamed by its place in the walk."""
         q = validate_poset([[a % 2 == 0 and b == a + 1 for b in range(20)] for a in range(20)])
         monkeypatch.setattr(embedding, "_KERNELS", {})
         _completion_walks.cache_clear()
         try:
-            walks = [_completion_walks(q, group) for group in range(3)]
+            walks = [_completion_walks(q, group) for group in range(2)]
         finally:
             _completion_walks.cache_clear()
         rel, heads, pairs = _poset_tables(q)
         plans = [(1, _completion_plan(q, (p,))) for p in heads]
-        plans += [(1, _search_plan(q, (p,))) for p in heads]
         plans += [(2, _completion_plan(q, (p, x))) for p, x in pairs]
         shapes = set()
         for fixed, order in plans:
@@ -1122,5 +1213,5 @@ class TestKernels:
                  rel[order[0]][order[d]])
                 for d in range(fixed, len(order))
             )))
-        assert sum(map(len, walks)) == len(plans) == 420
+        assert sum(map(len, walks)) == len(plans) == 400
         assert len(embedding._KERNELS) <= len(shapes) == 7

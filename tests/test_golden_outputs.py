@@ -81,7 +81,7 @@ def golden_lines() -> list[str]:
 
 
 def _kernel_digest() -> str:
-    """SHA-256 over the kernel sources of walk groups 0, 1 and 2 and of the
+    """SHA-256 over the kernel sources of walk groups 0 and 1 and of the
     unforced search and the search forced at each element, poset by poset
     and walk by walk, compiled afresh and read back from ``_KERNELS``."""
     saved = embedding._KERNELS
@@ -91,7 +91,7 @@ def _kernel_digest() -> str:
     try:
         kernels = []
         for q in KERNEL_POSETS:
-            kernels += [kernel for group in range(3) for _, kernel in _completion_walks(q, group)]
+            kernels += [kernel for group in range(2) for _, kernel in _completion_walks(q, group)]
             kernels += [_search_kernel(q, forced)[1]
                         for forced in [(), *((p,) for p in range(q.size))]]
         source = {kernel: text for text, kernel in embedding._KERNELS.items()}
