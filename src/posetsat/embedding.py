@@ -47,7 +47,9 @@ holds three region bitmaps per member, built when the member joins: the
 sets incomparable to it, inside it and containing it. Each append pushes
 the next bitmap, found by completion walks through the new member, and each
 pop pops it. An untracked index, as a plain copy search uses, holds no
-regions.
+regions. Up to the limit the freeness search of a report or closure runs
+on the lattice tables too (``_witness_or_tracked``), so only a family
+that holds a copy builds an index, for its witness.
 
 One function, ``_completion_pass``, runs every completion pass of either
 tracker, behind one guard that blocks no set while no copy can form. Its
@@ -69,7 +71,9 @@ kernels. Walks compile group by group, on first use. A walk's branch ends
 once a later step's domain is empty, and its loop ends once its region,
 kept to the sets not yet blocked, is empty. A region of one set pins the
 hole at that set, so at the head of its loop the set's relation rows cut
-the domains still to place.
+the domains still to place. On the lattice, where a pin is a table read,
+a last loop whose region holds no more sets than its domain holds members
+tests each set of the region instead of each member.
 """
 
 from __future__ import annotations
@@ -472,12 +476,12 @@ def _completion_plan(q: PosetSpec, fixed: tuple[int, ...]) -> tuple[int, ...]:
 def _walk_kernel(q: PosetSpec, order: Sequence[int], fixed: int):
     """The completion walk for q that places ``order`` after its first
     ``fixed`` elements, the hole ``order[0]`` among them, compiled into
-    nested loops: ``kernel(members, t0, t1, t2, regions, pins, unblocked,
-    region, *images)`` returns ``unblocked`` less the sets that the walk
-    blocks, where ``t0, t1, t2`` are the relation tables, ``pins[s]`` the
-    relation rows of a set s outside the family, and ``images`` the member
-    indices of the fixed elements other than the hole. ``region`` must lie
-    inside ``unblocked``.
+    nested loops: ``kernel(members, t0, t1, t2, regions, pins, region_side,
+    unblocked, region, *images)`` returns ``unblocked`` less the sets that
+    the walk blocks, where ``t0, t1, t2`` are the relation tables,
+    ``pins[s]`` the relation rows of a set s outside the family, and
+    ``images`` the member indices of the fixed elements other than the
+    hole. ``region`` must lie inside ``unblocked``.
 
     The element at position d of ``order`` but the hole keeps its member
     index in ``i<d>``. The walk checks forward, as the copy search does
@@ -498,8 +502,18 @@ def _walk_kernel(q: PosetSpec, order: Sequence[int], fixed: int):
     whose region holds one set, this loop's domain and each later domain it
     carries are cut by the row of ``pins[s]`` that the element's relation
     to the hole picks, and the loop is skipped when a cut fails: a member
-    outside that row would only narrow the region to nothing."""
+    outside that row would only narrow the region to nothing.
+
+    With ``region_side`` true, as on the lattice, where a pin is a table
+    read, the last loop takes the smaller side: when its region holds no
+    more sets than its domain holds members, it tests each set s of the
+    region once, whether the domain meets the row of ``pins[s]`` that the
+    last element's relation to the hole picks, and blocks every set that
+    passes at once. A pinned last loop is the case of one set. Otherwise,
+    as on a tracked index, whose regions can hold thousands of sets, the
+    last loop tries its members and counts nothing."""
     rel, twins, m = _poset_tables(q)[0], _twins(q, order, fixed), len(order)
+    back = [rel[x][order[0]] for x in order]  # each element's relation to the hole
 
     def domain(d: int, k: int) -> str:
         return "members" if d < fixed else f"v{d}_{k}"
@@ -510,7 +524,7 @@ def _walk_kernel(q: PosetSpec, order: Sequence[int], fixed: int):
     def params(d: int) -> str:  # of the kernel that starts at position d
         images = [f"i{k}" for k in range(1, fixed)]
         domains = [domain(d, k) for k in carried(d)]
-        return ", ".join([f"members, t0, t1, t2, regions, pins, unblocked, r{d}"]
+        return ", ".join([f"members, t0, t1, t2, regions, pins, region_side, unblocked, r{d}"]
                          + (images if d == fixed else domains))
 
     lines = []
@@ -528,7 +542,18 @@ def _walk_kernel(q: PosetSpec, order: Sequence[int], fixed: int):
             code = rel[order[0]][order[d]]
             if d == 1:
                 lines.append(f"{pad}{' = '.join(domain(1, k) for k in carried(1))} = members")
-            cuts = [_cut(q, order, k, domain(d, k), domain(d, k), f"pin[{rel[order[k]][order[0]]}]")
+            if d == m - 1:
+                # the region side consumes the last region, which no test
+                # reads again, and gathers in h the sets a member completes
+                lines += [f"{pad}if region_side and r{d}.bit_count() <= v{d}_{d}.bit_count():",
+                          f"{pad}    h = 0"]
+                lines += _pull(f"{pad}    ", f"r{d}", "s")
+                lines += [f"{pad}        if v{d}_{d} & pins[s][{back[d]}]:", f"{pad}            h |= b",
+                          f"{pad}    if h:", f"{pad}        unblocked ^= h"]
+                lines += [f"{pad}        r{k} ^= h" for k in range(start, d)]
+                lines.append(f"{pad}else:")
+                pad += "    "
+            cuts = [_cut(q, order, k, domain(d, k), domain(d, k), f"pin[{back[k]}]")
                     for k in carried(d)]
             lines += [f"{pad}if r{d} == 1 << (s := r{d}.bit_length() - 1):",
                       f"{pad}    pin = pins[s]",
@@ -570,7 +595,7 @@ def _completion_walks(q: PosetSpec, group: int):
     return tuple((_NONE, _walk_kernel(q, _completion_plan(q, (p,)), 1)) for p in heads)
 
 
-def _completion_pass(q: PosetSpec, n: int, tables, regions, pins):
+def _completion_pass(q: PosetSpec, n: int, tables, regions, pins, region_side: bool = False):
     """The completion pass for q over [n] on ``tables``, ``regions`` and
     ``pins``, as a function ``(members, targets, through=None)`` of the sets
     among ``targets`` whose addition to the family ``members`` creates a
@@ -592,7 +617,9 @@ def _completion_pass(q: PosetSpec, n: int, tables, regions, pins):
     region, and a branch ends once its region holds no target left
     unblocked, or once the members left for a later element cannot
     complete a copy, where a region of one set cuts those members by that
-    set's relation rows (``_walk_kernel``). No member lies in the region,
+    set's relation rows (``_walk_kernel``); with ``region_side``, a last
+    loop whose region holds no more sets than its domain holds members
+    tests the sets instead of the members. No member lies in the region,
     so a set in it differs from every image and relates to each strictly.
     Twins relate to p alike, so the twin ordering loses no region. Each
     walk runs as its compiled kernel.
@@ -619,21 +646,24 @@ def _completion_pass(q: PosetSpec, n: int, tables, regions, pins):
                     break
                 region = unblocked & fixed[code]
                 if region:
-                    unblocked = kernel(members, t0, t1, t2, regions, pin, unblocked, region,
-                                       through)
+                    unblocked = kernel(members, t0, t1, t2, regions, pin, region_side, unblocked,
+                                       region, through)
         else:
             for _, kernel in _completion_walks(q, 0):
                 if not unblocked:
                     break
-                unblocked = kernel(members, t0, t1, t2, regions, pin, unblocked, unblocked)
+                unblocked = kernel(members, t0, t1, t2, regions, pin, region_side, unblocked,
+                                   unblocked)
         return targets & ~unblocked
 
     return completing
 
 
-# tracked families index sets by mask up to here; on the sampler a member
-# index is faster from n = 9 for N
-_LATTICE_LIMIT = 8
+# tracked families and freeness searches index sets by mask up to here; the
+# tables of n = 10 hold 3 * 2^10 rows of 2^10 bits, and at n = 9 and 10 the
+# N sampler runs about a third fewer walk iterations on them than on a
+# member index
+_LATTICE_LIMIT = 10
 
 
 @lru_cache(maxsize=None)  # n <= _LATTICE_LIMIT only
@@ -642,7 +672,7 @@ def _lattice_tables(n: int):
     the subsets of [n] indexed by mask: per subset s its row of the tables,
     the ``_regions`` bitmaps of s, serves as its regions and as its pins in
     every pass. The walks of a poset, cached apart, run over these tables
-    for every n."""
+    for every n, and so does the copy search of ``_lattice_search``."""
     rows = [_regions(s, n) for s in range(1 << n)]
     return tuple(zip(*rows)), rows, lambda members: rows
 
@@ -660,7 +690,7 @@ class _LatticeFamily:
     __slots__ = ("bits", "members", "open", "_blocked")
 
     def __init__(self, n: int, q: PosetSpec, bits: Sequence[int] = ()):
-        self._blocked = _completion_pass(q, n, *_lattice_tables(n))
+        self._blocked = _completion_pass(q, n, *_lattice_tables(n), region_side=True)
         self.bits = list(bits)
         self.members = sum(1 << s for s in self.bits)
         missing = ((1 << (1 << n)) - 1) ^ self.members
@@ -684,13 +714,12 @@ class _LatticeFamily:
         return self._blocked(self.members | later, pending) != pending
 
 
-def _tracked_family(n: int, q: PosetSpec, bits: Sequence[int] = (), index=None):
+def _tracked_family(n: int, q: PosetSpec, bits: Sequence[int] = ()):
     """The q-free family ``bits`` over [n], tracking q: a ``_LatticeFamily``
-    for n <= ``_LATTICE_LIMIT``, else a tracked ``_FamilyIndex``, which is
-    ``index``, an untracked index over ``bits``, when one is given."""
+    for n <= ``_LATTICE_LIMIT``, else a tracked ``_FamilyIndex``."""
     if n <= _LATTICE_LIMIT:
         return _LatticeFamily(n, q, bits)
-    index = _FamilyIndex(bits, n) if index is None else index
+    index = _FamilyIndex(bits, n)
     index.track(q)
     return index
 
@@ -736,6 +765,39 @@ def _search_witness(index: _FamilyIndex, q: PosetSpec, ground: GroundSet, forced
     if assignment is None:
         return None
     return EmbeddingWitness(q, tuple(SubsetMask(index.bits[i], ground) for i in assignment))
+
+
+def _lattice_search(q: PosetSpec, n: int, members: int) -> list[int] | None:
+    """The mask of each element of q in a copy of q among the subsets of
+    [n] in the bitmap ``members``, or None: the kernel of
+    ``_search_kernel(q, ())`` on the lattice tables, where a member's
+    index is its mask, so no index is built."""
+    if q.size > members.bit_count():
+        return None
+    order, kernel = _search_kernel(q, ())
+    found = kernel(*_lattice_tables(n)[0], members, members)
+    return None if found is None else [s for _, s in sorted(zip(order, found))]
+
+
+def _witness_or_tracked(family: SetFamily, q: PosetSpec):
+    """``(witness, None)`` with the first copy of q in ``family`` that
+    ``_FamilyIndex.search`` finds, or ``(None, tracked)`` with the family
+    tracking q (``_tracked_family``) when it is q-free.
+
+    Up to ``_LATTICE_LIMIT`` the freeness search runs on the lattice
+    (``_lattice_search``), so a free family builds no index; only a family
+    with a copy builds one, to find the copy that a search over its member
+    indices finds first. Above the limit one index serves the search and
+    then tracks q."""
+    n, bits = family.ground.n, family.bit_list
+    if n <= _LATTICE_LIMIT and _lattice_search(q, n, sum(1 << s for s in bits)) is None:
+        return None, _LatticeFamily(n, q, bits)
+    index = _FamilyIndex(bits, n)
+    witness = _search_witness(index, q, family.ground)
+    if witness is not None:
+        return witness, None
+    index.track(q)
+    return None, index
 
 
 def find_induced_copy(

@@ -5,12 +5,12 @@ A family is q-saturated when it is q-free and adding any missing subset
 creates an induced copy of q; equivalently, when it is maximal q-free. Once
 the family is known to be free, any new copy passes through the new set.
 
-Freeness is decided by a copy search on an untracked index. The scan and
-the closure then run on the tracked family that ``embedding`` builds,
-which keeps the missing sets whose addition keeps the family free as one
-bitmap over all subsets: for n <= 8 on lattice tables indexed by mask,
-above on the search index itself. It starts from one pass over completion
-regions rather than one forced search per missing set: for the least
+Freeness is decided by a copy search, and the scan and the closure then
+run on the tracked family that ``embedding`` builds, which keeps the
+missing sets whose addition keeps the family free as one bitmap over all
+subsets: for n <= 10 both run on lattice tables indexed by mask, above on
+one search index. It starts from one pass over completion regions rather
+than one forced search per missing set: for the least
 element p of each twin class of q it lists the copies of q - p among the
 members, and each copy blocks the region of subsets that complete it at p:
 those inside the images of the elements above p, containing the images of
@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .core import GroundSet, PosetSpec, SetFamily, SubsetMask, mask_key
-from .embedding import EmbeddingWitness, _FamilyIndex, _search_witness, _tracked_family
+from .embedding import EmbeddingWitness, _witness_or_tracked
 from .errors import UsageError
 
 
@@ -68,14 +68,11 @@ def _bit_positions(x: int) -> list[int]:
 
 def saturation_report(family: SetFamily, q: PosetSpec) -> SaturationReport:
     """Full saturation verdict: freeness, then every missing subset that
-    completes no copy, in canonical order. The freeness search runs on an
-    untracked search index over the members, and the scan on the tracked
-    family that ``_tracked_family`` builds from them."""
-    index = _FamilyIndex(family.bit_list, family.ground.n)
-    witness = _search_witness(index, q, family.ground)
+    completes no copy, in canonical order. ``_witness_or_tracked`` gives
+    the witness of a family that is not free, and the scan of a free one."""
+    witness, tracked = _witness_or_tracked(family, q)
     if witness is not None:
         return SaturationReport(False, witness, (), False)
-    tracked = _tracked_family(family.ground.n, q, index.bits, index)
     unsat = sorted(_bit_positions(tracked.open[-1]), key=mask_key)
     masks = tuple(SubsetMask(s, family.ground) for s in unsat)
     return SaturationReport(True, None, masks, not unsat)
@@ -93,8 +90,7 @@ def greedy_saturate(
     integer mask of the ground set, and together they must cover every
     subset outside the seed."""
     ground = seed.ground
-    index = _FamilyIndex(seed.bit_list, ground.n)
-    witness = _search_witness(index, q, ground)
+    witness, tracked = _witness_or_tracked(seed, q)
     if witness is not None:
         raise UsageError("greedy seed already contains an induced copy", witness=witness)
     candidates = ground.all_masks() if order is None else list(order)
@@ -103,7 +99,6 @@ def greedy_saturate(
             raise UsageError(f"candidate {s!r} is not a subset mask of 1..{ground.n}")
     if set(range(1 << ground.n)) - set(seed.bit_list) - set(candidates):
         raise UsageError("candidate order must cover every subset outside the seed")
-    tracked = _tracked_family(ground.n, q, index.bits, index)
     for s in candidates:
         if tracked.open[-1] >> s & 1:
             tracked.append(s)

@@ -15,7 +15,7 @@ One depth-first walk over families in canonical order serves both other
 paths. It follows one tracked family from ``embedding``, which alone
 chooses the tracker and keeps the missing sets whose addition keeps the
 family free as a bitmap; on the lattice tracker, which indexes sets by
-mask (n <= 8), the walk also ends hopeless branches. It yields saturated
+mask (n <= 10), the walk also ends hopeless branches. It yields saturated
 families in lexicographic order of their members' canonical positions.
 Larger n enumerate the first families of that walk, up to a cap. The exact
 solver (``method="auto"``) closes greedy upper bounds first, then takes

@@ -785,7 +785,9 @@ class TestCompletionPlans:
         its first loop, and first places an element comparable to x when
         one is free. At the head of each loop, a region of one set s cuts
         this loop's domain and each later one it carries by the row of s
-        that the element's relation to the hole picks. The two walk groups,
+        that the element's relation to the hole picks; with ``region_side``,
+        a last loop whose region holds no more sets than its domain holds
+        members tests each set of the region instead. The two walk groups,
         over every missing set and through a member, compile these plans,
         in this order."""
         q = TWIN_POSETS[name]
@@ -854,6 +856,13 @@ class TestCompletionPlans:
                 assert f"while v{d}_{d}:" in lines and f"i{d} = b.bit_length() - 1" in lines
                 if d == q.size - 1:
                     assert f"h = regions[i{d}][{code}] & r{d}" in lines
+                    # the region side: each set s of the last region meets
+                    # the domain in the row of s that the last element's
+                    # relation to the hole picks
+                    back = rel[order[d]][fixed[0]]
+                    assert f"if region_side and r{d}.bit_count() <= v{d}_{d}.bit_count():" in lines
+                    assert {f"while r{d}:", f"if v{d}_{d} & pins[s][{back}]:", "h |= b"} <= lines
+                    assert "else:" in lines
                 else:
                     tests = [f"(r{d + 1} := regions[i{d}][{code}] & r{d})"] + forward(d)
                     assert f"if {' and '.join(tests)}:" in lines
@@ -1007,6 +1016,53 @@ class TestWalkExits:
                 hopeless.append(unblocked)
         assert pinned
         assert True in hopeless and False in hopeless
+
+    @pytest.mark.parametrize("name", ["B", "N", "antichain-3", "chain-3"])
+    def test_region_side_matches_the_oracle(self, name):
+        """Passes with and without ``region_side``, whose last loops then
+        test the region's sets when they are no more than the members: one,
+        three and every missing set as targets, on the lattice's tables and
+        on the index's with its own pins, alone and through a member. The
+        region side reads more pins than the pins of one-set regions."""
+        q = TWIN_POSETS[name]
+        rng = random.Random(f"region side:{name}")
+        reads = {False: 0, True: 0}
+        for _ in range(25):
+            n = rng.randint(3, 5)
+            masks = rng.sample(range(1 << n), rng.randint(q.size - 1, min(10, (1 << n) - 2)))
+            missing = [s for s in range(1 << n) if s not in masks]
+            index = _FamilyIndex(masks, n)
+            tables, rows, _ = _lattice_tables(n)
+            cases = []  # (through, targets, expected)
+            for through in (None, rng.randrange(len(masks))):
+                required = [] if through is None else [masks[through]]
+                completes = {t for t in missing
+                             if naive_has_copy_up_to_twins(masks + [t], q, required + [t])}
+                for targets in (rng.sample(missing, 1), rng.sample(missing, min(3, len(missing))),
+                                missing):
+                    cases.append((through, targets, completes.intersection(targets)))
+            for side in (False, True):
+
+                class Counted(list):
+                    def __getitem__(self, s, side=side):
+                        reads[side] += 1
+                        return super().__getitem__(s)
+
+                class CountedPins(_Pins):
+                    def __getitem__(self, s, side=side):
+                        reads[side] += 1
+                        return super().__getitem__(s)
+
+                lattice = _completion_pass(q, n, tables, rows, lambda _: Counted(rows), side)
+                indexed = _completion_pass(q, n, (index.incomp, index.below, index.above),
+                                           [_regions(u, n) for u in masks],
+                                           partial(CountedPins, index.has), side)
+                for through, targets, completes in cases:
+                    bitmap, expected = sum(1 << t for t in targets), sum(1 << t for t in completes)
+                    assert indexed((1 << len(masks)) - 1, bitmap, through) == expected
+                    at = None if through is None else masks[through]
+                    assert lattice(sum(1 << s for s in masks), bitmap, at) == expected
+        assert reads[True] > reads[False]
 
 
 class TestRelationRows:

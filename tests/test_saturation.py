@@ -22,8 +22,15 @@ from posetsat import (
     saturation_report,
 )
 from posetsat import embedding
-from posetsat.core import mask_key
-from posetsat.embedding import _FamilyIndex, _tracked_family, find_induced_copy
+from posetsat.core import SubsetMask, mask_key
+from posetsat.embedding import (
+    EmbeddingWitness,
+    _FamilyIndex,
+    _LatticeFamily,
+    _lattice_search,
+    _tracked_family,
+    find_induced_copy,
+)
 from posetsat.solver import _saturated_walk
 
 from conftest import CROSS_CHECK_POSETS, family
@@ -250,9 +257,10 @@ class TestReportAgainstDefinition:
 
 
 class TestOneIndexPerCall:
-    """A report or a closure builds one search index over the members for
-    the freeness search; above the lattice limit the scan or closure tracks
-    that same index."""
+    """Up to the lattice limit a report or a closure of a free family builds
+    no search index, since its freeness search runs on the lattice tables,
+    and one of a family with a copy builds one, for its witness. Above the
+    limit each builds one index, which the scan or closure then tracks."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -267,25 +275,27 @@ class TestOneIndexPerCall:
         return count
 
     @pytest.mark.parametrize(
-        "fam",
+        "fam,indexes",
         [
-            butterfly_construction(5),
-            family(4, [1], [2], [3], [1, 2]),
-            family(4, [1], [2], [1, 2, 3], [1, 2, 4]),
-            butterfly_construction(9),
+            (butterfly_construction(5), 0),
+            (family(4, [1], [2], [3], [1, 2]), 0),
+            (butterfly_construction(embedding._LATTICE_LIMIT), 0),
+            (family(4, [1], [2], [1, 2, 3], [1, 2, 4]), 1),
+            (butterfly_construction(11), 1),
         ],
-        ids=["saturated", "unsaturated", "not-free", "member-index"],
+        ids=["saturated", "unsaturated", "lattice-limit", "not-free", "member-index"],
     )
-    def test_saturation_report_builds_one_index(self, builds, butterfly, fam):
+    def test_saturation_report_builds_an_index_only_when_needed(self, builds, butterfly,
+                                                                fam, indexes):
         saturation_report(fam, butterfly)
-        assert builds[0] == 1
+        assert builds[0] == indexes
 
-    def test_greedy_saturate_builds_one_index(self, builds, butterfly):
+    def test_greedy_saturate_builds_no_index(self, builds, butterfly):
         greedy_saturate(k2k_seed(6, 2), butterfly)
-        assert builds[0] == 1
+        assert builds[0] == 0
 
     def test_member_index_greedy_saturate_builds_one_index(self, builds, butterfly):
-        greedy_saturate(n_construction(9), butterfly)
+        greedy_saturate(n_construction(11), butterfly)
         assert builds[0] == 1
 
     def test_rejected_greedy_seed_builds_one_index(self, builds, butterfly):
@@ -329,6 +339,87 @@ class TestMemberIndexBelowTheLimit:
         monkeypatch.setattr(embedding, "_LATTICE_LIMIT", 0)
         assert isinstance(_tracked_family(1, q), _FamilyIndex)
         assert run() == lattice
+
+    @pytest.mark.parametrize("n", [9, 10])
+    @pytest.mark.parametrize("name", ["B", "N"])
+    def test_agree_at_the_sizes_that_changed_tracker(self, monkeypatch, name, n):
+        """Reports and closures at n = 9 and 10, which ran on a member index
+        while the limit was 8: the construction, it less {1, 2, 3}, and it
+        plus a set that makes a copy; closures of the empty family in
+        canonical and in a random order, and of the construction less its
+        unsaturated prefix."""
+        q = CROSS_CHECK_POSETS[name]
+        fam = (butterfly_construction if name == "B" else n_construction)(n)
+        ground, empty = fam.ground, SetFamily.from_masks(fam.ground, [])
+        minus = SetFamily.from_masks(ground, [b for b in fam.bit_list if b != 0b111])
+        extra = next(s for s in range(1 << n) if not fam.has_mask(s))
+        plus = SetFamily.from_masks(ground, [*fam.bit_list, extra])
+        order = random.Random(f"{name}:{n}").sample(range(1 << n), 1 << n)
+
+        def run():
+            reports = [saturation_report(f, q).to_json_obj() for f in (fam, minus, plus)]
+            closures = [greedy_saturate(empty, q).bit_list, greedy_saturate(empty, q, order).bit_list,
+                        greedy_saturate(minus, q, order).bit_list]
+            return reports, closures
+
+        lattice = run()
+        assert isinstance(_tracked_family(n, q), _LatticeFamily)
+        assert lattice[0][0]["saturated"] and not lattice[0][1]["saturated"]
+        assert lattice[0][2]["witness"] is not None
+        monkeypatch.setattr(embedding, "_LATTICE_LIMIT", n - 1)
+        assert isinstance(_tracked_family(n, q), _FamilyIndex)
+        assert run() == lattice
+
+
+class TestLatticeFreenessSearch:
+    """Up to the lattice limit the freeness search of reports and closures
+    runs on the lattice tables, with the members as one bitmap of masks."""
+
+    @pytest.mark.parametrize("name", sorted(CROSS_CHECK_POSETS))
+    def test_lattice_search_matches_the_oracle(self, name):
+        q = CROSS_CHECK_POSETS[name]
+        rng = random.Random(name)
+        verdicts = set()
+        for n in range(1, 6):
+            ground = GroundSet(n)
+            for trial in range(12):
+                bits = rng.sample(range(1 << n), rng.randint(0, min(10, 1 << n)))
+                if trial % 2 and q.size <= n:
+                    # plant a copy: x goes to the elements at or below x,
+                    # relabelled at random
+                    perm = rng.sample(range(n), n)
+                    planted = [sum(1 << perm[y] for y in range(q.size) if y == x or q.less[y][x])
+                               for x in range(q.size)]
+                    bits = planted + [s for s in bits if s not in planted][:10 - q.size]
+                found = _lattice_search(q, n, sum(1 << s for s in bits))
+                expected = naive_has_copy(bits, q)
+                assert (found is not None) == expected
+                verdicts.add(expected)
+                if found is not None:
+                    witness = EmbeddingWitness(q, tuple(SubsetMask(s, ground) for s in found))
+                    assert witness.verify(SetFamily.from_masks(ground, bits))
+        assert verdicts == {False, True}
+
+    @pytest.mark.parametrize("n", [5, 8, 9, 10])
+    @pytest.mark.parametrize("name", ["B", "N"])
+    def test_non_free_witness_matches_find_induced_copy(self, name, n):
+        """A construction plus sets that each make a copy: the report's
+        witness, and the one a rejected closure seed carries, are the first
+        copy of the member-index search."""
+        q = CROSS_CHECK_POSETS[name]
+        fam = (butterfly_construction if name == "B" else n_construction)(n)
+        rng = random.Random(f"{name}:{n}")
+        missing = [s for s in range(1 << n) if not fam.has_mask(s)]
+        for extra in rng.sample(missing, 4):
+            plus = SetFamily.from_masks(fam.ground, [*fam.bit_list, extra])
+            expected = find_induced_copy(plus, q)
+            assert expected is not None
+            report = saturation_report(plus, q)
+            assert not report.free
+            assert report.witness_if_not_free.to_json_obj() == expected.to_json_obj()
+            with pytest.raises(UsageError) as raised:
+                greedy_saturate(plus, q)
+            assert raised.value.witness.to_json_obj() == expected.to_json_obj()
 
 
 @st.composite

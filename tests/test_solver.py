@@ -162,7 +162,7 @@ class TestForbiddenTables:
             raise AssertionError("the enumerator must not use the copy search")
 
         monkeypatch.setattr(embedding, "_FamilyIndex", refuse)
-        monkeypatch.setattr(saturation, "_FamilyIndex", refuse)
+        monkeypatch.setattr(saturation, "_witness_or_tracked", refuse)
         monkeypatch.setattr(embedding, "_search_plan", refuse)
         monkeypatch.setattr(embedding, "_search_kernel", refuse)
         monkeypatch.setattr(embedding, "_completion_plan", refuse)

@@ -10,7 +10,9 @@ seed (default 1) at the benchmark's sizes, or its smoke test's with
 ``--tiny``, and runs one pass of it. Meanwhile ``embedding._pull`` adds a
 counter to every loop it writes, and the kernels compile afresh into caches
 of their own; afterwards the package's kernel and walk caches are the ones
-it had before. The counts repeat exactly for one seed and size, on any
+it had before. A search iteration is a member tried at one step; a walk
+iteration is a member tried at one step, or a set of a last loop's region
+tested, when that loop takes the region side on the lattice. The counts repeat exactly for one seed and size, on any
 machine. When its reader closes the pipe, it stops quietly with status 141.
 """
 
